@@ -7,19 +7,26 @@ odometer over entries.  The generator matrix evaluates the canonical minor
 basis at every point in index order; messages are coefficient vectors over
 that basis.
 
-Minimum distance and weight distributions come from full message scans.  The
-scans partition the message range into disjoint chunks merged by min / sum,
-so the result does not depend on the worker count; binary codes pack
-codewords into integers and use popcount, everything else counts nonzero
-entries directly.  Early exit is taken only when the caller passes a
-conjectured distance; blind runs see every message.
+Minimum distance and weight distributions come from full message scans, one
+engine for every field: codewords are packed into integers with one lane per
+position, a table holds the words of every message on the low digits, and
+each message costs one lane-packed operation and a popcount (see _Lanes).
+The scans partition the messages into at most one chunk per core, merged by
+min / sum / concatenation, so the result does not depend on the worker count.
+Early exit is taken only when the caller passes a conjectured distance; blind
+runs see every message.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, islice
+from operator import itemgetter, methodcaller
 
 from . import limits
 from .matrices import MatrixGF
@@ -129,15 +136,6 @@ class LinearCode:
         stacked = MatrixGF.from_rows(self.gf, list(self.generator) + [tuple(vector)])
         return stacked.rank() == g.rank()
 
-    def _packed_rows(self) -> list[int]:
-        # binary fast path: row j bit at position j of the integer
-        key = "packed"
-        if key not in self._cache:
-            self._cache[key] = [
-                sum(bit << j for j, bit in enumerate(row)) for row in self.generator
-            ]
-        return self._cache[key]
-
     def __repr__(self) -> str:
         tag = self.label or "linear code"
         return f"<{tag} [{self.n}, {self.k}] over GF({self.gf.q})>"
@@ -172,6 +170,155 @@ def weight(vector: tuple[int, ...]) -> int:
 
 
 # -- exhaustive message scans --
+#
+# Element indices are base-p digit vectors (see fields), so a message, a
+# base-q number with row 0's coefficient least significant, is also a base-p
+# number with e*k digits: digit t stands for the element p^(t % e) as the
+# coefficient of row t // e.  Scaling a message by a nonzero scalar keeps its
+# weight, so the scans visit only the messages whose top nonzero coefficient
+# is 1: segment r holds q^r + s for s < q^r, and a scan position numbers the
+# segments' messages in order.  Each one stands for its q-1 multiples.
+
+_TABLE_ENTRIES = 2**12  # low-digit words kept per code
+_TABLE_BYTES = 2**20  # and the memory they may take
+
+
+class _Lanes:
+    """Lane-packed codewords of one code, and the table its scans read.
+
+    A codeword is one int with a lane of `width` bits per position.  A lane
+    holds an element as its e base-p digits, each in a sub-lane of `sub`
+    bits.  In characteristic 2 a sum is one XOR.  For odd p each stored
+    digit carries a bias of 2^(sub-1) - p, so a digit sum reaches the
+    sub-lane's top (guard) bit exactly when it is p or more, and subtracting
+    p there reduces it (Boothby and Bradshaw, arXiv:0901.1413).  Every
+    element has one lane pattern, so lane i of u ^ v is zero exactly where
+    u and v agree.
+
+    The table holds the words of the messages on the `low` lowest digits, in
+    index order.  A message with high part h and low part j has the word
+    w(h) + table[j], which is zero exactly where table[j] equals -w(h): a
+    block of messages costs one XOR and one count of nonzero lanes each,
+    against the negated word of the block's high part.
+    """
+
+    def __init__(self, code: LinearCode):
+        gf = code.gf
+        p, e, q, n = gf.p, gf.e, gf.q, code.n
+        # no reference back to the code, which caches this object
+        self.generator, self.gf, self.n = code.generator, gf, n
+        self.box = bytes if q <= 256 else tuple  # holds a vector of elements
+        self.sub = sub = 1 if p == 2 else (p - 1).bit_length() + 1
+        self.width = width = 1 if q == 2 else next(w for w in (8, 16, 32) if e * sub < w)
+        bias = 0 if p == 2 else (1 << (sub - 1)) - p
+
+        def pattern(x: int, b: int) -> int:
+            out = 0
+            for j in range(e):
+                out |= (x % p + b) << (sub * j)
+                x //= p
+            return out
+
+        every = ((1 << (width * n)) - 1) // ((1 << width) - 1)  # 1 in each lane
+        self.zero = pattern(0, bias) * every
+        self.guard = sum(1 << (sub * j + sub - 1) for j in range(e)) * every
+        # (x + fill) & high has a lane's top bit set where x's lane is nonzero
+        self.fill = ((1 << (width - 1)) - 1) * every
+        self.high = (1 << (width - 1)) * every
+        # lane pattern -> element; a 1-bit lane is unpacked as an ASCII digit
+        decode = {pattern(x, bias) + (ord("0") if width == 1 else 0): x for x in range(q)}
+        if width <= 8:
+            lookup = bytearray(256)
+            for key, x in decode.items():
+                lookup[key] = x
+            self.decode: bytes | dict[int, int] = bytes(lookup)
+        else:
+            self.decode = decode
+        self._bits = [format(pattern(x, 0), f"0{width}b") for x in range(q)]
+        self._rows: dict[tuple[int, int], int] = {}
+        per_word = width * n // 8 + 32
+        low = 0
+        while (
+            low < e * (code.k - 1)
+            and p ** (low + 1) <= _TABLE_ENTRIES
+            and p ** (low + 1) * per_word <= _TABLE_BYTES
+        ):
+            low += 1
+        self.low = low
+        table = [self.zero]
+        for t in range(low):
+            steps = [self.row(c * p ** (t % e), t // e) for c in range(1, p)]
+            table += [self.add(x, v) for v in steps for x in table]
+        self.table = table
+
+    def row(self, a: int, r: int) -> int:
+        """Generator row r times the element a, packed without bias."""
+        # worker threads may fill the same key twice, with the same value
+        key = (a, r)
+        if key not in self._rows:
+            mul, bits = self.gf.mul, self._bits
+            times_a = [bits[mul(a, x)] for x in range(self.gf.q)]
+            entries = map(times_a.__getitem__, reversed(self.generator[r]))
+            self._rows[key] = int("".join(entries), 2)
+        return self._rows[key]
+
+    def add(self, u: int, v: int) -> int:
+        """u + v for a stored word u and an unbiased packed word v."""
+        p = self.gf.p
+        if p == 2:
+            return u ^ v
+        t = u + v
+        return t - ((t & self.guard) >> (self.sub - 1)) * p
+
+    def base(self, scale: int, r: int, h: int) -> int:
+        """The stored word of scale times the message with coefficient 1 at
+        row r and base-p digits h from digit `low` up, all lower digits 0."""
+        gf, p, e = self.gf, self.gf.p, self.gf.e
+        out = self.add(self.zero, self.row(scale, r))
+        t = self.low
+        while h:
+            h, c = divmod(h, p)
+            if c:
+                out = self.add(out, self.row(gf.mul(scale, c * p ** (t % e)), t // e))
+            t += 1
+        return out
+
+    def weights(self, negated: int, lo: int, hi: int):
+        """Weights of the words table[lo:hi] + w, given -w stored."""
+        diff = map(negated.__xor__, islice(self.table, lo, hi))
+        if self.width > 1:
+            diff = map(self.high.__and__, map(self.fill.__add__, diff))
+        return map(int.bit_count, diff)
+
+    def unpack(self, word: int) -> bytes | tuple[int, ...]:
+        """Element indices of a stored word: bytes when q <= 256."""
+        n, width = self.n, self.width
+        if width == 1:
+            return format(word, f"0{n}b")[::-1].encode().translate(self.decode)
+        if width == 8:
+            return word.to_bytes(n, "little").translate(self.decode)
+        # native byte order, so the cast reads each lane whole; big-endian
+        # order puts the last lane first
+        raw = word.to_bytes(n * width // 8, sys.byteorder)
+        lanes = memoryview(raw).cast("H" if width == 16 else "I")
+        if sys.byteorder == "big":
+            lanes = lanes[::-1]
+        return self.box(map(self.decode.__getitem__, lanes))
+
+    def times(self) -> list:
+        """times[c](v) is c * v, entry by entry, for a vector v of elements."""
+        gf, q = self.gf, self.gf.q
+        if self.box is tuple:
+            return [lambda v, c=c: tuple(gf.mul(c, x) for x in v) for c in range(q)]
+        tables = (bytes(gf.mul(c, x) for x in range(q)).ljust(256, b"\0") for c in range(q))
+        return [methodcaller("translate", table) for table in tables]
+
+
+def _lanes(code: LinearCode) -> _Lanes:
+    # built on the first scan, not with the code, so a build pays nothing
+    if "lanes" not in code._cache:
+        code._cache["lanes"] = _Lanes(code)
+    return code._cache["lanes"]
 
 
 def _scan_range(
@@ -180,66 +327,44 @@ def _scan_range(
     hi: int,
     mode: str,
     early_exit_at: int | None,
-) -> tuple[int, dict[int, int], list[int]]:
-    """Scan messages lo..hi-1; returns (min weight, distribution, messages at min).
+) -> tuple[Counter, int, list[tuple[int, int]]]:
+    """Scan positions lo..hi-1; returns (weight counts, min weight, hits).
 
-    The distribution is filled only in mode "dist", the message list only in
-    mode "words"; the minimum is always tracked.
+    Mode "dist" counts weights, "min" only tracks the least, and "words"
+    keeps (message index, stored word) for each message at the least weight
+    seen, in message index order.
     """
-    gf = code.gf
-    q = gf.q
-    k, n = code.k, code.n
-    best = n + 1
-    dist: dict[int, int] = {}
-    hits: list[int] = []
-    if q == 2:
-        rows = code._packed_rows()
-        for msg in range(lo, hi):
-            cw = 0
-            mm = msg
-            while mm:
-                low = mm & -mm
-                cw ^= rows[low.bit_length() - 1]
-                mm ^= low
-            w = cw.bit_count()
+    lanes = _lanes(code)
+    q = code.gf.q
+    minus_one = code.gf.neg(1)
+    counts: Counter = Counter()
+    best, hits = code.n + 1, []
+    start = 0  # first position of segment r
+    for r in range(code.k):
+        size = q**r
+        first, end = max(lo - start, 0), min(hi - start, size)
+        start += size
+        step = min(size, len(lanes.table))
+        for at in range(first - first % step, end, step):
+            j0, j1 = max(first - at, 0), min(end - at, step)
+            weights = lanes.weights(lanes.base(minus_one, r, at // step), j0, j1)
             if mode == "dist":
-                dist[w] = dist.get(w, 0) + 1
-            if w < best:
-                best = w
-                if mode == "words":
-                    hits = [msg]
-                if early_exit_at is not None and best <= early_exit_at and mode == "min":
-                    return best, dist, hits
-            elif w == best and mode == "words":
-                hits.append(msg)
-        return best, dist, hits
-    add, mul = gf.add, gf.mul
-    scaled = [
-        [None] + [[mul(c, x) for x in row] for c in range(1, q)] for row in code.generator
-    ]
-    for msg in range(lo, hi):
-        out = [0] * n
-        mm = msg
-        r = 0
-        while mm:
-            d = mm % q
-            if d:
-                srow = scaled[r][d]
-                out = [add(a, b) for a, b in zip(out, srow)]
-            mm //= q
-            r += 1
-        w = sum(1 for x in out if x)
-        if mode == "dist":
-            dist[w] = dist.get(w, 0) + 1
-        if w < best:
-            best = w
-            if mode == "words":
-                hits = [msg]
-            if early_exit_at is not None and best <= early_exit_at and mode == "min":
-                return best, dist, hits
-        elif w == best and mode == "words":
-            hits.append(msg)
-    return best, dist, hits
+                counts.update(weights)
+            elif mode == "min":
+                best = min(best, min(weights))
+                if early_exit_at is not None and best <= early_exit_at:
+                    return counts, best, hits
+            else:
+                ws = list(weights)
+                least = min(ws)
+                if least > best:
+                    continue
+                if least < best:
+                    best, hits = least, []
+                word = lanes.base(1, r, at // step) - lanes.zero
+                found = compress(range(j0, j1), map(least.__eq__, ws))
+                hits += [(size + at + j, lanes.add(lanes.table[j], word)) for j in found]
+    return counts, best, hits
 
 
 def _check_workers(workers: int) -> None:
@@ -252,30 +377,27 @@ def _scan(
     mode: str,
     early_exit_at: int | None = None,
     workers: int = 1,
-) -> tuple[int, dict[int, int], list[int]]:
-    total = code.gf.q**code.k
-    limits.ensure("messages", total, f"scanning {code!r}")
-    chunks = []
-    span = (total - 1 + workers - 1) // workers
-    for w in range(workers):
-        lo = 1 + w * span
-        hi = min(1 + (w + 1) * span, total)
-        if lo < hi:
-            chunks.append((lo, hi))
-    if len(chunks) == 1:
-        parts = [_scan_range(code, *chunks[0], mode, early_exit_at)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(lambda c: _scan_range(code, c[0], c[1], mode, early_exit_at), chunks)
+) -> list[tuple[Counter, int, list[tuple[int, int]]]]:
+    """Per chunk of positions, in order: what _scan_range returns.
+
+    The positions split into at most min(workers, cores, positions) chunks,
+    and each chunk builds its words from its own positions, so the merged
+    result does not depend on the split.
+    """
+    q = code.gf.q
+    limits.ensure("messages", q**code.k, f"scanning {code!r}")
+    total = (q**code.k - 1) // (q - 1)
+    chunks = min(workers, os.cpu_count() or 1, total)
+    cuts = [total * i // chunks for i in range(chunks + 1)]
+    _lanes(code)  # built once, before any worker reads it
+    if chunks == 1:
+        return [_scan_range(code, 0, total, mode, early_exit_at)]
+    with ThreadPoolExecutor(max_workers=chunks) as pool:
+        return list(
+            pool.map(
+                lambda lo, hi: _scan_range(code, lo, hi, mode, early_exit_at), cuts, cuts[1:]
             )
-    best = min(p[0] for p in parts)
-    dist: dict[int, int] = {}
-    for p in parts:
-        for w, c in p[1].items():
-            dist[w] = dist.get(w, 0) + c
-    msgs = [m for p in parts for m in p[2] if p[0] == best]
-    return best, dist, msgs
+        )
 
 
 def min_distance(
@@ -290,7 +412,7 @@ def min_distance(
     _check_workers(workers)
     key = ("mindist", early_exit_at)
     if key not in code._cache:
-        code._cache[key] = _scan(code, "min", early_exit_at, workers)[0]
+        code._cache[key] = min(best for _, best, _ in _scan(code, "min", early_exit_at, workers))
     return code._cache[key]
 
 
@@ -298,7 +420,11 @@ def weight_distribution(code: LinearCode, *, workers: int = 1) -> dict[int, int]
     """Weight -> count over all q^k messages, including the zero codeword."""
     _check_workers(workers)
     if "dist" not in code._cache:
-        _, dist, _ = _scan(code, "dist", None, workers)
+        counts: Counter = Counter()
+        for part, _, _ in _scan(code, "dist", None, workers):
+            counts.update(part)
+        scalars = code.gf.q - 1
+        dist = {w: c * scalars for w, c in counts.items()}
         dist[0] = dist.get(0, 0) + 1
         code._cache["dist"] = dict(sorted(dist.items()))
     return dict(code._cache["dist"])
@@ -308,17 +434,21 @@ def min_weight_codewords(code: LinearCode, *, workers: int = 1) -> list[tuple[in
     """All codewords of minimum weight, in message index order."""
     _check_workers(workers)
     if "minwords" not in code._cache:
-        _, _, msgs = _scan(code, "words", None, workers)
-        out = []
+        parts = _scan(code, "words", None, workers)
+        best = min(b for _, b, _ in parts)
+        lanes = _lanes(code)
         q, k = code.gf.q, code.k
-        for m in msgs:
-            digits = []
-            mm = m
-            for _ in range(k):
-                digits.append(mm % q)
-                mm //= q
-            out.append(code.encode(tuple(digits)))
-        code._cache["minwords"] = out
+        times = lanes.times()
+        # each hit stands for its multiples c * hit, whose coefficients, top
+        # first, are the hit's times c: sorting those puts them in index order
+        multiples = []
+        for _, b, hits in parts:
+            for index, packed in hits if b == best else ():
+                top_first = lanes.box(index // q**i % q for i in reversed(range(k)))
+                word = lanes.unpack(packed)
+                multiples += [(times[c](top_first), c, word) for c in range(1, q)]
+        multiples.sort(key=itemgetter(0))
+        code._cache["minwords"] = [tuple(times[c](word)) for _, c, word in multiples]
     return list(code._cache["minwords"])
 
 

@@ -71,6 +71,8 @@ DESK_GRID = (
     CodeParams(3, 2, 2),
     CodeParams(2, 2, 3),
     CodeParams(2, 2, 4),
+    CodeParams(4, 2, 2),
+    CodeParams(5, 2, 2),
 )
 
 GRASSMANN_GRID = ((1, 2, 2), (2, 4, 2), (2, 4, 3), (2, 5, 2))

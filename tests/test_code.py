@@ -1,13 +1,20 @@
 """Evaluation codes and scan engines: point encoding round trips, a naive
-reference scan, worker-count invariance, weight accounting oracles, and the
+reference scan, the packed scan against an encode-every-message oracle,
+worker-count invariance and its bound, weight accounting oracles, and the
 resource caps."""
 
+import os
 import random
+import sys
+import time
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
+from agcodes import code as code_module
 from agcodes.code import (
+    LinearCode,
     build,
     evaluate_vector,
     max_minor_weight,
@@ -21,6 +28,7 @@ from agcodes.code import (
     weight_distribution,
 )
 from agcodes.fields import field_for_order
+from agcodes.grassmann import build_grassmann_code
 from agcodes.limits import CapExceeded
 from agcodes.matrices import MatrixGF
 from agcodes.minors import MinorCombination, leading_maximal_minor, minor_basis
@@ -74,7 +82,7 @@ def test_build_smallest():
 
 def test_naive_reference_scan():
     # rebuild two small codes from scratch and compare every codeword weight
-    for p in (CodeParams(2, 2, 2), CodeParams(3, 1, 2)):
+    for p in (CodeParams(2, 2, 2), CodeParams(3, 1, 2), CodeParams(4, 1, 2), CodeParams(5, 1, 2)):
         gf = p.field()
         code = build(p)
         basis = minor_basis(p)
@@ -89,6 +97,112 @@ def test_naive_reference_scan():
             w = sum(1 for v in values if v)
             naive[w] = naive.get(w, 0) + 1
         assert naive == weight_distribution(code)
+
+
+def _random_code(q, k, n, seed):
+    rng = random.Random(seed)
+    gf = field_for_order(q)
+    return LinearCode(gf, tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)))
+
+
+# Every q <= 9 on small affine shapes, a Grassmann code, random generators
+# that come from no affine code, and fields whose elements need 8-, 16- and
+# 32-bit lanes (GF(128), GF(25), GF(131), GF(256), GF(729)).
+DIFFERENTIAL = {
+    **{f"affine({q},1,2)": lambda q=q: build(CodeParams(q, 1, 2)) for q in (2, 3, 4, 5, 7, 8, 9)},
+    "affine(2,2,3)": lambda: build(CodeParams(2, 2, 3)),
+    "affine(3,2,2)": lambda: build(CodeParams(3, 2, 2)),
+    "grassmann(2,4,3)": lambda: build_grassmann_code(2, 4, field_for_order(3)),
+    "random-gf8": lambda: _random_code(8, 3, 7, 8),
+    "random-gf9": lambda: _random_code(9, 3, 7, 9),
+    **{f"random-gf{q}": lambda q=q: _random_code(q, 2, 4, q) for q in (25, 128, 131, 256)},
+    "random-gf729": lambda: _random_code(729, 1, 4, 729),
+}
+
+
+@lru_cache(maxsize=None)
+def _encode_every_message(case):
+    """(distribution, least nonzero weight, its words) by LinearCode.encode
+    over every message in index order."""
+    code = DIFFERENTIAL[case]()
+    q, k = code.gf.q, code.k
+    dist = {}
+    best, words = code.n + 1, []
+    for index in range(q**k):
+        word = code.encode(tuple(index // q**i % q for i in range(k)))
+        w = weight(word)
+        dist[w] = dist.get(w, 0) + 1
+        if index and w < best:
+            best, words = w, []
+        if index and w == best:
+            words.append(word)
+    return dict(sorted(dist.items())), best, words
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
+def test_packed_scan_matches_encode_oracle(case):
+    dist, d, words = _encode_every_message(case)
+    code = DIFFERENTIAL[case]()
+    for workers in (1, 2):
+        fresh = LinearCode(code.gf, code.generator)
+        assert weight_distribution(fresh, workers=workers) == dist
+        assert min_distance(fresh, workers=workers) == d
+        assert min_weight_codewords(fresh, workers=workers) == words
+
+
+def test_worker_pool_is_bounded(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    p = CodeParams(2, 1, 2)
+    expect = weight_distribution(LinearCode(build(p).gf, build(p).generator))
+    monkeypatch.setattr(code_module, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code = build(p)
+    code._cache.pop("dist", None)
+    assert weight_distribution(code, workers=64) == expect
+    assert started == [3]
+
+
+def test_threads_share_one_code(monkeypatch):
+    # more threads than cores, switching often: the lazily filled row cache
+    # and the shared table must give the single-thread result
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for shape in ((7, 1, 3), (9, 1, 2)):
+            code = build(CodeParams(*shape))
+            fresh = LinearCode(code.gf, code.generator)
+            assert weight_distribution(fresh, workers=8) == weight_distribution(code)
+            assert min_weight_codewords(fresh, workers=8) == min_weight_codewords(code)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (8, 2, 2)], ids=["3,2,3", "8,2,2"])
+def test_frontier_codes_blind(shape):
+    p = CodeParams(*shape)
+    start = time.perf_counter()
+    code = build(p)
+    d = min_distance(code)
+    count = weight_distribution(code).get(d, 0)
+    elapsed = time.perf_counter() - start
+    assert d == min_distance_formula(p)
+    assert count == min_weight_count_formula(p)
+    assert elapsed < 10.0, f"{shape}: build and blind scans took {elapsed:.1f}s, budget 10s"
 
 
 def test_blind_distance_and_early_exit_agree():
@@ -156,8 +270,6 @@ def test_rowspec_weight_bound():
 
 
 def test_code_validation():
-    from agcodes.code import LinearCode
-
     with pytest.raises(ValueError):
         LinearCode(gf2, ())
     with pytest.raises(ValueError):
