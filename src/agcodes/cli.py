@@ -12,43 +12,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Callable
 
 from . import __version__
-from .code import (
-    build,
-    evaluate_vector,
-    min_distance,
-    min_weight_codewords,
-    points,
-    weight,
-    weight_distribution,
-)
+from .code import build, min_distance, min_weight_codewords, weight, weight_distribution
 from .fields import field_for_order
 from .grassmann import VerificationError, build_grassmann_code, cell_restriction_compare
-from .group import (
-    AffineMap,
-    act_on_poly,
-    apply_permutation,
-    apply_point,
-    min_weight_witness,
-    permutation,
-)
 from .limits import CapExceeded
-from .matrices import MatrixGF, cauchy_binet
-from .minors import MinorCombination, minor_basis, row_vanishing_locus, specialize_col, specialize_row
+from .minors import minor_basis
 from .params import (
     CodeParams,
     dimension_formula,
-    gaussian_binomial,
     group_order_formula,
     min_distance_formula,
     min_weight_count_formula,
     stabilizer_order_formula,
 )
-from .verify import run_acceptance, run_params_suite
+from .verify import identity_suites, run_acceptance, run_params_suite
 
 __all__ = ["main"]
 
@@ -170,136 +151,10 @@ def _cmd_minwords(args) -> int:
 
 
 def _cmd_autocheck(args) -> int:
-    p = _params_of(args)
-    rng = random.Random(args.seed)
-    gf = p.field()
-    trials = args.trials
-    k = dimension_formula(p)
-
-    def random_f() -> MinorCombination:
-        while True:
-            coeffs = tuple(rng.randrange(p.q) for _ in range(k))
-            if any(coeffs):
-                return MinorCombination(p, coeffs)
-
-    def random_map() -> AffineMap:
-        u = MatrixGF(gf, p.l, p.lp, tuple(rng.randrange(p.q) for _ in range(p.delta)))
-        while True:
-            a = MatrixGF(gf, p.lp, p.lp, tuple(rng.randrange(p.q) for _ in range(p.lp**2)))
-            if a.det() != 0:
-                return AffineMap(p, u, a)
-
-    failures = 0
-
-    def report(name: str, ok: bool, note: str) -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        print(f"{'ok' if ok else 'FAIL'} {name}: {note}")
-
-    # substitution acts pointwise the way it should
-    ok = True
-    for _ in range(trials):
-        f, phi = random_f(), random_map()
-        g = act_on_poly(phi, f)
-        pt = MatrixGF(gf, p.l, p.lp, tuple(rng.randrange(p.q) for _ in range(p.delta)))
-        if g.evaluate(pt) != f.evaluate(apply_point(phi, pt)):
-            ok = False
-            break
-    report("substitution-pointwise", ok, f"{trials} trials")
-
-    # the induced coordinate permutation moves codewords correctly
-    ok = True
-    pts = points(p)
-    for _ in range(max(1, trials // 10)):
-        f, phi = random_f(), random_map()
-        perm = permutation(phi)
-        lhs = evaluate_vector(act_on_poly(phi, f))
-        rhs = apply_permutation(evaluate_vector(f), perm)
-        if lhs != rhs:
-            ok = False
-            break
-    report("permutation-consistency", ok, f"{max(1, trials // 10)} trials, {len(pts)} points")
-
-    # specializing a row (or column) partitions the weight
-    ok = True
-    for _ in range(max(1, trials // 10)):
-        f = random_f()
-        total = weight(evaluate_vector(f))
-        i = rng.randint(1, p.l)
-        parts = 0
-        for idx in range(p.q**p.lp):
-            a, rem = [], idx
-            for _ in range(p.lp):
-                a.append(rem % p.q)
-                rem //= p.q
-            g = specialize_row(f, i, tuple(a))
-            if not g.is_zero:
-                parts += weight(evaluate_vector(g))
-        if parts != total:
-            ok = False
-            break
-        if p.lp > p.l:
-            j = rng.randint(1, p.lp)
-            parts = 0
-            for idx in range(p.q**p.l):
-                b, rem = [], idx
-                for _ in range(p.l):
-                    b.append(rem % p.q)
-                    rem //= p.q
-                g = specialize_col(f, j, tuple(b))
-                if not g.is_zero:
-                    parts += weight(evaluate_vector(g))
-            if parts != total:
-                ok = False
-                break
-    report("weight-partition", ok, f"{max(1, trials // 10)} trials")
-
-    # vanishing loci stay affine under the group action
-    ok = True
-    for _ in range(max(1, trials // 10)):
-        f = random_f()
-        i = rng.randint(1, p.l)
-        locus = row_vanishing_locus(f, i)
-        if len(locus) >= 2:
-            x, y = rng.choice(locus), rng.choice(locus)
-            lam = rng.randrange(p.q)
-            z = tuple(gf.add(a, gf.mul(lam, gf.sub(b, a))) for a, b in zip(x, y))
-            if z not in locus:
-                ok = False
-                break
-    report("locus-affine", ok, f"{max(1, trials // 10)} trials")
-
-    # Cauchy-Binet over this field
-    ok = True
-    for _ in range(trials):
-        r = rng.randint(1, min(3, p.lp))
-        s = rng.randint(r, p.lp)
-        a = MatrixGF(gf, r, s, tuple(rng.randrange(p.q) for _ in range(r * s)))
-        b = MatrixGF(gf, s, r, tuple(rng.randrange(p.q) for _ in range(r * s)))
-        lhs, rhs = cauchy_binet(a, b)
-        if lhs != rhs:
-            ok = False
-            break
-    report("cauchy-binet", ok, f"{trials} trials")
-
-    # witness reconstruction agrees with the blind scan when feasible
-    if p.q**k <= 2**15:
-        code = build(p)
-        d = min_distance_formula(p)
-        ok = True
-        checked = 0
-        for _ in range(max(1, trials // 10)):
-            f = random_f()
-            is_min = weight(code.encode(f.coeffs)) == d
-            got = min_weight_witness(f)
-            if (got is not None) != is_min:
-                ok = False
-                break
-            checked += 1
-        report("witness-vs-scan", ok, f"{checked} trials")
-
-    return 1 if failures else 0
+    results = identity_suites(_params_of(args), args.seed, args.trials)
+    for res in results:
+        print(f"{'ok' if res.ok else 'FAIL'} {res.name}: {res.detail}")
+    return 0 if all(res.ok for res in results) else 1
 
 
 def _cmd_grassmann(args) -> int:

@@ -31,7 +31,7 @@ from operator import itemgetter, methodcaller
 from . import limits
 from .matrices import MatrixGF
 from .minors import MinorCombination, minor_basis, row_vanishing_locus
-from .params import CodeParams, dimension_formula, gl_order, min_distance_formula
+from .params import CodeParams, min_distance_formula
 
 __all__ = [
     "point_index",
@@ -44,7 +44,6 @@ __all__ = [
     "min_distance",
     "weight_distribution",
     "min_weight_codewords",
-    "max_minor_weight",
     "rowspec_weight_bound",
 ]
 
@@ -450,15 +449,6 @@ def min_weight_codewords(code: LinearCode, *, workers: int = 1) -> list[tuple[in
         multiples.sort(key=itemgetter(0))
         code._cache["minwords"] = [tuple(times[c](word)) for _, c, word in multiples]
     return list(code._cache["minwords"])
-
-
-def max_minor_weight(p: CodeParams) -> int:
-    """Codeword weight of a maximal minor: q^(delta - l^2) * |GL(l, GF(q))|.
-
-    This counts the matrices whose selected l x l submatrix is invertible:
-    the free entries are unconstrained, the submatrix ranges over GL.
-    """
-    return p.q ** (p.delta - p.l * p.l) * gl_order(p.l, p.q)
 
 
 def rowspec_weight_bound(f: MinorCombination, i: int) -> tuple[Fraction, int]:

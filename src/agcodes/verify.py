@@ -31,10 +31,12 @@ from .group import (
     AffineMap,
     act_on_poly,
     apply_permutation,
+    apply_point,
     compose,
     enumerate_group,
     generate_min_weight_polys,
     is_min_weight_form,
+    min_weight_witness,
     permutation,
     stabilizer_criterion,
     stabilizer_test,
@@ -60,7 +62,7 @@ from .params import (
     stabilizer_order_formula,
 )
 
-__all__ = ["CheckResult", "ACCEPTANCE", "run_acceptance", "run_params_suite"]
+__all__ = ["CheckResult", "ACCEPTANCE", "identity_suites", "run_acceptance", "run_params_suite"]
 
 DESK_GRID = (
     CodeParams(2, 1, 1),
@@ -277,6 +279,22 @@ def check_automorphism_suite() -> CheckResult:
 
 
 # -- criterion 6: algebra identity suites --
+#
+# Each suite is a plain function over (p, rng, trials): it draws its cases
+# from rng, raises AssertionError naming p and the failing case, and returns
+# its note.  Criterion 6 runs some of them with its own counts and parameter
+# sets; `identity_suites` runs all six on one parameter set for `autocheck`.
+
+
+def _random_matrix(rng: random.Random, gf, nrows: int, ncols: int) -> MatrixGF:
+    return MatrixGF(gf, nrows, ncols, tuple(rng.randrange(gf.q) for _ in range(nrows * ncols)))
+
+
+def _random_invertible(rng: random.Random, gf, n: int) -> MatrixGF:
+    while True:
+        m = _random_matrix(rng, gf, n, n)
+        if m.det() != 0:
+            return m
 
 
 def _random_combination(rng: random.Random, p: CodeParams) -> MinorCombination:
@@ -287,26 +305,166 @@ def _random_combination(rng: random.Random, p: CodeParams) -> MinorCombination:
             return MinorCombination(p, coeffs)
 
 
+def _random_map(rng: random.Random, p: CodeParams) -> AffineMap:
+    gf = p.field()
+    u = _random_matrix(rng, gf, p.l, p.lp)
+    return AffineMap(p, u, _random_invertible(rng, gf, p.lp))
+
+
+def _all_vectors(q: int, n: int) -> list[tuple[int, ...]]:
+    out = [()]
+    for _ in range(n):
+        out = [v + (x,) for v in out for x in range(q)]
+    return out
+
+
+def _specialized_weight(f: MinorCombination, specialize, line: int, length: int) -> int:
+    """Total weight of f specialized along one row (or column) to every vector."""
+    parts = 0
+    for v in _all_vectors(f.params.q, length):
+        g = specialize(f, line, v)
+        if not g.is_zero:
+            parts += weight(evaluate_vector(g))
+    return parts
+
+
+def suite_substitution_pointwise(p: CodeParams, rng: random.Random, trials: int) -> str:
+    """(f . phi)(P) = f(phi(P)) for random f, affine maps phi and points P."""
+    gf = p.field()
+    for _ in range(trials):
+        f, phi = _random_combination(rng, p), _random_map(rng, p)
+        g = act_on_poly(phi, f)
+        pt = _random_matrix(rng, gf, p.l, p.lp)
+        assert g.evaluate(pt) == f.evaluate(apply_point(phi, pt)), (
+            f"{p}: substitution disagrees pointwise for f = {f.coeffs}, {phi!r}, P = {pt.tolists()}"
+        )
+    return f"{trials} trials"
+
+
+def suite_permutation_consistency(p: CodeParams, rng: random.Random, trials: int) -> str:
+    """The coordinate permutation of phi moves the codeword of f to that of f . phi."""
+    for _ in range(trials):
+        f, phi = _random_combination(rng, p), _random_map(rng, p)
+        lhs = evaluate_vector(act_on_poly(phi, f))
+        rhs = apply_permutation(evaluate_vector(f), permutation(phi))
+        assert lhs == rhs, f"{p}: permutation moves the codeword wrongly for f = {f.coeffs}, {phi!r}"
+    return f"{trials} trials, {len(points(p))} points"
+
+
+def suite_weight_partition(p: CodeParams, rng: random.Random, trials: int) -> str:
+    """Specializing any one row, or any one column, partitions the weight of f."""
+    for _ in range(trials):
+        f = _random_combination(rng, p)
+        total = weight(evaluate_vector(f))
+        for i in range(1, p.l + 1):
+            assert _specialized_weight(f, specialize_row, i, p.lp) == total, (
+                f"{p}: row {i} weight partition fails for f = {f.coeffs}"
+            )
+        if p.lp > p.l:
+            for j in range(1, p.lp + 1):
+                assert _specialized_weight(f, specialize_col, j, p.l) == total, (
+                    f"{p}: column {j} weight partition fails for f = {f.coeffs}"
+                )
+    return f"{trials} trials"
+
+
+def suite_locus_affine(p: CodeParams, rng: random.Random, trials: int) -> str:
+    """Row vanishing loci obey the translation and basis change laws and are
+    affinely closed."""
+    gf = p.field()
+    for _ in range(trials):
+        f = _random_combination(rng, p)
+        i = rng.randint(1, p.l)
+        locus = row_vanishing_locus(f, i)
+        case = f"f = {f.coeffs}, row {i}"
+        u = _random_matrix(rng, gf, p.l, p.lp)
+        phi = AffineMap(p, u, MatrixGF.identity(gf, p.lp))
+        translated = row_vanishing_locus(act_on_poly(phi, f), i)
+        ui = u.row(i)
+        shifted = sorted(tuple(gf.add(x, y) for x, y in zip(v, ui)) for v in translated)
+        assert shifted == locus, f"{p}: locus translation law fails for {case}, u = {u.tolists()}"
+        a_lin = _random_invertible(rng, gf, p.lp)
+        phi_lin = AffineMap(p, MatrixGF.zeros(gf, p.l, p.lp), a_lin)
+        mixed = row_vanishing_locus(act_on_poly(phi_lin, f), i)
+        pushed = sorted(tuple((MatrixGF(gf, 1, p.lp, v) @ a_lin).row(1)) for v in locus)
+        assert sorted(mixed) == pushed, (
+            f"{p}: locus basis change law fails for {case}, A = {a_lin.tolists()}"
+        )
+        for _ in range(10):
+            if len(locus) < 2:
+                break
+            x = rng.choice(locus)
+            y = rng.choice(locus)
+            lam = rng.randrange(p.q)
+            z = tuple(gf.add(a, gf.mul(lam, gf.sub(b, a))) for a, b in zip(x, y))
+            assert z in locus, f"{p}: locus is not affinely closed for {case}: {x}, {y}, {lam}"
+    return f"{trials} trials"
+
+
+def suite_cauchy_binet(p: CodeParams, rng: random.Random, trials: int) -> str:
+    """Cauchy-Binet over GF(q) for random r x s times s x r products, with
+    r <= min(3, lp) and r <= s <= lp."""
+    gf = p.field()
+    for _ in range(trials):
+        r = rng.randint(1, min(3, p.lp))
+        s = rng.randint(r, p.lp)
+        a = _random_matrix(rng, gf, r, s)
+        b = _random_matrix(rng, gf, s, r)
+        lhs, rhs = cauchy_binet(a, b)
+        assert lhs == rhs, (
+            f"{p}: Cauchy-Binet fails over GF({p.q}) for A = {a.tolists()}, "
+            f"B = {b.tolists()}: {lhs} != {rhs}"
+        )
+    return f"{trials} trials"
+
+
+def suite_witness_vs_scan(p: CodeParams, rng: random.Random, trials: int) -> str:
+    """min_weight_witness finds a witness exactly when the codeword has weight d."""
+    code = build(p)
+    d = min_distance_formula(p)
+    for _ in range(trials):
+        f = _random_combination(rng, p)
+        is_min = weight(code.encode(f.coeffs)) == d
+        assert (min_weight_witness(f) is not None) == is_min, (
+            f"{p}: witness {'missing' if is_min else 'found'} for f = {f.coeffs}"
+        )
+    return f"{trials} trials"
+
+
+def identity_suites(p: CodeParams, seed: int, trials: int) -> list[CheckResult]:
+    """The six randomized identity suites on one parameter set, drawing from
+    one generator seeded with seed.  substitution-pointwise and cauchy-binet
+    run trials cases, the others trials // 10 (at least one); witness-vs-scan
+    runs only when the q^k messages are few enough to encode (q^k <= 2^15)."""
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    rng = random.Random(seed)
+    few = max(1, trials // 10)
+    suites = [
+        ("substitution-pointwise", suite_substitution_pointwise, trials),
+        ("permutation-consistency", suite_permutation_consistency, few),
+        ("weight-partition", suite_weight_partition, few),
+        ("locus-affine", suite_locus_affine, few),
+        ("cauchy-binet", suite_cauchy_binet, trials),
+    ]
+    if p.q ** dimension_formula(p) <= 2**15:
+        suites.append(("witness-vs-scan", suite_witness_vs_scan, few))
+    return [_check(name, lambda fn=fn, n=n: fn(p, rng, n)) for name, fn, n in suites]
+
+
 def check_algebra_identities(seed: int = 0) -> CheckResult:
     def body() -> str:
         rng = random.Random(seed)
-        # Cauchy-Binet, 1000 random shape-valid pairs per field
+        # Cauchy-Binet, 1000 random pairs per field with r <= 3 and s <= 4
         for q in (2, 3, 4):
-            gf = field_for_order(q)
-            for _ in range(1000):
-                r = rng.randint(1, 3)
-                s = rng.randint(r, 4)
-                a = MatrixGF(gf, r, s, tuple(rng.randrange(q) for _ in range(r * s)))
-                b = MatrixGF(gf, s, r, tuple(rng.randrange(q) for _ in range(r * s)))
-                lhs, rhs = cauchy_binet(a, b)
-                assert lhs == rhs, f"Cauchy-Binet fails over GF({q}): {lhs} != {rhs}"
+            suite_cauchy_binet(CodeParams(q, 1, 4), rng, 1000)
         # translation expansion evaluated against the direct determinant
         for t in range(200):
             q = (2, 3, 4)[t % 3]
             l = (1, 2, 3)[t % 3] if q == 2 else 2
             gf = field_for_order(q)
-            shift = MatrixGF(gf, l, l, tuple(rng.randrange(q) for _ in range(l * l)))
-            pt = MatrixGF(gf, l, l, tuple(rng.randrange(q) for _ in range(l * l)))
+            shift = _random_matrix(rng, gf, l, l)
+            pt = _random_matrix(rng, gf, l, l)
             expanded = det_translation_expand(shift)
             assert expanded.evaluate(pt) == (pt + shift).det(), "translation expansion wrong"
         # translation absorption, exhaustive for the binary square shape
@@ -336,76 +494,15 @@ def check_algebra_identities(seed: int = 0) -> CheckResult:
             assert matches == [a], "absorbed translation is not the unique one"
             count += 1
         assert count == 32
-        # specialization weight partition, rows and columns
+        # specialization weight partition, every row and column
         for p in DESK_GRID:
-            for _ in range(100):
-                f = _random_combination(rng, p)
-                total = weight(evaluate_vector(f))
-                for i in range(1, p.l + 1):
-                    parts = 0
-                    for a in _all_vectors(p.q, p.lp):
-                        g = specialize_row(f, i, a)
-                        if not g.is_zero:
-                            parts += weight(evaluate_vector(g))
-                    assert parts == total, f"{p}: row {i} weight partition fails"
-                if p.lp > p.l:
-                    for j in range(1, p.lp + 1):
-                        parts = 0
-                        for b in _all_vectors(p.q, p.l):
-                            g = specialize_col(f, j, b)
-                            if not g.is_zero:
-                                parts += weight(evaluate_vector(g))
-                        assert parts == total, f"{p}: column {j} weight partition fails"
+            suite_weight_partition(p, rng, 100)
         # vanishing locus: translation law, basis change law, affine closure
-        loci_params = (CodeParams(2, 2, 2), CodeParams(3, 1, 2), CodeParams(2, 2, 3))
-        for p in loci_params:
-            gf = p.field()
-            for _ in range(100):
-                f = _random_combination(rng, p)
-                i = rng.randint(1, p.l)
-                locus = row_vanishing_locus(f, i)
-                u = MatrixGF(gf, p.l, p.lp, tuple(rng.randrange(p.q) for _ in range(p.delta)))
-                phi = AffineMap(p, u, MatrixGF.identity(gf, p.lp))
-                translated = row_vanishing_locus(act_on_poly(phi, f), i)
-                ui = u.row(i)
-                shifted = sorted(
-                    tuple(gf.add(x, y) for x, y in zip(v, ui)) for v in translated
-                )
-                assert shifted == locus, f"{p}: locus translation law fails"
-                a_lin = _random_invertible(rng, gf, p.lp)
-                phi_lin = AffineMap(p, MatrixGF.zeros(gf, p.l, p.lp), a_lin)
-                mixed = row_vanishing_locus(act_on_poly(phi_lin, f), i)
-                pushed = sorted(
-                    tuple((MatrixGF(gf, 1, p.lp, v) @ a_lin).row(1)) for v in locus
-                )
-                assert sorted(mixed) == pushed, f"{p}: locus basis change law fails"
-                for _ in range(10):
-                    if len(locus) < 2:
-                        break
-                    x = rng.choice(locus)
-                    y = rng.choice(locus)
-                    lam = rng.randrange(p.q)
-                    z = tuple(
-                        gf.add(a, gf.mul(lam, gf.sub(b, a))) for a, b in zip(x, y)
-                    )
-                    assert z in locus, f"{p}: locus is not affinely closed"
+        for p in (CodeParams(2, 2, 2), CodeParams(3, 1, 2), CodeParams(2, 2, 3)):
+            suite_locus_affine(p, rng, 100)
         return "all identity suites exact"
 
     return _check("algebra-identity-suites", body)
-
-
-def _all_vectors(q: int, n: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(n):
-        out = [v + (x,) for v in out for x in range(q)]
-    return out
-
-
-def _random_invertible(rng: random.Random, gf, n: int) -> MatrixGF:
-    while True:
-        m = MatrixGF(gf, n, n, tuple(rng.randrange(gf.q) for _ in range(n * n)))
-        if m.det() != 0:
-            return m
 
 
 # -- criterion 7: Grassmann codes and the cell bridge --

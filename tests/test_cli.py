@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from agcodes import verify
 from agcodes.cli import main
+from agcodes.minors import MinorCombination
 
 
 def run(capsys, *argv):
@@ -107,6 +109,38 @@ def test_autocheck(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "cauchy-binet" in out
+
+
+def test_autocheck_rejects_trials_below_one(capsys, monkeypatch):
+    def no_suite(name, body):
+        raise RuntimeError(f"suite {name} ran")
+
+    monkeypatch.setattr(verify, "_check", no_suite)
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "autocheck", "--q", "2", "--l", "2", "--lp", "2", "--trials", trials)
+        assert (code, out) == (2, "")
+        assert f"need trials >= 1, got {trials}" in err
+
+
+def test_autocheck_and_criterion_6_share_suites(capsys, monkeypatch):
+    # a broken row specialization inside verify must fail the weight
+    # partition suite in both callers, with a detail naming the parameters
+    monkeypatch.setattr(verify, "specialize_row", lambda f, i, a: MinorCombination.zero(f.params))
+    code, out, err = run(capsys, "autocheck", "--q", "2", "--l", "2", "--lp", "2", "--trials", "20")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "ok substitution-pointwise",
+        "ok permutation-consistency",
+        "FAIL weight-partition",
+        "ok locus-affine",
+        "ok cauchy-binet",
+        "ok witness-vs-scan",
+    ]
+    assert lines[2].startswith("FAIL weight-partition: CodeParams(q=2, l=2, lp=2): row 1 weight partition fails")
+    res = verify.check_algebra_identities()
+    assert not res.ok
+    assert res.detail.startswith("CodeParams(q=2, l=1, lp=1): row 1 weight partition fails")
 
 
 def test_grassmann_output(capsys):

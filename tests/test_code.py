@@ -17,7 +17,6 @@ from agcodes.code import (
     LinearCode,
     build,
     evaluate_vector,
-    max_minor_weight,
     min_distance,
     min_weight_codewords,
     point_index,
@@ -30,7 +29,6 @@ from agcodes.code import (
 from agcodes.fields import field_for_order
 from agcodes.grassmann import build_grassmann_code
 from agcodes.limits import CapExceeded
-from agcodes.matrices import MatrixGF
 from agcodes.minors import MinorCombination, leading_maximal_minor, minor_basis
 from agcodes.params import (
     CodeParams,
@@ -249,9 +247,9 @@ def test_evaluate_vector_matches_direct():
 def test_max_minor_weight_oracle():
     for p in (CodeParams(2, 2, 2), CodeParams(2, 2, 3), CodeParams(3, 1, 2)):
         lead = leading_maximal_minor(p)
-        assert weight(evaluate_vector(lead)) == max_minor_weight(p)
-    assert max_minor_weight(CodeParams(2, 2, 3)) == 24
-    assert max_minor_weight(CodeParams(3, 1, 2)) == 6
+        assert weight(evaluate_vector(lead)) == min_distance_formula(p)
+    assert min_distance_formula(CodeParams(2, 2, 3)) == 24
+    assert min_distance_formula(CodeParams(3, 1, 2)) == 6
 
 
 def test_rowspec_weight_bound():

@@ -4,7 +4,7 @@ independent re-verification of reported cell matches."""
 
 import pytest
 
-from agcodes.code import build, min_distance, point_matrix
+from agcodes.code import min_distance, point_matrix
 from agcodes.fields import field_for_order
 from agcodes.grassmann import (
     build_grassmann_code,
