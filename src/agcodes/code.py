@@ -3,9 +3,11 @@
 The evaluation domain is all l x lp matrices over GF(q).  A point's index is
 its flat row-major entry tuple read as a base-q integer, entry (1,1) least
 significant, so index 0 is the zero matrix and the enumeration is the natural
-odometer over entries.  The generator matrix evaluates the canonical minor
-basis at every point in index order; messages are coefficient vectors over
-that basis.
+odometer over entries.  The generator matrix holds the canonical minor basis
+evaluated at every point in index order; messages are coefficient vectors
+over that basis.  It is built for all points at once: entry t of every point
+is one vector of base-q digits, and each basis minor is a Laplace expansion
+over those vectors (matrices.batch_minors), so no point is materialized.
 
 Minimum distance and weight distributions come from full message scans, one
 engine for every field: codewords are packed into integers with one lane per
@@ -29,7 +31,7 @@ from itertools import compress, islice
 from operator import itemgetter, methodcaller
 
 from . import limits
-from .matrices import MatrixGF
+from .matrices import MatrixGF, batch_minors
 from .minors import MinorCombination, minor_basis, row_vanishing_locus
 from .params import CodeParams, min_distance_formula
 
@@ -144,13 +146,13 @@ class LinearCode:
 def build(p: CodeParams) -> LinearCode:
     """The evaluation code of the full minor space on the domain of p."""
     gf = p.field()
-    pts = points(p)
-    rows = []
-    for mi in minor_basis(p):
-        rows.append(tuple(pt.minor(mi.rows, mi.cols) for pt in pts))
-    code = LinearCode(
-        gf, tuple(rows), params=p, label=f"affine[q={p.q},l={p.l},lp={p.lp}]"
-    )
+    limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
+    q, n = p.q, p.npoints
+    # base-q digit t of a point's index is its flat row-major entry t
+    digits = [[i // w % q for i in range(n)] for w in (q**t for t in range(p.delta))]
+    entries = [digits[r * p.lp : (r + 1) * p.lp] for r in range(p.l)]
+    rows = batch_minors(gf, entries, n, minor_basis(p))
+    code = LinearCode(gf, rows, params=p, label=f"affine[q={p.q},l={p.l},lp={p.lp}]")
     if code.generator_matrix().rank() != code.k:
         raise AssertionError(f"evaluation matrix of {p} is rank deficient")
     if any(all(row[j] == 0 for row in code.generator) for j in range(code.n)):

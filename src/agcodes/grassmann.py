@@ -5,7 +5,11 @@ Subspaces of dimension l in GF(q)^m are enumerated as reduced row echelon
 matrices, one per subspace, ordered by pivot columns then free entries.  The
 Pluecker vector of a subspace lists the maximal minors of its representative
 over all l-subsets of columns in lexicographic order; the code's generator
-matrix has those vectors as columns.
+matrix has those vectors as columns.  All representatives are expanded at
+once: entry (i, j) of every representative is one vector, and each maximal
+minor is a Laplace expansion along its first row over those vectors
+(matrices.batch_minors), which forms only the sub-minors on the lower rows.
+pluecker(w) is the one-subspace reference.
 
 The subspaces whose representative starts with an identity block form a cell
 of exactly q^(l * (m - l)) columns, indexed by the complement block.  On that
@@ -24,7 +28,7 @@ from itertools import combinations
 from . import limits
 from .code import LinearCode, build, point_index
 from .fields import GF
-from .matrices import MatrixGF, enumerate_rref
+from .matrices import MatrixGF, batch_minors, enumerate_rref
 from .minors import MinorIndex, minor_basis
 from .params import CodeParams, gaussian_binomial
 
@@ -70,10 +74,22 @@ def pluecker(w: MatrixGF) -> tuple[int, ...]:
 def build_grassmann_code(l: int, m: int, gf: GF) -> LinearCode:
     """The code whose generator columns are the Pluecker vectors of all
     l-subspaces of GF(q)^m, rows indexed by l-subsets in lexicographic order."""
-    subspaces = enumerate_subspaces(l, m, gf)
-    vectors = [pluecker(w) for w in subspaces]
-    k = len(pluecker_indices(l, m))
-    rows = tuple(tuple(v[i] for v in vectors) for i in range(k))
+    return _grassmann_code(l, m, gf, enumerate_subspaces(l, m, gf))
+
+
+def _grassmann_code(l: int, m: int, gf: GF, subspaces: list[MatrixGF]) -> LinearCode:
+    """build_grassmann_code on the given representatives, column j from
+    subspaces[j]: all maximal minors of the batch at once."""
+    indices = pluecker_indices(l, m)
+    k = len(indices)
+    # entry (i, j) of every representative, one vector per position
+    flat = list(zip(*(w._flat for w in subspaces)))
+    entries = [flat[i * m : (i + 1) * m] for i in range(l)]
+    lead = tuple(range(1, l + 1))
+    rows = batch_minors(gf, entries, len(subspaces), [(lead, cols) for cols in indices])
+    for j, column in enumerate(zip(*rows)):
+        if not any(column):
+            raise ValueError(f"representative {j} must have full row rank")
     p = None
     if 1 <= l <= m - l:
         p = CodeParams(gf.q, l, m - l)
@@ -114,8 +130,8 @@ def cell_restriction_compare(l: int, m: int, gf: GF) -> CellReport:
         raise ValueError(f"need 1 <= l <= m - l, got l={l}, m={m}")
     p = CodeParams(gf.q, l, m - l)
     affine = build(p)
-    grass = build_grassmann_code(l, m, gf)
     subspaces = enumerate_subspaces(l, m, gf)
+    grass = _grassmann_code(l, m, gf, subspaces)
     lead = tuple(range(1, l + 1))
     tail = tuple(range(l + 1, m + 1))
     cell_cols: dict[int, int] = {}

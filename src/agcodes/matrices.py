@@ -1,5 +1,6 @@
 """Dense matrices over GF(q): exact determinants, echelon forms, minors,
-and filtered enumeration of the small matrix groups.
+minors of a whole batch of matrices at once, and filtered enumeration of the
+small matrix groups.
 
 Matrices are immutable and hashable.  Row and column labels in the public
 API are 1-based so that a minor taken on row set {1,2} and column set {1,3}
@@ -11,7 +12,7 @@ constant function 1.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from .fields import GF
@@ -265,6 +266,49 @@ def _check_labels(labels: tuple[int, ...], bound: int, kind: str) -> None:
             raise ValueError(f"{kind} labels must be strictly increasing, got {labels}")
     if labels and (labels[0] < 1 or labels[-1] > bound):
         raise ValueError(f"{kind} labels {labels} outside 1..{bound}")
+
+
+def batch_minors(
+    gf: GF,
+    entries: Sequence[Sequence[Sequence[int]]],
+    size: int,
+    wanted: Iterable[tuple[Sequence[int], Sequence[int]]],
+) -> tuple[tuple[int, ...], ...]:
+    """Minors of a whole batch of matrices at once, one vector per minor.
+
+    entries[i][j] lists entry (i+1, j+1) of each of `size` matrices, as
+    element indices of gf.  wanted holds (row labels, column labels) pairs,
+    1-based, strictly increasing and of equal size, as MatrixGF.minor
+    accepts them; none of this is checked here.  The result holds, per pair,
+    that minor of every matrix of the batch, in batch order.
+
+    A minor on rows I and columns J is the Laplace expansion along the first
+    row i0 of I, the sum over s of (-1)^s x[i0, J[s]] M(I - i0, J - J[s]),
+    with products and sums taken entry by entry over the batch.  Sub-minors
+    are memoized, so a minor of order r costs r vector products and r - 1
+    vector sums, and only the minors on row suffixes of the wanted row sets
+    are formed.
+    """
+    signed = gf.p != 2  # in characteristic 2, -x = x
+    factors: dict[tuple[int, int, bool], Sequence[int]] = {}
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {((), ()): [1] * size}
+
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
+        out = memo.get((rows, cols))
+        if out is None:
+            i0, rest = rows[0], rows[1:]
+            for s, j in enumerate(cols):
+                key = (i0, j, signed and s % 2 == 1)
+                x = factors.get(key)
+                if x is None:
+                    x = entries[i0 - 1][j - 1]
+                    x = factors[key] = list(map(gf.neg, x)) if key[2] else x
+                term = list(map(gf.mul, x, minor(rest, cols[:s] + cols[s + 1 :])))
+                out = term if out is None else list(map(gf.add, out, term))
+            memo[rows, cols] = out
+        return out
+
+    return tuple(tuple(minor(tuple(rows), tuple(cols))) for rows, cols in wanted)
 
 
 def rref_rows_with_transform(m: MatrixGF) -> tuple[MatrixGF, MatrixGF]:

@@ -285,6 +285,10 @@ def check_automorphism_suite() -> CheckResult:
 # its note.  Criterion 6 runs some of them with its own counts and parameter
 # sets; `identity_suites` runs all six on one parameter set for `autocheck`.
 
+# autocheck's trial bound: a trial takes about a millisecond on (2,2,2) and
+# more on larger codes, so this is seconds to minutes of work, not days
+MAX_TRIALS = 10_000
+
 
 def _random_matrix(rng: random.Random, gf, nrows: int, ncols: int) -> MatrixGF:
     return MatrixGF(gf, nrows, ncols, tuple(rng.randrange(gf.q) for _ in range(nrows * ncols)))
@@ -435,9 +439,12 @@ def identity_suites(p: CodeParams, seed: int, trials: int) -> list[CheckResult]:
     """The six randomized identity suites on one parameter set, drawing from
     one generator seeded with seed.  substitution-pointwise and cauchy-binet
     run trials cases, the others trials // 10 (at least one); witness-vs-scan
-    runs only when the q^k messages are few enough to encode (q^k <= 2^15)."""
+    runs only when the q^k messages are few enough to encode (q^k <= 2^15).
+    trials must lie in 1..MAX_TRIALS."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"need trials <= {MAX_TRIALS}, got {trials}")
     rng = random.Random(seed)
     few = max(1, trials // 10)
     suites = [

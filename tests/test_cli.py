@@ -122,6 +122,17 @@ def test_autocheck_rejects_trials_below_one(capsys, monkeypatch):
         assert f"need trials >= 1, got {trials}" in err
 
 
+def test_autocheck_rejects_trials_above_the_bound(capsys, monkeypatch):
+    def no_suite(name, body):
+        raise RuntimeError(f"suite {name} ran")
+
+    monkeypatch.setattr(verify, "_check", no_suite)
+    trials = str(verify.MAX_TRIALS + 1)
+    code, out, err = run(capsys, "autocheck", "--q", "2", "--l", "2", "--lp", "2", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert f"need trials <= {verify.MAX_TRIALS}, got {trials}" in err
+
+
 def test_autocheck_and_criterion_6_share_suites(capsys, monkeypatch):
     # a broken row specialization inside verify must fail the weight
     # partition suite in both callers, with a detail naming the parameters

@@ -3,6 +3,8 @@ reference scan, the packed scan against an encode-every-message oracle,
 worker-count invariance and its bound, weight accounting oracles, and the
 resource caps."""
 
+import hashlib
+import json
 import os
 import random
 import sys
@@ -76,6 +78,46 @@ def test_build_smallest():
     assert code.generator == ((1, 1), (0, 1))
     spanned = {code.encode(m) for m in product(range(2), repeat=2)}
     assert spanned == {(0, 0), (1, 1), (0, 1), (1, 0)}
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 3), (3, 2, 2), (4, 2, 2), (9, 1, 2), (3, 0, 2), (257, 1, 1), (1024, 1, 1)],
+    ids=lambda s: ",".join(map(str, s)),
+)
+def test_build_matches_per_point_minors(shape):
+    """The batched generator against MatrixGF.minor at every point."""
+    p = CodeParams(*shape)
+    expect = tuple(tuple(pt.minor(mi.rows, mi.cols) for pt in points(p)) for mi in minor_basis(p))
+    assert build(p).generator == expect
+    if p.l == 0:
+        assert expect == ((1,),)
+
+
+# (n, k, SHA-256 of the JSON generator) recorded from the per-point build,
+# one MatrixGF.minor call per entry, before the batched expansion replaced it
+CONSTRUCT_PINS = {
+    ("affine", 2, 3, 4): (4096, 35, "bbb77a9f920eb937165ee0afd0cca426b61e6705d835c8e3eaee9ac77d4f8813"),
+    ("affine", 2, 2, 6): (4096, 28, "73ba9a0730f46b1bce477c571bc3ee6582d3be0901b8c2c6d911e27a87ace65f"),
+    ("affine", 4, 2, 3): (4096, 10, "7f1c18214fa4be48a4f6a8ab4081986e836b98ad02cc456c1b75b664ba5e891b"),
+    ("affine", 9, 2, 2): (6561, 6, "10d16c4c770ea203a19cc74ba465d5d54c5bbe4d3586b922f3065e68bee03d71"),
+    ("grassmann", 2, 5, 3): (1210, 10, "25ea201ee105381d784199464fa36f3acd0ae3cea154389370d06086ac095b12"),
+    ("grassmann", 3, 6, 2): (1395, 20, "0bd82ab35e6ae539d2548b03bb2cc477243fcf9f5c3f1dc08c0015cd8484bac3"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONSTRUCT_PINS), ids=lambda k: "{}-{},{},{}".format(*k))
+def test_construct_scale_generators_pinned(key):
+    """Codes of the benchmark's construct sizes, byte for byte against the
+    per-point build.  Affine keys are (q, l, lp), Grassmann keys (l, m, q)."""
+    kind, a, b, c = key
+    if kind == "affine":
+        code = build(CodeParams(a, b, c))
+    else:
+        code = build_grassmann_code(a, b, field_for_order(c))
+    n, k, sha = CONSTRUCT_PINS[key]
+    got = hashlib.sha256(json.dumps(code.generator, separators=(",", ":")).encode()).hexdigest()
+    assert (code.n, code.k, got) == (n, k, sha)
 
 
 def test_naive_reference_scan():
@@ -296,6 +338,8 @@ def test_caps(monkeypatch):
     monkeypatch.setenv("AGCODES_POINTS_CAP", "10")
     with pytest.raises(CapExceeded):
         points(CodeParams(5, 1, 3))
+    with pytest.raises(CapExceeded):
+        build(CodeParams(5, 1, 3))
     monkeypatch.delenv("AGCODES_POINTS_CAP")
     monkeypatch.setenv("AGCODES_MESSAGES_CAP", "5")
     code = build(CodeParams(2, 1, 2))  # 2^3 = 8 messages

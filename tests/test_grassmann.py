@@ -7,6 +7,7 @@ import pytest
 from agcodes.code import min_distance, point_matrix
 from agcodes.fields import field_for_order
 from agcodes.grassmann import (
+    _grassmann_code,
     build_grassmann_code,
     cell_restriction_compare,
     enumerate_subspaces,
@@ -54,6 +55,21 @@ def test_pluecker_scalar_covariance():
 def test_pluecker_needs_full_rank():
     with pytest.raises(ValueError):
         pluecker(MatrixGF.from_rows(gf2, [(1, 0), (1, 0)]))
+
+
+@pytest.mark.parametrize("l,m,q", [(2, 4, 2), (2, 5, 3), (3, 6, 2), (0, 3, 2), (3, 3, 3)])
+def test_build_matches_per_subspace_pluecker(l, m, q):
+    """The batched generator against pluecker(w), one subspace at a time."""
+    gf = field_for_order(q)
+    columns = [pluecker(w) for w in enumerate_subspaces(l, m, gf)]
+    assert build_grassmann_code(l, m, gf).generator == tuple(zip(*columns))
+
+
+def test_build_needs_full_rank():
+    bad = MatrixGF.from_rows(gf3, [(1, 0, 2), (2, 0, 1)])
+    good = MatrixGF.from_rows(gf3, [(1, 0, 2), (0, 1, 1)])
+    with pytest.raises(ValueError, match="representative 1"):
+        _grassmann_code(2, 3, gf3, [good, bad])
 
 
 def test_small_codes():

@@ -1,8 +1,9 @@
 """Matrix layer: determinants against a recursive oracle, echelon form
-properties, the small matrix groups counted against the closed forms, and
-Cauchy-Binet."""
+properties, batched minors against per-matrix minors, the small matrix
+groups counted against the closed forms, and Cauchy-Binet."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from agcodes.fields import field_for_order
 from agcodes.limits import CapExceeded
 from agcodes.matrices import (
     MatrixGF,
+    batch_minors,
     cauchy_binet,
     enumerate_gl,
     enumerate_matrices,
@@ -120,6 +122,32 @@ def test_submatrix_and_minor():
         m.submatrix((2, 1), (1,))
     with pytest.raises(ValueError):
         m.submatrix((1, 3), (1,))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 257, 1024])
+def test_batch_minors_match_per_matrix_minors(q, monkeypatch):
+    """Every minor of a random batch of 3 x 4 matrices, batched against
+    MatrixGF.minor one matrix at a time.  The expansion calls gf.mul a
+    bounded number of times per minor and matrix, so it builds no q x q
+    table (one for GF(257) would take 66049 calls)."""
+    gf = field_for_order(q)
+    rng = random.Random(q)
+    batch = [rand_matrix(rng, gf, 3, 4) for _ in range(40)]
+    batch.append(MatrixGF(gf, 3, 4, (q - 1,) * 12))
+    entries = [[[w.entry(i, j) for w in batch] for j in range(1, 5)] for i in range(1, 4)]
+    wanted = [
+        (rows, cols)
+        for r in range(4)
+        for rows in combinations(range(1, 4), r)
+        for cols in combinations(range(1, 5), r)
+    ]
+    calls = []
+    monkeypatch.setattr(gf, "mul", lambda a, b: calls.append(1) or type(gf).mul(gf, a, b))
+    got = batch_minors(gf, entries, len(batch), wanted)
+    made = len(calls)
+    assert got == tuple(tuple(w.minor(rows, cols) for w in batch) for rows, cols in wanted)
+    assert made < 3 * len(wanted) * len(batch)
+    assert batch_minors(gf, [], 3, [((), ())]) == ((1, 1, 1),)
 
 
 def test_rref_properties():
