@@ -5,148 +5,31 @@ matrix evaluated over every matrix point, together with the machinery the
 construction carries with it: exact finite field arithmetic, the affine
 matrix substitutions acting on the code, the minimum weight family, and the
 classical projective relatives for cross-checking.
+
+The package namespace re-exports the everyday entry points below; every
+other name is imported from its submodule (fields, matrices, minors, code,
+group, grassmann, params, limits, verify).
 """
 
-from .code import (
-    LinearCode,
-    build,
-    evaluate_vector,
-    min_distance,
-    min_weight_codewords,
-    point_index,
-    point_matrix,
-    points,
-    rowspec_weight_bound,
-    weight,
-    weight_distribution,
-)
-from .fields import GF, field_for_order, field_make
-from .grassmann import (
-    CellMatch,
-    CellReport,
-    VerificationError,
-    build_grassmann_code,
-    cell_restriction_compare,
-    enumerate_subspaces,
-    pluecker,
-    pluecker_indices,
-)
-from .group import (
-    AffineMap,
-    act_on_poly,
-    apply_permutation,
-    apply_point,
-    compose,
-    enumerate_group,
-    generate_min_weight_polys,
-    inverse,
-    is_min_weight_form,
-    min_weight_witness,
-    permutation,
-    stabilizer_criterion,
-    stabilizer_test,
-)
+from .code import LinearCode, build, min_distance, min_weight_codewords, weight_distribution
+from .grassmann import build_grassmann_code, cell_restriction_compare
+from .group import enumerate_group, min_weight_witness
 from .limits import CapExceeded
-from .matrices import (
-    MatrixGF,
-    cauchy_binet,
-    enumerate_gl,
-    enumerate_matrices,
-    enumerate_rref,
-    enumerate_sl,
-    rref_rows_with_transform,
-)
-from .minors import (
-    EMPTY_MINOR,
-    MinorCombination,
-    MinorIndex,
-    absorb_translation,
-    det_product_expansion,
-    det_translation_expand,
-    leading_maximal_minor,
-    minor_basis,
-    row_vanishing_locus,
-    specialize_col,
-    specialize_row,
-)
-from .params import (
-    CodeParams,
-    dimension_formula,
-    gaussian_binomial,
-    gl_order,
-    group_order_formula,
-    min_distance_formula,
-    min_weight_count_formula,
-    q_factorial,
-    sl_order,
-    stabilizer_order_formula,
-)
+from .params import CodeParams, min_distance_formula
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "CapExceeded",
-    "CellMatch",
-    "CellReport",
     "CodeParams",
-    "EMPTY_MINOR",
-    "GF",
     "LinearCode",
-    "MatrixGF",
-    "MinorCombination",
-    "MinorIndex",
-    "VerificationError",
-    "absorb_translation",
-    "act_on_poly",
-    "apply_permutation",
-    "apply_point",
     "build",
     "build_grassmann_code",
-    "cauchy_binet",
     "cell_restriction_compare",
-    "compose",
-    "det_product_expansion",
-    "det_translation_expand",
-    "dimension_formula",
-    "enumerate_gl",
     "enumerate_group",
-    "enumerate_matrices",
-    "enumerate_rref",
-    "enumerate_sl",
-    "enumerate_subspaces",
-    "evaluate_vector",
-    "field_for_order",
-    "field_make",
-    "gaussian_binomial",
-    "generate_min_weight_polys",
-    "gl_order",
-    "group_order_formula",
-    "inverse",
-    "is_min_weight_form",
-    "leading_maximal_minor",
     "min_distance",
     "min_distance_formula",
     "min_weight_codewords",
-    "min_weight_count_formula",
     "min_weight_witness",
-    "minor_basis",
-    "permutation",
-    "pluecker",
-    "pluecker_indices",
-    "point_index",
-    "point_matrix",
-    "points",
-    "q_factorial",
-    "row_vanishing_locus",
-    "rowspec_weight_bound",
-    "rref_rows_with_transform",
-    "sl_order",
-    "specialize_col",
-    "specialize_row",
-    "stabilizer_criterion",
-    "stabilizer_order_formula",
-    "stabilizer_test",
-    "weight",
     "weight_distribution",
 ]

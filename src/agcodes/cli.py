@@ -104,7 +104,7 @@ def _cmd_build(args) -> int:
 def _cmd_mindist(args) -> int:
     p = _params_of(args)
     code = build(p)
-    d = min_distance(code, workers=args.threads)
+    d = min_distance(code)
     if args.format == "json":
         _emit(_json({"d": d}), args.out)
     else:
@@ -118,7 +118,7 @@ def _cmd_mindist(args) -> int:
 def _cmd_weightdist(args) -> int:
     p = _params_of(args)
     code = build(p)
-    dist = weight_distribution(code, workers=args.threads)
+    dist = weight_distribution(code)
     if args.format == "json":
         _emit(_json({"n": code.n, "weights": {str(w): c for w, c in dist.items()}}), args.out)
     else:
@@ -130,7 +130,7 @@ def _cmd_weightdist(args) -> int:
 def _cmd_minwords(args) -> int:
     p = _params_of(args)
     code = build(p)
-    words = min_weight_codewords(code, workers=args.threads)
+    words = min_weight_codewords(code)
     if args.format == "json":
         _emit(_json({"count": len(words), "words": [list(w) for w in words]}), args.out)
     else:
@@ -168,7 +168,7 @@ def _cmd_grassmann(args) -> int:
         "k": code.k,
     }
     if args.mindist:
-        data["d"] = min_distance(code, workers=args.threads)
+        data["d"] = min_distance(code)
     lines = [f"n {data['n']}", f"k {data['k']}"]
     if "d" in data:
         lines.append(f"d {data['d']}")
@@ -224,14 +224,11 @@ def main(argv: list[str] | None = None) -> int:
     register("build", "emit the generator matrix", _cmd_build)
 
     sub = register("mindist", "blind minimum distance by exhaustive scan", _cmd_mindist)
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--check", action="store_true", help="exit 1 if the scan disagrees with the closed form")
 
-    sub = register("weightdist", "full weight distribution by exhaustive scan", _cmd_weightdist)
-    sub.add_argument("--threads", type=int, default=1)
+    register("weightdist", "full weight distribution by exhaustive scan", _cmd_weightdist)
 
     sub = register("minwords", "all minimum weight codewords", _cmd_minwords)
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--verify", action="store_true", help="exit 1 unless count and weights match the closed forms")
 
     sub = subs.add_parser("autocheck", help="randomized identity checks for one parameter set")
@@ -244,7 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_argument("--l", type=int, required=True, help="subspace dimension")
     sub.add_argument("--m", type=int, required=True, help="ambient dimension")
     sub.add_argument("--q", type=int, required=True, help="field size, a prime power")
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--mindist", action="store_true", help="also scan the minimum distance")
     sub.add_argument("--compare-cell", action="store_true", help="match the big cell against the affine generator")
 

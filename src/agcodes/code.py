@@ -13,18 +13,14 @@ Minimum distance and weight distributions come from full message scans, one
 engine for every field: codewords are packed into integers with one lane per
 position, a table holds the words of every message on the low digits, and
 each message costs one lane-packed operation and a popcount (see _Lanes).
-The scans partition the messages into at most one chunk per core, merged by
-min / sum / concatenation, so the result does not depend on the worker count.
 Early exit is taken only when the caller passes a conjectured distance; blind
 runs see every message.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
@@ -254,7 +250,6 @@ class _Lanes:
 
     def row(self, a: int, r: int) -> int:
         """Generator row r times the element a, packed without bias."""
-        # worker threads may fill the same key twice, with the same value
         key = (a, r)
         if key not in self._rows:
             mul, bits = self.gf.mul, self._bits
@@ -284,9 +279,9 @@ class _Lanes:
             t += 1
         return out
 
-    def weights(self, negated: int, lo: int, hi: int):
-        """Weights of the words table[lo:hi] + w, given -w stored."""
-        diff = map(negated.__xor__, islice(self.table, lo, hi))
+    def weights(self, negated: int, count: int):
+        """Weights of the words table[:count] + w, given -w stored."""
+        diff = map(negated.__xor__, islice(self.table, count))
         if self.width > 1:
             diff = map(self.high.__and__, map(self.fill.__add__, diff))
         return map(int.bit_count, diff)
@@ -322,33 +317,28 @@ def _lanes(code: LinearCode) -> _Lanes:
     return code._cache["lanes"]
 
 
-def _scan_range(
-    code: LinearCode,
-    lo: int,
-    hi: int,
-    mode: str,
-    early_exit_at: int | None,
+def _scan(
+    code: LinearCode, mode: str, early_exit_at: int | None = None
 ) -> tuple[Counter, int, list[tuple[int, int]]]:
-    """Scan positions lo..hi-1; returns (weight counts, min weight, hits).
+    """Scan every message whose top nonzero coefficient is 1; returns
+    (weight counts, min weight, hits).
 
-    Mode "dist" counts weights, "min" only tracks the least, and "words"
-    keeps (message index, stored word) for each message at the least weight
-    seen, in message index order.
+    Mode "dist" counts weights, "min" only tracks the least and stops once it
+    is at most early_exit_at, when that is given, and "words" keeps (message
+    index, stored word) for each message at the least weight, in message
+    index order.
     """
-    lanes = _lanes(code)
     q = code.gf.q
+    limits.ensure("messages", q**code.k, f"scanning {code!r}")
+    lanes = _lanes(code)
     minus_one = code.gf.neg(1)
     counts: Counter = Counter()
     best, hits = code.n + 1, []
-    start = 0  # first position of segment r
     for r in range(code.k):
         size = q**r
-        first, end = max(lo - start, 0), min(hi - start, size)
-        start += size
         step = min(size, len(lanes.table))
-        for at in range(first - first % step, end, step):
-            j0, j1 = max(first - at, 0), min(end - at, step)
-            weights = lanes.weights(lanes.base(minus_one, r, at // step), j0, j1)
+        for at in range(0, size, step):
+            weights = lanes.weights(lanes.base(minus_one, r, at // step), step)
             if mode == "dist":
                 counts.update(weights)
             elif mode == "min":
@@ -363,91 +353,48 @@ def _scan_range(
                 if least < best:
                     best, hits = least, []
                 word = lanes.base(1, r, at // step) - lanes.zero
-                found = compress(range(j0, j1), map(least.__eq__, ws))
+                found = compress(range(step), map(least.__eq__, ws))
                 hits += [(size + at + j, lanes.add(lanes.table[j], word)) for j in found]
     return counts, best, hits
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-
-
-def _scan(
-    code: LinearCode,
-    mode: str,
-    early_exit_at: int | None = None,
-    workers: int = 1,
-) -> list[tuple[Counter, int, list[tuple[int, int]]]]:
-    """Per chunk of positions, in order: what _scan_range returns.
-
-    The positions split into at most min(workers, cores, positions) chunks,
-    and each chunk builds its words from its own positions, so the merged
-    result does not depend on the split.
-    """
-    q = code.gf.q
-    limits.ensure("messages", q**code.k, f"scanning {code!r}")
-    total = (q**code.k - 1) // (q - 1)
-    chunks = min(workers, os.cpu_count() or 1, total)
-    cuts = [total * i // chunks for i in range(chunks + 1)]
-    _lanes(code)  # built once, before any worker reads it
-    if chunks == 1:
-        return [_scan_range(code, 0, total, mode, early_exit_at)]
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        return list(
-            pool.map(
-                lambda lo, hi: _scan_range(code, lo, hi, mode, early_exit_at), cuts, cuts[1:]
-            )
-        )
-
-
-def min_distance(
-    code: LinearCode, *, early_exit_at: int | None = None, workers: int = 1
-) -> int:
+def min_distance(code: LinearCode, *, early_exit_at: int | None = None) -> int:
     """Minimum weight over all nonzero messages.
 
     With early_exit_at set, the scan stops as soon as a codeword of that
     weight shows up; pass it only when that value is known to be a lower
     bound (the closed formula).  Without it, every message is visited.
     """
-    _check_workers(workers)
     key = ("mindist", early_exit_at)
     if key not in code._cache:
-        code._cache[key] = min(best for _, best, _ in _scan(code, "min", early_exit_at, workers))
+        code._cache[key] = _scan(code, "min", early_exit_at)[1]
     return code._cache[key]
 
 
-def weight_distribution(code: LinearCode, *, workers: int = 1) -> dict[int, int]:
+def weight_distribution(code: LinearCode) -> dict[int, int]:
     """Weight -> count over all q^k messages, including the zero codeword."""
-    _check_workers(workers)
     if "dist" not in code._cache:
-        counts: Counter = Counter()
-        for part, _, _ in _scan(code, "dist", None, workers):
-            counts.update(part)
         scalars = code.gf.q - 1
-        dist = {w: c * scalars for w, c in counts.items()}
+        dist = {w: c * scalars for w, c in _scan(code, "dist")[0].items()}
         dist[0] = dist.get(0, 0) + 1
         code._cache["dist"] = dict(sorted(dist.items()))
     return dict(code._cache["dist"])
 
 
-def min_weight_codewords(code: LinearCode, *, workers: int = 1) -> list[tuple[int, ...]]:
+def min_weight_codewords(code: LinearCode) -> list[tuple[int, ...]]:
     """All codewords of minimum weight, in message index order."""
-    _check_workers(workers)
     if "minwords" not in code._cache:
-        parts = _scan(code, "words", None, workers)
-        best = min(b for _, b, _ in parts)
+        hits = _scan(code, "words")[2]
         lanes = _lanes(code)
         q, k = code.gf.q, code.k
         times = lanes.times()
         # each hit stands for its multiples c * hit, whose coefficients, top
         # first, are the hit's times c: sorting those puts them in index order
         multiples = []
-        for _, b, hits in parts:
-            for index, packed in hits if b == best else ():
-                top_first = lanes.box(index // q**i % q for i in reversed(range(k)))
-                word = lanes.unpack(packed)
-                multiples += [(times[c](top_first), c, word) for c in range(1, q)]
+        for index, packed in hits:
+            top_first = lanes.box(index // q**i % q for i in reversed(range(k)))
+            word = lanes.unpack(packed)
+            multiples += [(times[c](top_first), c, word) for c in range(1, q)]
         multiples.sort(key=itemgetter(0))
         code._cache["minwords"] = [tuple(times[c](word)) for _, c, word in multiples]
     return list(code._cache["minwords"])

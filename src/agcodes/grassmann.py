@@ -134,11 +134,12 @@ def cell_restriction_compare(l: int, m: int, gf: GF) -> CellReport:
     grass = _grassmann_code(l, m, gf, subspaces)
     lead = tuple(range(1, l + 1))
     tail = tuple(range(l + 1, m + 1))
-    cell_cols: dict[int, int] = {}
-    for j, w in enumerate(subspaces):
-        if w.minor(lead, lead) == 1:
-            block = w.submatrix(lead, tail)
-            cell_cols[j] = point_index(block)
+    # row 0 holds the coordinate on columns 1..l: 1 exactly on the cell
+    cell_cols = {
+        j: point_index(w.submatrix(lead, tail))
+        for j, w in enumerate(subspaces)
+        if grass.generator[0][j] == 1
+    }
     if len(cell_cols) != p.npoints:
         raise VerificationError(
             f"cell of ({l}, {m}) over GF({gf.q}) has {len(cell_cols)} columns, "

@@ -1,20 +1,17 @@
 """Evaluation codes and scan engines: point encoding round trips, a naive
-reference scan, the packed scan against an encode-every-message oracle,
-worker-count invariance and its bound, weight accounting oracles, and the
-resource caps."""
+reference scan, the packed scan against an encode-every-message oracle
+(blind and with early exit), weight accounting oracles, and the resource
+caps."""
 
 import hashlib
 import json
-import os
 import random
-import sys
 import time
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from agcodes import code as code_module
 from agcodes.code import (
     LinearCode,
     build,
@@ -183,53 +180,12 @@ def _encode_every_message(case):
 def test_packed_scan_matches_encode_oracle(case):
     dist, d, words = _encode_every_message(case)
     code = DIFFERENTIAL[case]()
-    for workers in (1, 2):
-        fresh = LinearCode(code.gf, code.generator)
-        assert weight_distribution(fresh, workers=workers) == dist
-        assert min_distance(fresh, workers=workers) == d
-        assert min_weight_codewords(fresh, workers=workers) == words
-
-
-def test_worker_pool_is_bounded(monkeypatch):
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return list(map(fn, *iterables))
-
-    p = CodeParams(2, 1, 2)
-    expect = weight_distribution(LinearCode(build(p).gf, build(p).generator))
-    monkeypatch.setattr(code_module, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    code = build(p)
-    code._cache.pop("dist", None)
-    assert weight_distribution(code, workers=64) == expect
-    assert started == [3]
-
-
-def test_threads_share_one_code(monkeypatch):
-    # more threads than cores, switching often: the lazily filled row cache
-    # and the shared table must give the single-thread result
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for shape in ((7, 1, 3), (9, 1, 2)):
-            code = build(CodeParams(*shape))
-            fresh = LinearCode(code.gf, code.generator)
-            assert weight_distribution(fresh, workers=8) == weight_distribution(code)
-            assert min_weight_codewords(fresh, workers=8) == min_weight_codewords(code)
-    finally:
-        sys.setswitchinterval(switch)
+    fresh = LinearCode(code.gf, code.generator)
+    assert weight_distribution(fresh) == dist
+    assert min_distance(fresh) == d
+    assert min_weight_codewords(fresh) == words
+    # the early exit path on a code whose caches are empty
+    assert min_distance(LinearCode(code.gf, code.generator), early_exit_at=d) == d
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 3), (8, 2, 2)], ids=["3,2,3", "8,2,2"])
@@ -251,21 +207,6 @@ def test_blind_distance_and_early_exit_agree():
     d = min_distance(code)
     assert d == min_distance_formula(p) == 24
     assert min_distance(code, early_exit_at=24) == 24
-    assert min_distance(code, workers=3) == 24
-
-
-def test_worker_invariance():
-    p = CodeParams(3, 1, 2)
-    code = build(p)
-    base = weight_distribution(code)
-    for workers in (2, 5):
-        code._cache.pop("dist", None)
-        assert weight_distribution(code, workers=workers) == base
-    code._cache.pop("minwords", None)
-    words1 = min_weight_codewords(code)
-    code._cache.pop("minwords", None)
-    words4 = min_weight_codewords(code, workers=4)
-    assert words1 == words4
 
 
 def test_min_weight_codewords():
@@ -321,8 +262,6 @@ def test_code_validation():
         code.encode((1,))
     with pytest.raises(ValueError):
         code.contains((0,))
-    with pytest.raises(ValueError):
-        min_distance(code, workers=0)
 
 
 def test_contains():

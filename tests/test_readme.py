@@ -1,6 +1,7 @@
-"""The README's examples run as written: its Python block executes, and each
+"""The README's examples run as written: its Python block executes, each
 `$ agcodes ...` example prints the lines shown (a `...` line ends the
-comparison)."""
+comparison), and the package namespace exports what the block imports plus
+what the benchmark reads."""
 
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import agcodes
 from agcodes.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -31,3 +33,22 @@ def test_cli_example(capsys, example):
         shown = shown[: shown.index("...")]
         out = out[: len(shown)]
     assert out == shown
+
+
+def test_package_exports_what_the_readme_and_benchmark_use():
+    # every other name is imported from its submodule
+    assert sorted(agcodes.__all__) == [
+        "CapExceeded",
+        "CodeParams",
+        "LinearCode",
+        "build",
+        "build_grassmann_code",
+        "cell_restriction_compare",
+        "enumerate_group",
+        "min_distance",
+        "min_distance_formula",
+        "min_weight_codewords",
+        "min_weight_witness",
+        "weight_distribution",
+    ]
+    assert all(hasattr(agcodes, name) for name in agcodes.__all__)
