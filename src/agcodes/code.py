@@ -9,6 +9,13 @@ over that basis.  It is built for all points at once: entry t of every point
 is one vector of base-q digits, and each basis minor is a Laplace expansion
 over those vectors (matrices.batch_minors), so no point is materialized.
 
+A build proves rank k without elimination (_certify_rank).  Let E_b be the
+partial permutation with ones at (I[s], J[s]) for the basis minor b on rows I
+and columns J.  A minor of order r is 0 at a partial permutation of order at
+most r unless both have the same rows and columns, where it is 1; the basis
+is sorted by order, so the generator's k x k block at the points E_b is upper
+unitriangular, of determinant 1.  The build checks that block, entry by entry.
+
 Minimum distance and weight distributions come from full message scans, one
 engine for every field: codewords are packed into integers with one lane per
 position, a table holds the words of every message on the low digits, and
@@ -21,15 +28,14 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
 from operator import itemgetter, methodcaller
 
 from . import limits
 from .matrices import MatrixGF, batch_minors
-from .minors import MinorCombination, minor_basis, row_vanishing_locus
-from .params import CodeParams, min_distance_formula
+from .minors import MinorCombination, minor_basis
+from .params import CodeParams
 
 __all__ = [
     "point_index",
@@ -42,7 +48,6 @@ __all__ = [
     "min_distance",
     "weight_distribution",
     "min_weight_codewords",
-    "rowspec_weight_bound",
 ]
 
 
@@ -67,7 +72,9 @@ def point_matrix(p: CodeParams, index: int) -> MatrixGF:
     return MatrixGF(p.field(), p.l, p.lp, tuple(flat))
 
 
-@lru_cache(maxsize=None)
+# run_acceptance fills 2 entries of this cache and 18 of build's; the bounds
+# leave room so that nothing it uses is evicted
+@lru_cache(maxsize=8)
 def points(p: CodeParams) -> tuple[MatrixGF, ...]:
     """The full evaluation domain in point index order."""
     limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
@@ -90,7 +97,7 @@ class LinearCode:
         n = len(generator[0])
         if any(len(r) != n for r in generator):
             raise ValueError("ragged generator rows")
-        if any(not 0 <= x < gf.q for r in generator for x in r):
+        if n and (min(map(min, generator)) < 0 or max(map(max, generator)) >= gf.q):
             raise ValueError("generator entries must be element indices")
         self.gf = gf
         self.generator = generator
@@ -138,7 +145,16 @@ class LinearCode:
         return f"<{tag} [{self.n}, {self.k}] over GF({self.gf.q})>"
 
 
-@lru_cache(maxsize=None)
+def _certify_rank(code: LinearCode, cols: list[int], what: str) -> None:
+    """Prove that the generator has rank k: its k x k block on the columns
+    cols, in that order, must be upper unitriangular, so of determinant 1.
+    Raises AssertionError naming what otherwise."""
+    for a, row in enumerate(code.generator):
+        if [row[j] for j in cols[: a + 1]] != [0] * a + [1]:
+            raise AssertionError(f"{what} is not certified full rank: row {a} of its block")
+
+
+@lru_cache(maxsize=64)  # bound: see points
 def build(p: CodeParams) -> LinearCode:
     """The evaluation code of the full minor space on the domain of p."""
     gf = p.field()
@@ -147,11 +163,13 @@ def build(p: CodeParams) -> LinearCode:
     # base-q digit t of a point's index is its flat row-major entry t
     digits = [[i // w % q for i in range(n)] for w in (q**t for t in range(p.delta))]
     entries = [digits[r * p.lp : (r + 1) * p.lp] for r in range(p.l)]
-    rows = batch_minors(gf, entries, n, minor_basis(p))
+    basis = minor_basis(p)
+    rows = batch_minors(gf, entries, n, basis)
     code = LinearCode(gf, rows, params=p, label=f"affine[q={p.q},l={p.l},lp={p.lp}]")
-    if code.generator_matrix().rank() != code.k:
-        raise AssertionError(f"evaluation matrix of {p} is rank deficient")
-    if any(all(row[j] == 0 for row in code.generator) for j in range(code.n)):
+    # the column of E_b, whose entry (i, j) is flat digit (i-1)*lp + j-1
+    cols = [sum(q ** ((i - 1) * p.lp + j - 1) for i, j in zip(*b)) for b in basis]
+    _certify_rank(code, cols, f"evaluation matrix of {p}")
+    if not all(map(any, zip(*code.generator))):
         raise AssertionError(f"evaluation matrix of {p} has an all-zero column")
     return code
 
@@ -398,21 +416,3 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[int, ...]]:
         multiples.sort(key=itemgetter(0))
         code._cache["minwords"] = [tuple(times[c](word)) for _, c, word in multiples]
     return list(code._cache["minwords"])
-
-
-def rowspec_weight_bound(f: MinorCombination, i: int) -> tuple[Fraction, int]:
-    """(lower bound from the row-i vanishing locus, actual weight of f).
-
-    With t points in the locus, the weight of a nonzero f is at least
-    (q^lp - t) / (q^lp - q^(lp-l)) times the minimum distance; the actual
-    weight is returned alongside for the caller to compare.
-    """
-    p = f.params
-    if f.is_zero:
-        raise ValueError("the zero combination has no weight bound")
-    t = len(row_vanishing_locus(f, i))
-    d = min_distance_formula(p)
-    denom = p.q**p.lp - p.q ** (p.lp - p.l)
-    bound = Fraction((p.q**p.lp - t) * d, denom)
-    actual = weight(evaluate_vector(f))
-    return bound, actual

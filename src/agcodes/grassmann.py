@@ -11,6 +11,11 @@ minor is a Laplace expansion along its first row over those vectors
 (matrices.batch_minors), which forms only the sub-minors on the lower rows.
 pluecker(w) is the one-subspace reference.
 
+The build proves rank as code.build does: the coordinate subspace of an
+l-subset S, the one representative with only l nonzero entries, has the unit
+vector at S as its Pluecker vector, so these columns hold an identity block.
+The build checks that block and fails if a coordinate subspace is missing.
+
 The subspaces whose representative starts with an identity block form a cell
 of exactly q^(l * (m - l)) columns, indexed by the complement block.  On that
 cell each Pluecker coordinate equals, up to a fixed sign, one minor (of any
@@ -23,10 +28,10 @@ perfect matching exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 
 from . import limits
-from .code import LinearCode, build, point_index
+from .code import LinearCode, _certify_rank, build, point_index
 from .fields import GF
 from .matrices import MatrixGF, batch_minors, enumerate_rref
 from .minors import MinorIndex, minor_basis
@@ -81,7 +86,6 @@ def _grassmann_code(l: int, m: int, gf: GF, subspaces: list[MatrixGF]) -> Linear
     """build_grassmann_code on the given representatives, column j from
     subspaces[j]: all maximal minors of the batch at once."""
     indices = pluecker_indices(l, m)
-    k = len(indices)
     # entry (i, j) of every representative, one vector per position
     flat = list(zip(*(w._flat for w in subspaces)))
     entries = [flat[i * m : (i + 1) * m] for i in range(l)]
@@ -94,8 +98,17 @@ def _grassmann_code(l: int, m: int, gf: GF, subspaces: list[MatrixGF]) -> Linear
     if 1 <= l <= m - l:
         p = CodeParams(gf.q, l, m - l)
     code = LinearCode(gf, rows, params=p, label=f"grassmann[q={gf.q},l={l},m={m}]")
-    if code.generator_matrix().rank() != k:
-        raise AssertionError(f"Pluecker generator of ({l}, {m}) is rank deficient")
+    # column of the coordinate subspace of each l-subset, keyed by the subset
+    coordinate = {
+        tuple(x % m + 1 for x in compress(count(), w._flat)): j
+        for j, w in enumerate(subspaces)
+        if w._flat.count(0) == l * (m - 1)
+    }
+    what = f"Pluecker generator of ({l}, {m})"
+    missing = [s for s in indices if s not in coordinate]
+    if missing:
+        raise AssertionError(f"{what} is not certified full rank: no coordinate subspace {missing[0]}")
+    _certify_rank(code, [coordinate[s] for s in indices], what)
     return code
 
 

@@ -1,6 +1,6 @@
 """Dense matrices over GF(q): exact determinants, echelon forms, minors,
-minors of a whole batch of matrices at once, and filtered enumeration of the
-small matrix groups.
+minors of a whole batch of matrices at once, and enumeration of all matrices,
+of GL(n) and of reduced row echelon forms.
 
 Matrices are immutable and hashable.  Row and column labels in the public
 API are 1-based so that a minor taken on row set {1,2} and column set {1,3}
@@ -22,7 +22,6 @@ __all__ = [
     "rref_rows_with_transform",
     "enumerate_matrices",
     "enumerate_gl",
-    "enumerate_sl",
     "enumerate_rref",
     "cauchy_binet",
 ]
@@ -36,7 +35,7 @@ class MatrixGF:
             raise ValueError("matrix shape must be non-negative")
         if len(flat) != nrows * ncols:
             raise ValueError(f"need {nrows * ncols} entries, got {len(flat)}")
-        if any(not 0 <= x < gf.q for x in flat):
+        if flat and (min(flat) < 0 or max(flat) >= gf.q):
             raise ValueError(f"entries must be element indices in [0, {gf.q})")
         self.gf = gf
         self.nrows = nrows
@@ -224,10 +223,6 @@ class MatrixGF:
         """Reduced row echelon form, the canonical representative of the row space."""
         return MatrixGF.from_rows(self.gf, self._rref_transform()[0]) if self.nrows else self
 
-    def rref_cols(self) -> MatrixGF:
-        """Reduced column echelon form, the canonical representative of the column space."""
-        return self.transpose().rref_rows().transpose()
-
     def inverse(self) -> MatrixGF:
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
@@ -333,18 +328,6 @@ def enumerate_gl(n: int, gf: GF, cap: int | None = None) -> Iterator[MatrixGF]:
     for m in product(range(gf.q), repeat=n * n):
         mat = MatrixGF(gf, n, n, m)
         if mat.det() != 0:
-            yield mat
-
-
-def enumerate_sl(n: int, gf: GF, cap: int | None = None) -> Iterator[MatrixGF]:
-    """Determinant-one n x n matrices, filtered out of the full enumeration."""
-    needed = gf.q ** (n * n)
-    if cap is not None and needed > cap:
-        raise limits.CapExceeded(f"SL({n}) enumeration needs {needed} candidates, cap {cap}")
-    limits.ensure("matrices", needed, f"enumerating SL({n}, GF({gf.q}))")
-    for m in product(range(gf.q), repeat=n * n):
-        mat = MatrixGF(gf, n, n, m)
-        if mat.det() == 1:
             yield mat
 
 

@@ -186,8 +186,6 @@ def check_min_weight_census() -> CheckResult:
     def body() -> str:
         details = []
         for p in DESK_GRID:
-            if p.q**dimension_formula(p) > 2**15:
-                continue
             code = build(p)
             dist = weight_distribution(code)
             d = min_distance_formula(p)

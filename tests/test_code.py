@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+import agcodes.code as code_module
 from agcodes.code import (
     LinearCode,
     build,
@@ -21,13 +22,13 @@ from agcodes.code import (
     point_index,
     point_matrix,
     points,
-    rowspec_weight_bound,
     weight,
     weight_distribution,
 )
 from agcodes.fields import field_for_order
 from agcodes.grassmann import build_grassmann_code
 from agcodes.limits import CapExceeded
+from agcodes.matrices import MatrixGF
 from agcodes.minors import MinorCombination, leading_maximal_minor, minor_basis
 from agcodes.params import (
     CodeParams,
@@ -89,6 +90,44 @@ def test_build_matches_per_point_minors(shape):
     assert build(p).generator == expect
     if p.l == 0:
         assert expect == ((1,),)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 3), (3, 2, 2), (4, 2, 3), (2, 3, 4), (9, 2, 2), (2, 2, 6), (3, 0, 2), (257, 1, 1)],
+    ids=lambda s: ",".join(map(str, s)),
+)
+def test_rank_certificate_agrees_with_elimination(shape):
+    """build certifies rank k by its unitriangular block; Gaussian
+    elimination over the whole generator agrees, and the block has the
+    shape the paper's basis predicts: at the partial permutation E_b, the
+    minor a is 1 when a = b and 0 when a != b has order at least b's."""
+    p = CodeParams(*shape)
+    code = build(p)
+    assert code.generator_matrix().rank() == code.k == dimension_formula(p)
+    basis = minor_basis(p)
+    cols = [sum(p.q ** ((i - 1) * p.lp + j - 1) for i, j in zip(*b)) for b in basis]
+    for a, row in zip(basis, code.generator):
+        for b, col in zip(basis, cols):
+            if b.order <= a.order:
+                assert row[col] == (a == b), (a, b)
+
+
+@pytest.mark.parametrize("copy", [(0, 1), (4, 2), (2, 5)], ids=lambda c: "{}->{}".format(*c))
+def test_build_refuses_a_generator_without_the_certificate(copy, monkeypatch):
+    """A generator with one row copied over another has rank k - 1, and the
+    build must refuse it."""
+    real = code_module.batch_minors
+    src, dst = copy
+
+    def copied(*args):
+        rows = list(real(*args))
+        rows[dst] = rows[src]
+        return tuple(rows)
+
+    monkeypatch.setattr(code_module, "batch_minors", copied)
+    with pytest.raises(AssertionError, match="not certified full rank"):
+        build.__wrapped__(CodeParams(2, 2, 2))  # past the cache
 
 
 # (n, k, SHA-256 of the JSON generator) recorded from the per-point build,
@@ -235,28 +274,19 @@ def test_max_minor_weight_oracle():
     assert min_distance_formula(CodeParams(3, 1, 2)) == 6
 
 
-def test_rowspec_weight_bound():
-    rng = random.Random(43)
-    for p in (CodeParams(2, 2, 2), CodeParams(2, 2, 3), CodeParams(3, 1, 2)):
-        lead = leading_maximal_minor(p)
-        for i in range(1, p.l + 1):
-            bound, actual = rowspec_weight_bound(lead, i)
-            assert bound == actual == min_distance_formula(p)
-        for _ in range(25):
-            f = rand_combination(rng, p)
-            bound, actual = rowspec_weight_bound(f, rng.randint(1, p.l))
-            assert bound <= actual
-    with pytest.raises(ValueError):
-        rowspec_weight_bound(MinorCombination.zero(CodeParams(2, 2, 2)), 1)
-
-
 def test_code_validation():
     with pytest.raises(ValueError):
         LinearCode(gf2, ())
     with pytest.raises(ValueError):
         LinearCode(gf2, ((0, 1), (1,)))
-    with pytest.raises(ValueError):
-        LinearCode(gf2, ((0, 2),))
+    for bad in (-1, 2):  # entries lie in [0, q)
+        with pytest.raises(ValueError, match="element indices"):
+            LinearCode(gf2, ((0, 1), (1, bad)))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="element indices"):
+            MatrixGF(gf3, 1, 2, (bad, 1))
+    assert LinearCode(gf2, ((),)).n == 0
+    assert MatrixGF(gf2, 0, 3, ()).nrows == 0
     code = build(CodeParams(2, 1, 1))
     with pytest.raises(ValueError):
         code.encode((1,))

@@ -4,6 +4,7 @@ independent re-verification of reported cell matches."""
 
 import pytest
 
+import agcodes.grassmann as grassmann_module
 from agcodes.code import min_distance, point_matrix
 from agcodes.fields import field_for_order
 from agcodes.grassmann import (
@@ -70,6 +71,40 @@ def test_build_needs_full_rank():
     good = MatrixGF.from_rows(gf3, [(1, 0, 2), (0, 1, 1)])
     with pytest.raises(ValueError, match="representative 1"):
         _grassmann_code(2, 3, gf3, [good, bad])
+
+
+@pytest.mark.parametrize("l,m,q", [(2, 4, 2), (2, 5, 3), (3, 6, 2), (0, 3, 2), (3, 3, 3)])
+def test_rank_certificate_agrees_with_elimination(l, m, q):
+    """The build certifies rank by the identity block on the coordinate
+    subspaces; Gaussian elimination over the whole generator agrees."""
+    code = build_grassmann_code(l, m, field_for_order(q))
+    assert code.generator_matrix().rank() == code.k == len(pluecker_indices(l, m))
+
+
+def test_build_refuses_a_missing_coordinate_subspace():
+    subspaces = enumerate_subspaces(2, 4, gf2)
+    unit = MatrixGF.from_rows(gf2, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    kept = [w for w in subspaces if w != unit]
+    assert len(kept) == len(subspaces) - 1
+    # the 34 columns left still span everything, but nothing certifies it
+    assert MatrixGF.from_rows(gf2, [pluecker(w) for w in kept]).rank() == 6
+    with pytest.raises(AssertionError, match=r"no coordinate subspace \(1, 3\)"):
+        _grassmann_code(2, 4, gf2, kept)
+
+
+def test_build_refuses_a_generator_without_the_certificate(monkeypatch):
+    """Row 1 added to row 3 breaks the identity block.  (A row copied over
+    another would leave a column of zeros, refused before the certificate.)"""
+    real = grassmann_module.batch_minors
+
+    def mixed(*args):
+        rows = list(real(*args))
+        rows[3] = tuple(map(gf3.add, rows[3], rows[1]))
+        return tuple(rows)
+
+    monkeypatch.setattr(grassmann_module, "batch_minors", mixed)
+    with pytest.raises(AssertionError, match="not certified full rank"):
+        build_grassmann_code(2, 4, gf3)
 
 
 def test_small_codes():

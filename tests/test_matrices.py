@@ -16,10 +16,9 @@ from agcodes.matrices import (
     enumerate_gl,
     enumerate_matrices,
     enumerate_rref,
-    enumerate_sl,
     rref_rows_with_transform,
 )
-from agcodes.params import gaussian_binomial, gl_order, sl_order
+from agcodes.params import gaussian_binomial, gl_order
 
 gf2 = field_for_order(2)
 gf3 = field_for_order(3)
@@ -196,17 +195,11 @@ def test_group_counts_match_formulas():
     assert len(list(enumerate_gl(2, gf2))) == gl_order(2, 2) == 6
     assert len(list(enumerate_gl(3, gf2))) == gl_order(3, 2) == 168
     assert len(list(enumerate_gl(2, gf3))) == gl_order(2, 3) == 48
-    assert len(list(enumerate_sl(2, gf2))) == sl_order(2, 2) == 6
-    assert len(list(enumerate_sl(2, gf3))) == sl_order(2, 3) == 24
-    for m in enumerate_sl(2, gf4):
-        assert m.det() == 1
 
 
 def test_enumeration_caps():
     with pytest.raises(CapExceeded):
         list(enumerate_gl(2, gf2, cap=10))
-    with pytest.raises(CapExceeded):
-        list(enumerate_sl(3, gf3, cap=100))
 
 
 def test_enumerate_rref_counts_and_canonicality():
