@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Callable
 
-from . import __version__
+from . import __version__, verify
 from .code import build, min_distance, min_weight_codewords, weight, weight_distribution
 from .fields import field_for_order
 from .grassmann import VerificationError, build_grassmann_code, cell_restriction_compare
@@ -191,13 +192,20 @@ def _cmd_grassmann(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    # text lines are printed as each check ends, JSON objects once all have
+    write = print if args.format == "text" else None
     if args.q is not None or args.l is not None or args.lp is not None:
         if None in (args.q, args.l, args.lp):
             print("error: verify-all needs all of --q --l --lp, or none", file=sys.stderr)
             return 2
-        results = run_params_suite(CodeParams(args.q, args.l, args.lp), write=print)
+        results = run_params_suite(CodeParams(args.q, args.l, args.lp), write=write)
+        numbers = range(1, len(results) + 1)
     else:
-        results = run_acceptance(write=print)
+        results = run_acceptance(write=write)
+        numbers = [number for number, _ in verify.ACCEPTANCE]
+    if args.format == "json":
+        for number, res in zip(numbers, results):
+            sys.stdout.write(_json({"number": number, **asdict(res)}))
     return 0 if all(res.ok for res in results) else 1
 
 
@@ -248,6 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_argument("--q", type=int)
     sub.add_argument("--l", type=int)
     sub.add_argument("--lp", type=int)
+    sub.add_argument("--format", choices=("text", "json"), default="text")
     handlers["verify-all"] = _cmd_verify_all
 
     args = parser.parse_args(argv)

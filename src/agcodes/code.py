@@ -133,12 +133,22 @@ class LinearCode:
         return tuple(out)
 
     def contains(self, vector: tuple[int, ...]) -> bool:
-        """Row space membership, decided by a rank comparison."""
+        """Row space membership.  The generator is row reduced once per code;
+        a vector of the row space is the combination of the reduced rows
+        whose coefficients are its entries at the pivot columns, so it is a
+        member exactly when that combination gives it back."""
         if len(vector) != self.n:
             raise ValueError(f"vector length must be {self.n}, got {len(vector)}")
-        g = self.generator_matrix()
-        stacked = MatrixGF.from_rows(self.gf, list(self.generator) + [tuple(vector)])
-        return stacked.rank() == g.rank()
+        if any(not 0 <= x < self.gf.q for x in vector):
+            raise ValueError("vector entries must be element indices")
+        if "reduced" not in self._cache:
+            rref = self.generator_matrix().rref_rows().rows()
+            # each nonzero row of the reduced form leads with its pivot, a 1
+            pivots = [row.index(1) for row in rref if any(row)]
+            self._cache["reduced"] = (LinearCode(self.gf, rref), pivots)
+        reduced, pivots = self._cache["reduced"]
+        message = [vector[c] for c in pivots] + [0] * (self.k - len(pivots))
+        return reduced.encode(tuple(message)) == tuple(vector)
 
     def __repr__(self) -> str:
         tag = self.label or "linear code"
@@ -182,6 +192,19 @@ def evaluate_vector(f: MinorCombination) -> tuple[int, ...]:
 def weight(vector: tuple[int, ...]) -> int:
     """Hamming weight."""
     return sum(1 for x in vector if x)
+
+
+def _codeword_weight(code: LinearCode, message: tuple[int, ...]) -> int:
+    """weight(code.encode(message)), from the packed rows of the scans: one
+    lane-packed sum of the message's rows and one count of nonzero lanes."""
+    if len(message) != code.k:
+        raise ValueError(f"message length must be {code.k}, got {len(message)}")
+    lanes = _lanes(code)
+    word = lanes.zero
+    for r, c in enumerate(message):
+        if c:
+            word = lanes.add(word, lanes.row(c, r))
+    return lanes.nonzero(word ^ lanes.zero)
 
 
 # -- exhaustive message scans --
@@ -296,6 +319,12 @@ class _Lanes:
                 out = self.add(out, self.row(gf.mul(scale, c * p ** (t % e)), t // e))
             t += 1
         return out
+
+    def nonzero(self, diff: int) -> int:
+        """The number of nonzero lanes of a XOR of two stored words."""
+        if self.width > 1:
+            diff = (diff + self.fill) & self.high
+        return diff.bit_count()
 
     def weights(self, negated: int, count: int):
         """Weights of the words table[:count] + w, given -w stored."""

@@ -70,6 +70,14 @@ class AffineMap:
         self.a = a
 
     @classmethod
+    def _known_inverse(cls, params: CodeParams, u: MatrixGF, a: MatrixGF, a_inv: MatrixGF) -> AffineMap:
+        """The map (u, a) whose inverse linear part a_inv the caller has
+        already computed as a product of known inverses."""
+        phi = cls.__new__(cls)
+        phi.params, phi.u, phi.a, phi.a_inv = params, u, a, a_inv
+        return phi
+
+    @classmethod
     def identity(cls, params: CodeParams) -> AffineMap:
         gf = params.field()
         return cls(params, MatrixGF.zeros(gf, params.l, params.lp), MatrixGF.identity(gf, params.lp))
@@ -98,12 +106,13 @@ def compose(phi: AffineMap, psi: AffineMap) -> AffineMap:
     """The map acting as phi after psi."""
     if phi.params != psi.params:
         raise ValueError("cannot compose maps on different domains")
-    return AffineMap(phi.params, psi.u @ phi.a_inv + phi.u, phi.a @ psi.a)
+    u = psi.u @ phi.a_inv + phi.u
+    return AffineMap._known_inverse(phi.params, u, phi.a @ psi.a, psi.a_inv @ phi.a_inv)
 
 
 def inverse(phi: AffineMap) -> AffineMap:
     """The two-sided inverse map."""
-    return AffineMap(phi.params, -(phi.u @ phi.a), phi.a_inv)
+    return AffineMap._known_inverse(phi.params, -(phi.u @ phi.a), phi.a_inv, phi.a)
 
 
 def act_on_poly(phi: AffineMap, f: MinorCombination) -> MinorCombination:

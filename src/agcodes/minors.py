@@ -190,6 +190,60 @@ def _shift_past(labels: tuple[int, ...], removed: int) -> tuple[int, ...]:
     return tuple(x if x < removed else x - 1 for x in labels)
 
 
+@lru_cache(maxsize=None)
+def _specialize_plan(
+    p: CodeParams, line: int, is_row: bool
+) -> tuple[CodeParams, tuple[tuple[int, int], ...], tuple[tuple[int, int, int, bool], ...]]:
+    """How substituting row (or column) `line` of p moves coefficients.
+
+    Returns (target shape, kept, expanded).  kept holds (source position,
+    target position) for each minor that does not use the line: the same
+    minor with later labels shifted down.  expanded holds (source position,
+    vector index, target position, negate) for each term of the Laplace
+    expansion of a minor along the line.
+    """
+    if is_row:
+        target = CodeParams(p.q, p.l - 1, p.lp)
+    else:
+        target = CodeParams(p.q, p.l, p.lp - 1)
+    pos = basis_positions(target)
+
+    def at(along: tuple[int, ...], across: tuple[int, ...]) -> int:
+        return pos[MinorIndex(along, across) if is_row else MinorIndex(across, along)]
+
+    kept, expanded = [], []
+    for s, mi in enumerate(minor_basis(p)):
+        # labels along the substituted line's direction, and across it
+        along, across = (mi.rows, mi.cols) if is_row else (mi.cols, mi.rows)
+        if line not in along:
+            kept.append((s, at(_shift_past(along, line), across)))
+            continue
+        u = along.index(line) + 1
+        rest = _shift_past(tuple(x for x in along if x != line), line)
+        for t, x in enumerate(across, start=1):
+            others = tuple(y for y in across if y != x)
+            expanded.append((s, x - 1, at(rest, others), (u + t) % 2 == 1))
+    return target, tuple(kept), tuple(expanded)
+
+
+def _specialize(f: MinorCombination, line: int, is_row: bool, vector: tuple[int, ...]) -> MinorCombination:
+    target, kept, expanded = _specialize_plan(f.params, line, is_row)
+    gf = target.field()
+    add, mul, neg = gf.add, gf.mul, gf.neg
+    coeffs = f.coeffs
+    out = [0] * dimension_formula(target)
+    # kept minors land on distinct targets, so they are copied, not added
+    for s, t in kept:
+        out[t] = coeffs[s]
+    for s, x, t, negate in expanded:
+        c = coeffs[s]
+        if c:
+            v = mul(c, vector[x])
+            if v:
+                out[t] = add(out[t], neg(v) if negate else v)
+    return MinorCombination(target, tuple(out))
+
+
 def specialize_row(f: MinorCombination, i: int, a: tuple[int, ...]) -> MinorCombination:
     """Substitute row i of the variable matrix by the constant vector a.
 
@@ -202,28 +256,9 @@ def specialize_row(f: MinorCombination, i: int, a: tuple[int, ...]) -> MinorComb
         raise ValueError(f"row {i} outside 1..{p.l}")
     if len(a) != p.lp:
         raise ValueError(f"need a vector of length {p.lp}, got {len(a)}")
-    gf = p.field()
-    if any(not 0 <= x < gf.q for x in a):
+    if any(not 0 <= x < p.q for x in a):
         raise ValueError("vector entries must be element indices")
-    target = CodeParams(p.q, p.l - 1, p.lp)
-    pos = basis_positions(target)
-    out = [0] * dimension_formula(target)
-    for mi, c in f.terms():
-        if i not in mi.rows:
-            j = pos[MinorIndex(_shift_past(mi.rows, i), mi.cols)]
-            out[j] = gf.add(out[j], c)
-            continue
-        u = mi.rows.index(i) + 1
-        rest_rows = _shift_past(tuple(r for r in mi.rows if r != i), i)
-        for t, col in enumerate(mi.cols, start=1):
-            v = gf.mul(c, a[col - 1])
-            if v == 0:
-                continue
-            if (u + t) % 2:
-                v = gf.neg(v)
-            j = pos[MinorIndex(rest_rows, tuple(x for x in mi.cols if x != col))]
-            out[j] = gf.add(out[j], v)
-    return MinorCombination(target, tuple(out))
+    return _specialize(f, i, True, a)
 
 
 def specialize_col(f: MinorCombination, j: int, b: tuple[int, ...]) -> MinorCombination:
@@ -235,28 +270,9 @@ def specialize_col(f: MinorCombination, j: int, b: tuple[int, ...]) -> MinorComb
         raise ValueError(f"column {j} outside 1..{p.lp}")
     if len(b) != p.l:
         raise ValueError(f"need a vector of length {p.l}, got {len(b)}")
-    gf = p.field()
-    if any(not 0 <= x < gf.q for x in b):
+    if any(not 0 <= x < p.q for x in b):
         raise ValueError("vector entries must be element indices")
-    target = CodeParams(p.q, p.l, p.lp - 1)
-    pos = basis_positions(target)
-    out = [0] * dimension_formula(target)
-    for mi, c in f.terms():
-        if j not in mi.cols:
-            t = pos[MinorIndex(mi.rows, _shift_past(mi.cols, j))]
-            out[t] = gf.add(out[t], c)
-            continue
-        v_local = mi.cols.index(j) + 1
-        rest_cols = _shift_past(tuple(x for x in mi.cols if x != j), j)
-        for u, row in enumerate(mi.rows, start=1):
-            v = gf.mul(c, b[row - 1])
-            if v == 0:
-                continue
-            if (u + v_local) % 2:
-                v = gf.neg(v)
-            t = pos[MinorIndex(tuple(r for r in mi.rows if r != row), rest_cols)]
-            out[t] = gf.add(out[t], v)
-    return MinorCombination(target, tuple(out))
+    return _specialize(f, j, False, b)
 
 
 def row_vanishing_locus(f: MinorCombination, i: int) -> list[tuple[int, ...]]:

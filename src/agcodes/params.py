@@ -11,6 +11,7 @@ shapes internally, so a wrong transcription cannot survive a single call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .fields import GF, factor_prime_power, field_for_order
@@ -109,6 +110,7 @@ def sl_order(n: int, q: int) -> int:
     return gl_order(n, q) // (q - 1)
 
 
+@lru_cache(maxsize=None)
 def dimension_formula(p: CodeParams) -> int:
     """Code dimension: the number of minors of an l x lp matrix, binom(m, l)."""
     k = comb(p.m, p.l)

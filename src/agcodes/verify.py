@@ -16,6 +16,7 @@ from math import comb
 from typing import Callable
 
 from .code import (
+    _codeword_weight,
     build,
     evaluate_vector,
     min_distance,
@@ -228,7 +229,7 @@ def check_min_weight_characterization() -> CheckResult:
                     digits.append(mm % q)
                     mm //= q
                 f = MinorCombination(p, tuple(digits))
-                is_min = weight(code.encode(f.coeffs)) == d
+                is_min = _codeword_weight(code, f.coeffs) == d
                 assert is_min_weight_form(f) == is_min, (
                     f"{p}: witness decision disagrees with scan on message {msg_index}"
                 )
@@ -320,13 +321,18 @@ def _all_vectors(q: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _weight_of(f: MinorCombination) -> int:
+    """The weight of the codeword of f."""
+    return _codeword_weight(build(f.params), f.coeffs)
+
+
 def _specialized_weight(f: MinorCombination, specialize, line: int, length: int) -> int:
     """Total weight of f specialized along one row (or column) to every vector."""
     parts = 0
     for v in _all_vectors(f.params.q, length):
         g = specialize(f, line, v)
         if not g.is_zero:
-            parts += weight(evaluate_vector(g))
+            parts += _weight_of(g)
     return parts
 
 
@@ -357,7 +363,7 @@ def suite_weight_partition(p: CodeParams, rng: random.Random, trials: int) -> st
     """Specializing any one row, or any one column, partitions the weight of f."""
     for _ in range(trials):
         f = _random_combination(rng, p)
-        total = weight(evaluate_vector(f))
+        total = _weight_of(f)
         for i in range(1, p.l + 1):
             assert _specialized_weight(f, specialize_row, i, p.lp) == total, (
                 f"{p}: row {i} weight partition fails for f = {f.coeffs}"
@@ -426,7 +432,7 @@ def suite_witness_vs_scan(p: CodeParams, rng: random.Random, trials: int) -> str
     d = min_distance_formula(p)
     for _ in range(trials):
         f = _random_combination(rng, p)
-        is_min = weight(code.encode(f.coeffs)) == d
+        is_min = _codeword_weight(code, f.coeffs) == d
         assert (min_weight_witness(f) is not None) == is_min, (
             f"{p}: witness {'missing' if is_min else 'found'} for f = {f.coeffs}"
         )
@@ -438,7 +444,9 @@ def identity_suites(p: CodeParams, seed: int, trials: int) -> list[CheckResult]:
     one generator seeded with seed.  substitution-pointwise and cauchy-binet
     run trials cases, the others trials // 10 (at least one); witness-vs-scan
     runs only when the q^k messages are few enough to encode (q^k <= 2^15).
-    trials must lie in 1..MAX_TRIALS."""
+    trials must lie in 1..MAX_TRIALS, and l must be at least 1."""
+    if p.l < 1:
+        raise ValueError(f"the identity suites need l >= 1, got l={p.l}: locus-affine draws a row")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if trials > MAX_TRIALS:

@@ -1,8 +1,15 @@
 """Acceptance gate: one test per headline criterion, each printing a single
 pass/fail line (visible under pytest -s) and asserting the exact outcome.
 Tolerances are what the checks themselves enforce: every numeric comparison
-is exact, the stated time budgets are asserted inside the checks."""
+is exact, the stated time budgets are asserted inside the checks.  The
+random draws of criterion 6 and autocheck are pinned by the state their
+generators end in, so a faster check cannot draw fewer or other cases."""
 
+import hashlib
+import random
+
+from agcodes import verify
+from agcodes.params import CodeParams
 from agcodes.verify import (
     check_algebra_identities,
     check_automorphism_suite,
@@ -13,6 +20,11 @@ from agcodes.verify import (
     check_min_weight_census,
     check_min_weight_characterization,
 )
+
+# recorded from the checks as they stand; drawing fewer or other cases
+# changes them
+CRITERION_6_STATE = "9e50c41723b7ec4741c7b7ba1cda62fb1a220f731b69c994282c76c35778ff76"
+AUTOCHECK_222_STATE = "62a852631ecec05186979796ee7bf9044ff61930ea3ebfc47aaf96c8eb16b26f"
 
 
 def _report(number, result):
@@ -50,3 +62,27 @@ def test_criterion_7_grassmann_bridge():
 
 def test_criterion_8_formula_grid():
     _report(8, check_formula_grid())
+
+
+def _final_state_digests(monkeypatch, run):
+    """SHA-256 of the final state of every random.Random that run() seeds."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify.random, "Random", Recording)
+        run()
+    return [hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() for rng in made]
+
+
+def test_drawn_cases_are_pinned(monkeypatch):
+    criterion_6 = _final_state_digests(monkeypatch, check_algebra_identities)
+    autocheck = _final_state_digests(
+        monkeypatch, lambda: verify.identity_suites(CodeParams(2, 2, 2), 0, 100)
+    )
+    assert criterion_6 == [CRITERION_6_STATE]
+    assert autocheck == [AUTOCHECK_222_STATE]

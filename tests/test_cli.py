@@ -140,6 +140,16 @@ def test_autocheck_rejects_trials_above_the_bound(capsys, monkeypatch):
     assert f"need trials <= {verify.MAX_TRIALS}, got {trials}" in err
 
 
+def test_autocheck_rejects_l_zero_before_a_suite_runs(capsys, monkeypatch):
+    def no_suite(name, body):
+        raise RuntimeError(f"suite {name} ran")
+
+    monkeypatch.setattr(verify, "_check", no_suite)
+    code, out, err = run(capsys, "autocheck", "--q", "2", "--l", "0", "--lp", "2")
+    assert (code, out) == (2, "")
+    assert "the identity suites need l >= 1, got l=0" in err
+
+
 def test_autocheck_and_criterion_6_share_suites(capsys, monkeypatch):
     # a broken row specialization inside verify must fail the weight
     # partition suite in both callers, with a detail naming the parameters
@@ -199,6 +209,34 @@ def test_verify_all_focused(capsys):
     code, out, err = run(capsys, "verify-all", "--q", "2")
     assert code == 2
     assert "needs all" in err
+
+
+def test_verify_all_json(capsys, monkeypatch):
+    keys = ["detail", "elapsed", "name", "number", "ok"]
+    code, out, err = run(capsys, "verify-all", "--q", "2", "--l", "1", "--lp", "2", "--format", "json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [sorted(row) for row in rows] == [keys] * 3
+    assert [(row["number"], row["name"], row["ok"]) for row in rows] == [
+        (1, "dimensions", True),
+        (2, "blind-min-distance", True),
+        (3, "min-weight-census", True),
+    ]
+
+    # the whole acceptance run, with criterion 3 replaced by a failing check
+    def broken():
+        return verify.CheckResult("broken", False, "a named failure", 0.5)
+
+    monkeypatch.setattr(
+        verify, "ACCEPTANCE", ((1, verify.check_example_code), (3, broken), (8, verify.check_formula_grid))
+    )
+    code, out, err = run(capsys, "verify-all", "--format", "json")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [sorted(row) for row in rows] == [keys] * 3
+    assert [row["number"] for row in rows] == [1, 3, 8]
+    assert rows[1] == {"number": 3, "name": "broken", "ok": False, "detail": "a named failure", "elapsed": 0.5}
+    assert rows[0]["ok"] and rows[2]["ok"] and isinstance(rows[0]["elapsed"], float)
 
 
 def test_error_exit_codes(capsys):

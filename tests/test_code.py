@@ -227,6 +227,33 @@ def test_packed_scan_matches_encode_oracle(case):
     assert min_distance(LinearCode(code.gf, code.generator), early_exit_at=d) == d
 
 
+# (257,1,1) has 16-bit lanes and 257^2 messages, too many to encode one
+# entry at a time here, so its row 1 coefficient runs over a fixed sample
+PACKED_WEIGHT = {
+    (2, 2, 2): None,
+    (3, 1, 2): None,
+    (4, 2, 2): None,
+    (9, 1, 2): None,
+    (5, 1, 2): None,
+    (3, 0, 2): None,
+    (257, 1, 1): (0, 1, 2, 128, 129, 255, 256, 17, 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_WEIGHT), ids=lambda c: ",".join(map(str, c)))
+def test_packed_weight_matches_encode(case):
+    code = build(CodeParams(*case))
+    q, k = code.gf.q, code.k
+    if PACKED_WEIGHT[case] is None:
+        messages = product(range(q), repeat=k)
+    else:
+        messages = ((c0, c1) for c1 in PACKED_WEIGHT[case] for c0 in range(q))
+    for msg in messages:
+        assert code_module._codeword_weight(code, msg) == weight(code.encode(msg)), msg
+    with pytest.raises(ValueError, match="message length"):
+        code_module._codeword_weight(code, (1,) * (k + 1))
+
+
 @pytest.mark.parametrize("shape", [(3, 2, 3), (8, 2, 2)], ids=["3,2,3", "8,2,2"])
 def test_frontier_codes_blind(shape):
     p = CodeParams(*shape)
@@ -301,6 +328,39 @@ def test_contains():
         assert code.contains(code.encode(msg))
     # a unit vector cannot be a codeword here: nonzero words weigh at least 6
     assert not code.contains((1,) + (0,) * 15)
+
+
+def _contains_by_rank(code, vector):
+    """Membership by the rank comparison: appending a row-space vector to
+    the generator keeps its rank."""
+    stacked = MatrixGF.from_rows(code.gf, [*code.generator, vector])
+    return stacked.rank() == code.generator_matrix().rank()
+
+
+MEMBERSHIP = {
+    **{f"affine{case}": lambda case=case: build(CodeParams(*case)) for case in ((2, 2, 2), (3, 1, 2), (4, 2, 2))},
+    # rank 2 of 3: the reduced generator has a zero row
+    "duplicated-row": lambda: LinearCode(gf3, ((1, 2, 0, 1, 1), (0, 1, 1, 2, 0), (1, 2, 0, 1, 1))),
+    "zero-generator": lambda: LinearCode(gf2, ((0, 0, 0, 0),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMBERSHIP))
+def test_contains_matches_rank_comparison(case):
+    code = MEMBERSHIP[case]()
+    q, k, n = code.gf.q, code.k, code.n
+    rng = random.Random(11)
+    members = outsiders = 0
+    for _ in range(40):
+        word = code.encode(tuple(rng.randrange(q) for _ in range(k)))
+        bent = list(word)
+        bent[rng.randrange(n)] = rng.randrange(q)
+        for vector in (word, tuple(bent), tuple(rng.randrange(q) for _ in range(n))):
+            expect = _contains_by_rank(code, vector)
+            assert code.contains(vector) == expect, (case, vector)
+            members += expect
+            outsiders += not expect
+    assert members >= 40 and outsiders > 0
 
 
 def test_caps(monkeypatch):

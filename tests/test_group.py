@@ -99,6 +99,17 @@ def test_composition_laws():
         compose(rand_map(rng, P222), rand_map(rng, P223))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_compose_and_inverse_carry_the_inverse_linear_part(q):
+    # equality of maps ignores a_inv, so it is compared here on its own
+    p = CodeParams(q, 1, 3)
+    rng = random.Random(q)
+    for _ in range(20):
+        phi, psi = rand_map(rng, p), rand_map(rng, p)
+        for made in (compose(phi, psi), inverse(phi)):
+            assert made.a_inv == made.a.inverse()
+
+
 def test_act_pointwise_oracle():
     rng = random.Random(7)
     for p in (P222, P223, CodeParams(3, 1, 2)):
