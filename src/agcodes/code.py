@@ -69,7 +69,7 @@ def point_matrix(p: CodeParams, index: int) -> MatrixGF:
     for _ in range(p.delta):
         flat.append(index % q)
         index //= q
-    return MatrixGF(p.field(), p.l, p.lp, tuple(flat))
+    return MatrixGF._of(p.field(), p.l, p.lp, tuple(flat))
 
 
 # run_acceptance fills 2 entries of this cache and 18 of build's; the bounds

@@ -161,7 +161,7 @@ def enumerate_group(p: CodeParams, cap: int | None = None):
     gf = p.field()
     linear = list(enumerate_gl(p.lp, gf))
     for flat in product(range(p.q), repeat=p.delta):
-        u = MatrixGF(gf, p.l, p.lp, flat)
+        u = MatrixGF._of(gf, p.l, p.lp, flat)
         for a in linear:
             yield AffineMap(p, u, a)
 

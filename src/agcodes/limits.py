@@ -28,12 +28,16 @@ def cap(name: str) -> int:
     """Current cap value for one of: points, messages, matrices, group."""
     if name not in _DEFAULTS:
         raise KeyError(f"unknown cap {name!r}")
-    raw = os.environ.get(f"{_ENV_PREFIX}{name.upper()}_CAP")
+    var = f"{_ENV_PREFIX}{name.upper()}_CAP"
+    raw = os.environ.get(var)
     if raw is None:
         return _DEFAULTS[name]
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{var} must be a positive integer, got {raw!r}") from None
     if value < 1:
-        raise ValueError(f"cap {name} must be positive, got {value}")
+        raise ValueError(f"{var} must be a positive integer, got {raw!r}")
     return value
 
 

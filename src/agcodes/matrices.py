@@ -2,11 +2,19 @@
 minors of a whole batch of matrices at once, and enumeration of all matrices,
 of GL(n) and of reduced row echelon forms.
 
-Matrices are immutable and hashable.  Row and column labels in the public
-API are 1-based so that a minor taken on row set {1,2} and column set {1,3}
-reads the same as the mathematical notation; storage is a flat row-major
-tuple.  A 0x0 matrix has determinant 1, which makes the empty minor the
-constant function 1.
+Matrices are immutable and hashable; the hash is computed on the first
+__hash__ call, not when a matrix is made.  Row and column labels in the
+public API are 1-based so that a minor taken on row set {1,2} and column set
+{1,3} reads the same as the mathematical notation; storage is a flat
+row-major tuple.  A 0x0 matrix has determinant 1, which makes the empty minor
+the constant function 1.
+
+MatrixGF(...) and from_rows check that every entry is an element index.
+Results the package computes from matrices it already holds (products, sums,
+negations, scalings, transposes, submatrices, enumerated matrices) are
+element indices by construction and are made by MatrixGF._of, which checks
+nothing.  A minor reads its entries straight off the flat tuple, with no
+submatrix in between.
 """
 
 from __future__ import annotations
@@ -41,9 +49,18 @@ class MatrixGF:
         self.nrows = nrows
         self.ncols = ncols
         self._flat = tuple(flat)
-        self._hash = hash((gf, nrows, ncols, self._flat))
+        self._hash = None
 
     # -- constructors --
+
+    @classmethod
+    def _of(cls, gf: GF, nrows: int, ncols: int, flat: tuple[int, ...]) -> MatrixGF:
+        """A matrix the package computed itself: flat is a tuple of
+        nrows * ncols element indices of gf by construction, so nothing is
+        checked."""
+        m = object.__new__(cls)
+        m.gf, m.nrows, m.ncols, m._flat, m._hash = gf, nrows, ncols, flat, None
+        return m
 
     @classmethod
     def from_rows(cls, gf: GF, rows: list | tuple) -> MatrixGF:
@@ -100,18 +117,18 @@ class MatrixGF:
             raise ValueError("shape mismatch in addition")
         add = self.gf.add
         flat = tuple(add(a, b) for a, b in zip(self._flat, other._flat))
-        return MatrixGF(self.gf, self.nrows, self.ncols, flat)
+        return MatrixGF._of(self.gf, self.nrows, self.ncols, flat)
 
     def __sub__(self, other: MatrixGF) -> MatrixGF:
         return self + (-other)
 
     def __neg__(self) -> MatrixGF:
         neg = self.gf.neg
-        return MatrixGF(self.gf, self.nrows, self.ncols, tuple(neg(a) for a in self._flat))
+        return MatrixGF._of(self.gf, self.nrows, self.ncols, tuple(map(neg, self._flat)))
 
     def scale(self, c: int) -> MatrixGF:
         mul = self.gf.mul
-        return MatrixGF(self.gf, self.nrows, self.ncols, tuple(mul(c, a) for a in self._flat))
+        return MatrixGF._of(self.gf, self.nrows, self.ncols, tuple(mul(c, a) for a in self._flat))
 
     def __matmul__(self, other: MatrixGF) -> MatrixGF:
         self._same_field(other)
@@ -133,11 +150,11 @@ class MatrixGF:
                     if x:
                         s = add(s, mul(x, bflat[t * m + j]))
                 out.append(s)
-        return MatrixGF(gf, n, m, tuple(out))
+        return MatrixGF._of(gf, n, m, tuple(out))
 
     def transpose(self) -> MatrixGF:
         flat = tuple(self._flat[i * self.ncols + j] for j in range(self.ncols) for i in range(self.nrows))
-        return MatrixGF(self.gf, self.ncols, self.nrows, flat)
+        return MatrixGF._of(self.gf, self.ncols, self.nrows, flat)
 
     # -- submatrices and minors --
 
@@ -146,13 +163,17 @@ class MatrixGF:
         _check_labels(rowset, self.nrows, "row")
         _check_labels(colset, self.ncols, "column")
         flat = tuple(self._flat[(i - 1) * self.ncols + (j - 1)] for i in rowset for j in colset)
-        return MatrixGF(self.gf, len(rowset), len(colset), flat)
+        return MatrixGF._of(self.gf, len(rowset), len(colset), flat)
 
     def minor(self, rowset: tuple[int, ...], colset: tuple[int, ...]) -> int:
         """Determinant of the selected square submatrix; empty sets give 1."""
+        rowset, colset = tuple(rowset), tuple(colset)
         if len(rowset) != len(colset):
             raise ValueError(f"minor needs equal set sizes, got {len(rowset)} and {len(colset)}")
-        return self.submatrix(tuple(rowset), tuple(colset)).det()
+        _check_labels(rowset, self.nrows, "row")
+        _check_labels(colset, self.ncols, "column")
+        flat, n = self._flat, self.ncols
+        return _det(self.gf, [[flat[(i - 1) * n + j - 1] for j in colset] for i in rowset])
 
     # -- elimination --
 
@@ -160,30 +181,7 @@ class MatrixGF:
         if self.nrows != self.ncols:
             raise ValueError(f"determinant of non-square {self.nrows}x{self.ncols} matrix")
         n = self.nrows
-        if n == 0:
-            return 1
-        gf = self.gf
-        sub, mul, inv = gf.sub, gf.mul, gf.inv
-        rows = [list(self._flat[i * n : (i + 1) * n]) for i in range(n)]
-        out = 1
-        negate = False
-        for c in range(n):
-            piv = next((r for r in range(c, n) if rows[r][c]), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                negate = not negate
-            pv = rows[c][c]
-            out = mul(out, pv)
-            pinv = inv(pv)
-            for r in range(c + 1, n):
-                f = rows[r][c]
-                if f:
-                    f = mul(f, pinv)
-                    prow = rows[c]
-                    rows[r] = [sub(x, mul(f, y)) for x, y in zip(rows[r], prow)]
-        return gf.neg(out) if negate else out
+        return _det(self.gf, [list(self._flat[i * n : (i + 1) * n]) for i in range(n)])
 
     def _rref_transform(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
         """Row reduce [self | I]; returns (rref rows, transform rows, pivot cols 0-based)."""
@@ -243,6 +241,8 @@ class MatrixGF:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.gf, self.nrows, self.ncols, self._flat))
         return self._hash
 
     def __repr__(self) -> str:
@@ -253,6 +253,39 @@ class MatrixGF:
 
     def tolists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(1, self.nrows + 1)]
+
+
+def _det(gf: GF, rows: list[list[int]]) -> int:
+    """Determinant of the square matrix with these rows, which it may
+    overwrite: closed forms up to order 2, Gaussian elimination above."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return gf.sub(gf.mul(a, d), gf.mul(b, c))
+    sub, mul, inv = gf.sub, gf.mul, gf.inv
+    out = 1
+    negate = False
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            negate = not negate
+        pv = rows[c][c]
+        out = mul(out, pv)
+        pinv = inv(pv)
+        for r in range(c + 1, n):
+            f = rows[r][c]
+            if f:
+                f = mul(f, pinv)
+                prow = rows[c]
+                rows[r] = [sub(x, mul(f, y)) for x, y in zip(rows[r], prow)]
+    return gf.neg(out) if negate else out
 
 
 def _check_labels(labels: tuple[int, ...], bound: int, kind: str) -> None:
@@ -316,7 +349,7 @@ def enumerate_matrices(gf: GF, nrows: int, ncols: int) -> Iterator[MatrixGF]:
     """All nrows x ncols matrices in row-major lexicographic entry order."""
     limits.ensure("matrices", gf.q ** (nrows * ncols), f"enumerating {nrows}x{ncols} matrices")
     for flat in product(range(gf.q), repeat=nrows * ncols):
-        yield MatrixGF(gf, nrows, ncols, flat)
+        yield MatrixGF._of(gf, nrows, ncols, flat)
 
 
 def enumerate_gl(n: int, gf: GF, cap: int | None = None) -> Iterator[MatrixGF]:
@@ -326,7 +359,7 @@ def enumerate_gl(n: int, gf: GF, cap: int | None = None) -> Iterator[MatrixGF]:
         raise limits.CapExceeded(f"GL({n}) enumeration needs {needed} candidates, cap {cap}")
     limits.ensure("matrices", needed, f"enumerating GL({n}, GF({gf.q}))")
     for m in product(range(gf.q), repeat=n * n):
-        mat = MatrixGF(gf, n, n, m)
+        mat = MatrixGF._of(gf, n, n, m)
         if mat.det() != 0:
             yield mat
 
@@ -348,7 +381,7 @@ def enumerate_rref(k: int, n: int, gf: GF) -> Iterator[MatrixGF]:
                 rows[i][pivots[i]] = 1
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            yield MatrixGF.from_rows(gf, rows)
+            yield MatrixGF._of(gf, k, n, tuple(x for r in rows for x in r))
 
 
 def cauchy_binet(a: MatrixGF, b: MatrixGF) -> tuple[int, int]:

@@ -7,9 +7,12 @@ column set, so position 0 is always the constant and the last position is the
 leading maximal minor for square shapes.  This order is an artifact
 convention (any fixed order works); all exported coefficient vectors use it.
 
-A combination is stored densely as a coefficient tuple over that basis.  The
-text rendering is one line per nonzero term, "rowset|colset: coeff", with
-"-|-" for the constant term.
+A combination is stored densely as a coefficient tuple over that basis.
+MinorCombination(...) checks the length and range of the coefficients;
+sums, scalings, specializations and expansions build theirs from
+coefficients already in range and skip that check (MinorCombination._of).
+The text rendering is one line per nonzero term, "rowset|colset: coeff",
+with "-|-" for the constant term.
 
 The expansion engine `det_product_expansion` writes det(X[rows, :] @ V + N)
 as a combination of minors of X: split the determinant by which columns are
@@ -100,6 +103,16 @@ class MinorCombination:
     # -- constructors --
 
     @classmethod
+    def _of(cls, params: CodeParams, coeffs: tuple[int, ...]) -> MinorCombination:
+        """A combination the package computed itself: coeffs is a tuple of
+        dimension_formula(params) element indices by construction, so
+        nothing is checked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "params", params)
+        object.__setattr__(f, "coeffs", coeffs)
+        return f
+
+    @classmethod
     def zero(cls, p: CodeParams) -> MinorCombination:
         return cls(p, (0,) * dimension_formula(p))
 
@@ -156,20 +169,18 @@ class MinorCombination:
     def __add__(self, other: MinorCombination) -> MinorCombination:
         self._same_space(other)
         add = self.params.field().add
-        return MinorCombination(
-            self.params, tuple(add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return MinorCombination._of(self.params, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: MinorCombination) -> MinorCombination:
         return self + (-other)
 
     def __neg__(self) -> MinorCombination:
         neg = self.params.field().neg
-        return MinorCombination(self.params, tuple(neg(a) for a in self.coeffs))
+        return MinorCombination._of(self.params, tuple(map(neg, self.coeffs)))
 
     def scale(self, c: int) -> MinorCombination:
         mul = self.params.field().mul
-        return MinorCombination(self.params, tuple(mul(c, a) for a in self.coeffs))
+        return MinorCombination._of(self.params, tuple(mul(c, a) for a in self.coeffs))
 
     # -- rendering --
 
@@ -241,7 +252,7 @@ def _specialize(f: MinorCombination, line: int, is_row: bool, vector: tuple[int,
             v = mul(c, vector[x])
             if v:
                 out[t] = add(out[t], neg(v) if negate else v)
-    return MinorCombination(target, tuple(out))
+    return MinorCombination._of(target, tuple(out))
 
 
 def specialize_row(f: MinorCombination, i: int, a: tuple[int, ...]) -> MinorCombination:
@@ -330,7 +341,7 @@ def det_product_expansion(
                     v = gf.neg(v)
                 j = pos[MinorIndex(x_rows, picked)]
                 out[j] = gf.add(out[j], v)
-    return MinorCombination(p, tuple(out))
+    return MinorCombination._of(p, tuple(out))
 
 
 def _subsets(r: range) -> Iterator[tuple[int, ...]]:

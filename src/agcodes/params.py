@@ -36,8 +36,9 @@ class CodeParams:
 
     The convention l <= lp is enforced: the transposed shape evaluates the
     same functions, so nothing is lost.  l = 0 is accepted to give row
-    specialization a home (the space degenerates to the constants); code
-    construction and the CLI require l >= 1.
+    specialization a home: the space degenerates to the constants, and the
+    code built on it is the [1, 1, 1] constant code.  The identity suites
+    and min_weight_witness need l >= 1.
     """
 
     q: int

@@ -3,12 +3,18 @@ pass/fail line (visible under pytest -s) and asserting the exact outcome.
 Tolerances are what the checks themselves enforce: every numeric comparison
 is exact, the stated time budgets are asserted inside the checks.  The
 random draws of criterion 6 and autocheck are pinned by the state their
-generators end in, so a faster check cannot draw fewer or other cases."""
+generators end in, so a faster check cannot draw fewer or other cases.
+Criterion 4's codewords from its per-point minor table are checked against
+MinorCombination.evaluate at every point."""
 
 import hashlib
 import random
 
+import pytest
+
 from agcodes import verify
+from agcodes.code import points
+from agcodes.minors import MinorCombination, leading_maximal_minor
 from agcodes.params import CodeParams
 from agcodes.verify import (
     check_algebra_identities,
@@ -86,3 +92,16 @@ def test_drawn_cases_are_pinned(monkeypatch):
     )
     assert criterion_6 == [CRITERION_6_STATE]
     assert autocheck == [AUTOCHECK_222_STATE]
+
+
+@pytest.mark.parametrize(
+    "p", [CodeParams(2, 2, 2), CodeParams(3, 1, 2), CodeParams(4, 2, 2), CodeParams(2, 2, 3)]
+)
+def test_minor_table_codewords_match_evaluate(p):
+    rng = random.Random(p.q * 100 + p.l * 10 + p.lp)
+    table = verify._minor_table(p)
+    pts = points(p)
+    fs = [verify._random_combination(rng, p) for _ in range(20)]
+    fs += [leading_maximal_minor(p), MinorCombination.zero(p), MinorCombination.constant(p, p.q - 1)]
+    for f in fs:
+        assert verify._table_codeword(f, table) == tuple(f.evaluate(pt) for pt in pts)

@@ -7,6 +7,7 @@ import pytest
 
 from agcodes import verify
 from agcodes.cli import main
+from agcodes.code import build
 from agcodes.minors import MinorCombination
 
 
@@ -63,6 +64,14 @@ def test_build_json_structure(capsys):
     assert data["basis"][0] == "-|-"
     assert data["basis"][-1] == "1,2|1,2"
     assert len(data["rows"]) == 6 and len(data["rows"][0]) == 16
+
+
+def test_build_l_zero_is_the_constant_code(capsys):
+    code, out, err = run(capsys, "build", "--q", "2", "--l", "0", "--lp", "2", "--format", "json")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert (data["n"], data["k"]) == (1, 1)
+    assert data["basis"] == ["-|-"] and data["rows"] == [[1]]
 
 
 def test_mindist_and_check(capsys):
@@ -257,6 +266,15 @@ def test_error_exit_codes(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cap_variable_must_be_a_positive_integer(capsys, monkeypatch):
+    build.cache_clear()  # a cached code would answer without scanning
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("AGCODES_MESSAGES_CAP", raw)
+        code, out, err = run(capsys, "mindist", "--q", "2", "--l", "2", "--lp", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: AGCODES_MESSAGES_CAP must be a positive integer, got '{raw}'\n"
 
 
 def test_version(capsys):

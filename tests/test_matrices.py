@@ -1,4 +1,5 @@
-"""Matrix layer: determinants against a recursive oracle, echelon form
+"""Matrix layer: determinants and minors against a recursive oracle, the
+unchecked internal results against the checking constructor, echelon form
 properties, batched minors against per-matrix minors, the small matrix
 groups counted against the closed forms, and Cauchy-Binet."""
 
@@ -7,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from agcodes.code import point_matrix
 from agcodes.fields import field_for_order
 from agcodes.limits import CapExceeded
 from agcodes.matrices import (
@@ -18,7 +20,7 @@ from agcodes.matrices import (
     enumerate_rref,
     rref_rows_with_transform,
 )
-from agcodes.params import gaussian_binomial, gl_order
+from agcodes.params import CodeParams, gaussian_binomial, gl_order
 
 gf2 = field_for_order(2)
 gf3 = field_for_order(3)
@@ -81,6 +83,26 @@ def test_det_against_recursive_oracle():
         n = rng.randint(0, 4)
         m = rand_matrix(rng, gf, n, n)
         assert m.det() == laplace_det(gf, m.tolists())
+    # every kind of field (2, odd p, 2^e, p^e) at every order up to 4,
+    # which covers the closed forms of orders 0, 1 and 2
+    for q in (2, 3, 4, 5, 9):
+        gf = field_for_order(q)
+        for n in range(5):
+            for _ in range(12):
+                m = rand_matrix(rng, gf, n, n)
+                assert m.det() == laplace_det(gf, m.tolists())
+        # minor reads the selected entries off the matrix: every square
+        # selection of rows and columns, against the oracle on those entries
+        for nrows in (3, 4):
+            for _ in range(4):
+                m = rand_matrix(rng, gf, nrows, 4)
+                rows = m.tolists()
+                for size in range(nrows + 1):
+                    for rs in combinations(range(1, nrows + 1), size):
+                        for cs in combinations(range(1, 5), size):
+                            picked = [[rows[i - 1][j - 1] for j in cs] for i in rs]
+                            assert m.minor(rs, cs) == laplace_det(gf, picked)
+                            assert m.minor(list(rs), list(cs)) == m.minor(rs, cs)
 
 
 def test_det_known_values():
@@ -121,6 +143,74 @@ def test_submatrix_and_minor():
         m.submatrix((2, 1), (1,))
     with pytest.raises(ValueError):
         m.submatrix((1, 3), (1,))
+    # minor checks its labels itself: decreasing, repeated, out of range
+    for rows, cols in [
+        ((2, 1), (1, 2)),
+        ((1, 2), (3, 2)),
+        ((1, 1), (1, 2)),
+        ((1, 3), (1, 2)),
+        ((0,), (1,)),
+        ((1,), (4,)),
+        ((1,), (0,)),
+    ]:
+        with pytest.raises(ValueError):
+            m.minor(rows, cols)
+
+
+def test_minor_makes_no_matrix(monkeypatch):
+    """A minor is computed from the entries it selects, without building a
+    MatrixGF for the submatrix."""
+    m = MatrixGF.from_rows(gf3, [(1, 2, 0, 1), (0, 1, 2, 2), (2, 2, 1, 0)])
+    made = []
+    init, of = MatrixGF.__init__, MatrixGF._of.__func__
+    monkeypatch.setattr(MatrixGF, "__init__", lambda self, *a: made.append("init") or init(self, *a))
+    monkeypatch.setattr(MatrixGF, "_of", classmethod(lambda cls, *a: made.append("_of") or of(cls, *a)))
+    for size in range(4):
+        for rows in combinations(range(1, 4), size):
+            for cols in combinations(range(1, 5), size):
+                m.minor(rows, cols)
+    assert made == []
+    m.submatrix((1, 2), (1, 2))
+    assert made == ["_of"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_internal_results_match_the_checking_constructor(q):
+    """Every matrix the package computes without the range check equals,
+    and hashes like, the same entries passed through MatrixGF(...)."""
+    gf = field_for_order(q)
+    rng = random.Random(40 + q)
+
+    def same(m):
+        assert type(m._flat) is tuple and all(0 <= x < q for x in m._flat)
+        checked = MatrixGF(gf, m.nrows, m.ncols, m._flat)
+        assert m == checked and hash(m) == hash(checked)
+
+    for _ in range(20):
+        a, b = rand_matrix(rng, gf, 2, 3), rand_matrix(rng, gf, 2, 3)
+        c = rand_matrix(rng, gf, 3, 3)
+        for m in (
+            a @ c,
+            c @ c,
+            a + b,
+            a - b,
+            -a,
+            a.scale(rng.randrange(q)),
+            a.transpose(),
+            c.submatrix((1, 3), (2, 3)),
+            a.submatrix((2,), (1, 2, 3)),
+            a.submatrix((), ()),
+        ):
+            same(m)
+    for m in enumerate_matrices(gf, 1, 2):
+        same(m)
+    for m in enumerate_gl(2, gf):
+        same(m)
+    for m in enumerate_rref(2, 3, gf):
+        same(m)
+    p = CodeParams(q, 1, 2)
+    for index in range(p.npoints):
+        same(point_matrix(p, index))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 257, 1024])
@@ -209,6 +299,7 @@ def test_enumerate_rref_counts_and_canonicality():
         assert len(reps) == gaussian_binomial(n, k, q)
         assert len(set(reps)) == len(reps)
         for w in reps:
+            assert (w.nrows, w.ncols) == (k, n)
             assert w.rank() == k
             if k:
                 assert w.rref_rows() == w

@@ -1,6 +1,7 @@
 """Minor combinations: the canonical basis, evaluation, specialization
-against a substitute-then-evaluate oracle, vanishing loci, and the
-determinant expansion identities."""
+against a substitute-then-evaluate oracle, vanishing loci, the determinant
+expansion identities, and the unchecked internal results against the
+checking constructor."""
 
 import random
 from itertools import product
@@ -8,6 +9,7 @@ from itertools import product
 import pytest
 
 from agcodes.fields import field_for_order
+from agcodes.group import AffineMap, act_on_poly
 from agcodes.matrices import MatrixGF
 from agcodes.minors import (
     EMPTY_MINOR,
@@ -274,3 +276,37 @@ def test_absorb_translation_validation():
     p = CodeParams(3, 2, 2)
     with pytest.raises(ValueError):
         absorb_translation(leading_maximal_minor(p).scale(2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_internal_combinations_pass_the_checking_constructor(q):
+    """Every combination the package computes without the length and range
+    check passes MinorCombination(...) and equals what it makes."""
+    p = CodeParams(q, 2, 3)
+    gf = p.field()
+    rng = random.Random(60 + q)
+
+    def matrix(nrows, ncols):
+        return MatrixGF(gf, nrows, ncols, tuple(rng.randrange(q) for _ in range(nrows * ncols)))
+
+    def same(f):
+        assert type(f.coeffs) is tuple
+        checked = MinorCombination(f.params, f.coeffs)
+        assert f == checked and hash(f) == hash(checked)
+
+    for _ in range(10):
+        f, g = rand_combination(rng, p), rand_combination(rng, p)
+        same(f + g)
+        same(f - g)
+        same(-f)
+        same(f.scale(rng.randrange(q)))
+        same(specialize_row(f, rng.randint(1, 2), tuple(rng.randrange(q) for _ in range(3))))
+        same(specialize_col(f, rng.randint(1, 3), tuple(rng.randrange(q) for _ in range(2))))
+        rows = rng.choice([(1,), (2,), (1, 2)])
+        r = len(rows)
+        same(det_product_expansion(p, rows, matrix(3, r), matrix(r, r)))
+        while True:
+            a = matrix(3, 3)
+            if a.det():
+                break
+        same(act_on_poly(AffineMap(p, matrix(2, 3), a), f))
