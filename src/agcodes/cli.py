@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Callable
@@ -57,8 +58,27 @@ def _add_params_args(sub) -> None:
     sub.add_argument("--lp", type=int, required=True, help="number of matrix columns (>= rows)")
 
 
+def _group_order_digits(p: CodeParams) -> int:
+    """The decimal digits of group_order_formula(p) = q^delta * prod_{j=1..lp}
+    q^lp (1 - q^-j), from logarithms; factors with j > 64 round to 1, and
+    the slack lets an exact power of ten (GL(1, 11) has order 10) count."""
+    log = (p.delta + p.lp * p.lp) * math.log10(p.q)
+    log += sum(math.log10(1 - p.q**-j) for j in range(1, min(p.lp, 64) + 1))
+    return int(log + 1e-9) + 1
+
+
 def _cmd_params(args) -> int:
     p = _params_of(args)
+    # the group order is the largest value printed; refuse before computing
+    # anything if the interpreter could not print it
+    # (Python before 3.10.7 has no limit and no getter)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _group_order_digits(p)
+    if limit and digits > limit:
+        raise ValueError(
+            f"the group order of {p} has {digits} digits, above the interpreter's "
+            f"{limit}-digit limit for printing an integer (sys.get_int_max_str_digits())"
+        )
     data = {
         "q": p.q,
         "l": p.l,

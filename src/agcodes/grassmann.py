@@ -15,6 +15,8 @@ The build proves rank as code.build does: the coordinate subspace of an
 l-subset S, the one representative with only l nonzero entries, has the unit
 vector at S as its Pluecker vector, so these columns hold an identity block.
 The build checks that block and fails if a coordinate subspace is missing.
+Both the subspace enumeration and the build are cached, so the comparison
+below reuses the code its caller has just built.
 
 The subspaces whose representative starts with an identity block form a cell
 of exactly q^(l * (m - l)) columns, indexed by the complement block.  On that
@@ -28,7 +30,9 @@ perfect matching exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, compress, count
+from typing import Sequence
 
 from . import limits
 from .code import LinearCode, _certify_rank, build, point_index
@@ -53,13 +57,17 @@ class VerificationError(RuntimeError):
     """A structural correspondence that must hold failed on actual data."""
 
 
-def enumerate_subspaces(l: int, m: int, gf: GF) -> list[MatrixGF]:
+# run_acceptance fills 4 entries of each cache and the construct benchmark 2;
+# a CLI call or a criterion builds a code and then compares its cell, and
+# the comparison reuses both cached values
+@lru_cache(maxsize=8)
+def enumerate_subspaces(l: int, m: int, gf: GF) -> tuple[MatrixGF, ...]:
     """Canonical representatives of all l-dimensional subspaces of GF(q)^m."""
     if not 0 <= l <= m:
         raise ValueError(f"need 0 <= l <= m, got l={l}, m={m}")
     count = gaussian_binomial(m, l, gf.q)
     limits.ensure("points", count, f"enumerating {l}-subspaces of GF({gf.q})^{m}")
-    return list(enumerate_rref(l, m, gf))
+    return tuple(enumerate_rref(l, m, gf))
 
 
 def pluecker_indices(l: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -76,13 +84,14 @@ def pluecker(w: MatrixGF) -> tuple[int, ...]:
     return coords
 
 
+@lru_cache(maxsize=8)  # bound: see enumerate_subspaces
 def build_grassmann_code(l: int, m: int, gf: GF) -> LinearCode:
     """The code whose generator columns are the Pluecker vectors of all
     l-subspaces of GF(q)^m, rows indexed by l-subsets in lexicographic order."""
     return _grassmann_code(l, m, gf, enumerate_subspaces(l, m, gf))
 
 
-def _grassmann_code(l: int, m: int, gf: GF, subspaces: list[MatrixGF]) -> LinearCode:
+def _grassmann_code(l: int, m: int, gf: GF, subspaces: Sequence[MatrixGF]) -> LinearCode:
     """build_grassmann_code on the given representatives, column j from
     subspaces[j]: all maximal minors of the batch at once."""
     indices = pluecker_indices(l, m)
@@ -144,7 +153,7 @@ def cell_restriction_compare(l: int, m: int, gf: GF) -> CellReport:
     p = CodeParams(gf.q, l, m - l)
     affine = build(p)
     subspaces = enumerate_subspaces(l, m, gf)
-    grass = _grassmann_code(l, m, gf, subspaces)
+    grass = build_grassmann_code(l, m, gf)
     lead = tuple(range(1, l + 1))
     tail = tuple(range(l + 1, m + 1))
     # row 0 holds the coordinate on columns 1..l: 1 exactly on the cell

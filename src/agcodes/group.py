@@ -6,6 +6,9 @@ translation group with GL(lp).  The group acts on points, hence by
 coordinate permutation on codewords, and symbolically on minor combinations
 by substitution: act_on_poly(phi, f) is the exact coefficient vector of
 f(X A^(-1) + u), computed by the expansion engine, never by interpolation.
+generating_set(p) lists elementary translations and linear maps that
+generate the whole group, so a property closed under composition can be
+certified on them instead of on every element.
 
 The orbit of the leading maximal minor under this action is the full set of
 minimum weight codewords; generate_min_weight_polys walks a bijective
@@ -42,6 +45,7 @@ __all__ = [
     "permutation",
     "apply_permutation",
     "enumerate_group",
+    "generating_set",
     "stabilizer_test",
     "stabilizer_criterion",
     "generate_min_weight_polys",
@@ -164,6 +168,33 @@ def enumerate_group(p: CodeParams, cap: int | None = None):
         u = MatrixGF._of(gf, p.l, p.lp, flat)
         for a in linear:
             yield AffineMap(p, u, a)
+
+
+def generating_set(p: CodeParams) -> list[AffineMap]:
+    """A generating set of the affine group of p, with c running over the
+    F_p-basis 1, p, ..., p^(e-1) of GF(q) (the monomials 1, x, ..., x^(e-1)):
+    the translations by c E_ij, which span the l x lp matrices additively;
+    the transvections I + c E_ij for i != j, which generate SL(lp, q); and
+    for q > 2 the diagonal diag(g, 1, ..., 1) of the primitive element g,
+    whose determinant generates GF(q)^*, so that GL(lp, q) is reached."""
+    gf = p.field()
+    basis = [gf.p**t for t in range(gf.e)]
+    zero = MatrixGF.zeros(gf, p.l, p.lp)
+    one = MatrixGF.identity(gf, p.lp)
+
+    def with_entry(base: MatrixGF, pos: int, c: int) -> MatrixGF:
+        """base with flat entry pos set to c."""
+        flat = list(base._flat)
+        flat[pos] = c
+        return MatrixGF._of(gf, base.nrows, base.ncols, tuple(flat))
+
+    out = [AffineMap(p, with_entry(zero, pos, c), one) for pos in range(p.delta) for c in basis]
+    for i, j in product(range(p.lp), repeat=2):
+        if i != j:
+            out += [AffineMap(p, zero, with_entry(one, i * p.lp + j, c)) for c in basis]
+    if gf.q > 2:
+        out.append(AffineMap(p, zero, with_entry(one, 0, gf.generator)))
+    return out
 
 
 def stabilizer_test(phi: AffineMap) -> bool:

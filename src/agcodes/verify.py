@@ -36,6 +36,7 @@ from .group import (
     compose,
     enumerate_group,
     generate_min_weight_polys,
+    generating_set,
     is_min_weight_form,
     min_weight_witness,
     permutation,
@@ -265,6 +266,18 @@ def check_min_weight_characterization() -> CheckResult:
 
 
 # -- criterion 5: the automorphism suite on the smallest square shape --
+#
+# The coordinate action is certified a homomorphism without the |G|^2 Cayley
+# table.  For every generator s of generating_set(p) and every map h,
+# perm(s o h) = perm(s) o perm(h) is checked, and closing {identity} under
+# left multiplication by the generators, read off the same S x G table,
+# must reach all of G.  Then every g is a word s_1 o ... o s_r, and by
+# associativity of compose and induction on r,
+#     perm(g o h) = perm(s_1) o perm((s_2 o ... o s_r) o h)
+#                 = perm(s_1) o perm(s_2 o ... o s_r) o perm(h) = perm(g) o perm(h)
+# for every pair.  tests/test_group.py tests associativity and also checks
+# the exhaustive 96^2 table for (2,2,2), so compose loses no coverage.  Every
+# other property is checked on all 96 maps.
 
 
 def check_automorphism_suite() -> CheckResult:
@@ -274,30 +287,59 @@ def check_automorphism_suite() -> CheckResult:
         code = build(p)
         group = list(enumerate_group(p))
         order = group_order_formula(p)
-        assert len(group) == order == 96, f"group size {len(group)}, expected 96"
+        assert len(group) == order == 96, f"{p}: group size {len(group)}, expected 96"
         stab = [phi for phi in group if stabilizer_test(phi)]
-        assert len(stab) == stabilizer_order_formula(p) == 6, f"stabilizer {len(stab)}, expected 6"
+        assert len(stab) == stabilizer_order_formula(p) == 6, f"{p}: stabilizer {len(stab)}, expected 6"
         for phi in group:
-            assert stabilizer_criterion(phi) == (phi in stab), "structural stabilizer test disagrees"
+            assert stabilizer_criterion(phi) == (phi in stab), (
+                f"{p}: structural stabilizer test disagrees on {phi!r}"
+            )
         family = generate_min_weight_polys(p)
-        assert len(family) * len(stab) == order, "orbit-stabilizer product mismatch"
+        assert len(family) * len(stab) == order, f"{p}: orbit-stabilizer product mismatch"
         perms = [permutation(phi) for phi in group]
-        assert len(set(perms)) == len(group), "coordinate action is not injective"
+        assert len(set(perms)) == len(group), f"{p}: coordinate action is not injective"
         index_of = {phi: i for i, phi in enumerate(group)}
-        for i, phi in enumerate(group):
-            for j, psi in enumerate(group):
-                combined = compose(phi, psi)
-                left = perms[index_of[combined]]
-                right = tuple(perms[i][t] for t in perms[j])
-                assert left == right, "coordinate action is not a homomorphism"
-        for perm in perms:
+        gens = generating_set(p)
+        # table[r][h] is the index of gens[r] o group[h]
+        table = []
+        for s in gens:
+            assert s in index_of, f"{p}: generator {s!r} is not in the enumerated group"
+            perm_s = perms[index_of[s]]
+            row = []
+            for h, phi in enumerate(group):
+                g = index_of.get(compose(s, phi))
+                assert g is not None, f"{p}: {s!r} after {phi!r} is not in the enumerated group"
+                assert perms[g] == tuple(perm_s[t] for t in perms[h]), (
+                    f"{p}: coordinate action is not a homomorphism on {s!r} after {phi!r}"
+                )
+                row.append(g)
+            table.append(row)
+        identity = AffineMap.identity(p)
+        assert identity in index_of, f"{p}: the identity is not in the enumerated group"
+        reached = {index_of[identity]}
+        frontier = list(reached)
+        while frontier:
+            h = frontier.pop()
+            for row in table:
+                if row[h] not in reached:
+                    reached.add(row[h])
+                    frontier.append(row[h])
+        assert len(reached) == order, (
+            f"{p}: the {len(gens)} generators do not generate: they reach {len(reached)} "
+            f"of {order} maps, missing {group[min(set(range(order)) - reached)]!r}"
+        )
+        for phi, perm in zip(group, perms):
             for row in code.generator:
                 assert code.contains(apply_permutation(row, perm)), (
-                    "a coordinate permutation left the code"
+                    f"{p}: the coordinate permutation of {phi!r} left the code"
                 )
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
-        return "96 maps: stabilizer 6, faithful action, code preserved"
+        products = len(gens) * order
+        return (
+            f"{order} maps, {len(gens)} generators, {products} products: "
+            "stabilizer 6, faithful action, code preserved"
+        )
 
     return _check("automorphism-group-suite", body)
 

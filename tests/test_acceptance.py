@@ -5,7 +5,9 @@ is exact, the stated time budgets are asserted inside the checks.  The
 random draws of criterion 6 and autocheck are pinned by the state their
 generators end in, so a faster check cannot draw fewer or other cases.
 Criterion 4's codewords from its per-point minor table are checked against
-MinorCombination.evaluate at every point."""
+MinorCombination.evaluate at every point.  Criterion 5's generator
+certificate must fail when the generators do not generate or one product is
+wrong, and must make exactly |S| * |G| compositions."""
 
 import hashlib
 import random
@@ -14,6 +16,8 @@ import pytest
 
 from agcodes import verify
 from agcodes.code import points
+from agcodes.group import compose, enumerate_group, generating_set
+from agcodes.matrices import MatrixGF
 from agcodes.minors import MinorCombination, leading_maximal_minor
 from agcodes.params import CodeParams
 from agcodes.verify import (
@@ -56,6 +60,42 @@ def test_criterion_4_min_weight_characterization():
 
 def test_criterion_5_automorphism_suite():
     _report(5, check_automorphism_suite())
+
+
+P222 = CodeParams(2, 2, 2)
+
+
+def test_criterion_5_fails_when_the_generators_do_not_generate(monkeypatch):
+    identity = MatrixGF.identity(P222.field(), 2)
+    translations = [s for s in generating_set(P222) if s.a == identity]
+    assert len(translations) == 4
+    monkeypatch.setattr(verify, "generating_set", lambda p: translations)
+    result = check_automorphism_suite()
+    assert not result.ok
+    assert "CodeParams(q=2, l=2, lp=2): the 4 generators do not generate" in result.detail
+    assert "they reach 16 of 96 maps" in result.detail
+
+
+def test_criterion_5_names_a_wrong_product(monkeypatch):
+    gens, group = generating_set(P222), list(enumerate_group(P222))
+    s, phi, wrong = gens[4], group[37], group[38]
+    monkeypatch.setattr(
+        verify, "compose", lambda a, b: compose(a, wrong if (a, b) == (s, phi) else b)
+    )
+    result = check_automorphism_suite()
+    assert not result.ok
+    assert result.detail == (
+        f"{P222}: coordinate action is not a homomorphism on {s!r} after {phi!r}"
+    )
+
+
+def test_criterion_5_composes_generators_times_the_group(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "compose", lambda a, b: calls.append(1) or compose(a, b))
+    result = check_automorphism_suite()
+    assert result.ok, result.detail
+    assert len(calls) == 6 * 96
+    assert result.detail.startswith("96 maps, 6 generators, 576 products: ")
 
 
 def test_criterion_6_algebra_identities():

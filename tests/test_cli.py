@@ -2,10 +2,11 @@
 exit codes, and file output."""
 
 import json
+import sys
 
 import pytest
 
-from agcodes import verify
+from agcodes import cli, verify
 from agcodes.cli import main
 from agcodes.code import build
 from agcodes.minors import MinorCombination
@@ -30,6 +31,29 @@ def test_params_text_golden(capsys):
         "min_weight_count  16\n"
         "group_order       96\n"
         "stabilizer_order  6\n"
+    )
+
+
+def test_params_refuses_a_group_order_too_long_to_print(capsys, monkeypatch):
+    """lp = 2000 took 31 s in the closed forms before failing to print; it
+    is refused before any of them runs.  At lp = 119 the group order has
+    4299 digits and prints."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    code, out, err = run(capsys, "params", "--q", "2", "--l", "1", "--lp", "119")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()[7].split()[1]) == 4299
+
+    def computed(p):
+        raise AssertionError("a closed form ran before the refusal")
+
+    for name in ("dimension_formula", "min_distance_formula", "min_weight_count_formula",
+                 "group_order_formula", "stabilizer_order_formula"):
+        monkeypatch.setattr(cli, name, computed)
+    code, out, err = run(capsys, "params", "--q", "2", "--l", "1", "--lp", "2000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the group order of CodeParams(q=2, l=1, lp=2000) has 1204722 digits, above the "
+        "interpreter's 4300-digit limit for printing an integer (sys.get_int_max_str_digits())\n"
     )
 
 

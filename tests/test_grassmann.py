@@ -104,7 +104,22 @@ def test_build_refuses_a_generator_without_the_certificate(monkeypatch):
 
     monkeypatch.setattr(grassmann_module, "batch_minors", mixed)
     with pytest.raises(AssertionError, match="not certified full rank"):
-        build_grassmann_code(2, 4, gf3)
+        build_grassmann_code.__wrapped__(2, 4, gf3)  # past the cache
+
+
+def test_build_and_subspaces_are_cached_and_reused(monkeypatch):
+    subspaces = enumerate_subspaces(2, 5, gf2)
+    assert type(subspaces) is tuple
+    assert enumerate_subspaces(2, 5, gf2) is subspaces
+    code = build_grassmann_code(2, 5, gf2)
+    assert build_grassmann_code(2, 5, gf2) is code
+
+    def rebuilt(*args):
+        raise AssertionError("the cell comparison rebuilt the Grassmann code")
+
+    monkeypatch.setattr(grassmann_module, "_grassmann_code", rebuilt)
+    monkeypatch.setattr(grassmann_module, "enumerate_rref", rebuilt)
+    assert len(cell_restriction_compare(2, 5, gf2).matches) == code.k
 
 
 def test_small_codes():

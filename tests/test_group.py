@@ -16,6 +16,7 @@ from agcodes.group import (
     compose,
     enumerate_group,
     generate_min_weight_polys,
+    generating_set,
     inverse,
     is_min_weight_form,
     min_weight_witness,
@@ -162,6 +163,47 @@ def test_enumerate_group():
     assert AffineMap.identity(p) in group
     with pytest.raises(CapExceeded):
         list(enumerate_group(P222, cap=50))
+
+
+def test_cayley_table_of_the_coordinate_action():
+    """Every one of the 96^2 products of (2,2,2) acts as the composite
+    permutation; criterion 5 checks only generators times the group."""
+    group = list(enumerate_group(P222))
+    perm_of = {phi: permutation(phi) for phi in group}
+    for phi in group:
+        for psi in group:
+            assert perm_of[compose(phi, psi)] == tuple(perm_of[phi][t] for t in perm_of[psi])
+
+
+def _closure(gens, p):
+    """The maps reached from the identity by composing with gens on the left."""
+    reached = {AffineMap.identity(p)}
+    frontier = list(reached)
+    while frontier:
+        h = frontier.pop()
+        for s in gens:
+            g = compose(s, h)
+            if g not in reached:
+                reached.add(g)
+                frontier.append(g)
+    return reached
+
+
+@pytest.mark.parametrize(
+    "p,size",
+    [(P222, 6), (CodeParams(3, 1, 2), 5), (CodeParams(4, 1, 1), 3), (CodeParams(9, 1, 1), 3)],
+    ids=lambda v: f"{v.q},{v.l},{v.lp}" if isinstance(v, CodeParams) else str(v),
+)
+def test_generating_set_generates(p, size):
+    gens = generating_set(p)
+    assert len(gens) == len(set(gens)) == size
+    group = set(enumerate_group(p))
+    assert set(gens) <= group
+    assert _closure(gens, p) == group
+    # the diagonal is what lifts SL(lp, q) to GL(lp, q) for q > 2
+    if p.q > 2:
+        sl_part = _closure(gens[:-1], p)
+        assert len(sl_part) * (p.q - 1) == len(group)
 
 
 def test_stabilizer_routes_agree():
