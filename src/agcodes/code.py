@@ -20,8 +20,8 @@ Minimum distance and weight distributions come from full message scans, one
 engine for every field: codewords are packed into integers with one lane per
 position, a table holds the words of every message on the low digits, and
 each message costs one lane-packed operation and a popcount (see _Lanes).
-Early exit is taken only when the caller passes a conjectured distance; blind
-runs see every message.
+Every scan is blind: it visits every message, so a scanned minimum is
+independent of the closed form it confirms.
 """
 
 from __future__ import annotations
@@ -364,16 +364,13 @@ def _lanes(code: LinearCode) -> _Lanes:
     return code._cache["lanes"]
 
 
-def _scan(
-    code: LinearCode, mode: str, early_exit_at: int | None = None
-) -> tuple[Counter, int, list[tuple[int, int]]]:
+def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, int]]]:
     """Scan every message whose top nonzero coefficient is 1; returns
     (weight counts, min weight, hits).
 
-    Mode "dist" counts weights, "min" only tracks the least and stops once it
-    is at most early_exit_at, when that is given, and "words" keeps (message
-    index, stored word) for each message at the least weight, in message
-    index order.
+    Mode "dist" counts weights, "min" only tracks the least, and "words"
+    keeps (message index, stored word) for each message at the least weight,
+    in message index order.
     """
     q = code.gf.q
     limits.ensure("messages", q**code.k, f"scanning {code!r}")
@@ -390,8 +387,6 @@ def _scan(
                 counts.update(weights)
             elif mode == "min":
                 best = min(best, min(weights))
-                if early_exit_at is not None and best <= early_exit_at:
-                    return counts, best, hits
             else:
                 ws = list(weights)
                 least = min(ws)
@@ -405,17 +400,11 @@ def _scan(
     return counts, best, hits
 
 
-def min_distance(code: LinearCode, *, early_exit_at: int | None = None) -> int:
-    """Minimum weight over all nonzero messages.
-
-    With early_exit_at set, the scan stops as soon as a codeword of that
-    weight shows up; pass it only when that value is known to be a lower
-    bound (the closed formula).  Without it, every message is visited.
-    """
-    key = ("mindist", early_exit_at)
-    if key not in code._cache:
-        code._cache[key] = _scan(code, "min", early_exit_at)[1]
-    return code._cache[key]
+def min_distance(code: LinearCode) -> int:
+    """Minimum weight over all nonzero messages, every message visited."""
+    if "mindist" not in code._cache:
+        code._cache["mindist"] = _scan(code, "min")[1]
+    return code._cache["mindist"]
 
 
 def weight_distribution(code: LinearCode) -> dict[int, int]:

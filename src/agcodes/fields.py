@@ -106,16 +106,7 @@ def _irreducible(poly: tuple[int, ...], p: int) -> bool:
         return False
     for d in range(1, e // 2 + 1):
         for t in range(p**d):
-            div = _digits(t, p, d) + [1]
-            rem = list(poly)
-            # long division of rem by div
-            for top in range(e, d - 1, -1):
-                c = rem[top]
-                if c:
-                    rem[top] = 0
-                    for i in range(d):
-                        rem[top - d + i] = (rem[top - d + i] - c * div[i]) % p
-            if not any(rem[:d]):
+            if not any(_poly_rem(list(poly), tuple(_digits(t, p, d) + [1]), p)):
                 return False
     return True
 
@@ -140,7 +131,7 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
 class GF:
     """GF(p^e) with table-driven operations on integer element indices."""
 
-    def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
@@ -151,20 +142,7 @@ class GF:
         self.p = p
         self.e = e
         self.q = q
-        if e == 1:
-            if modulus is not None:
-                raise ValueError("prime fields take no modulus")
-            self.modulus: tuple[int, ...] | None = None
-        else:
-            if modulus is None:
-                modulus = smallest_irreducible(p, e)
-            else:
-                modulus = tuple(int(c) % p for c in modulus)
-                if len(modulus) != e + 1 or modulus[-1] != 1:
-                    raise ValueError(f"modulus must be monic of degree {e}")
-                if not _irreducible(modulus, p):
-                    raise ValueError("modulus is reducible")
-            self.modulus = modulus
+        self.modulus: tuple[int, ...] | None = None if e == 1 else smallest_irreducible(p, e)
         self._key = (p, e, self.modulus)
         self._build_tables()
 

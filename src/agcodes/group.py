@@ -50,7 +50,6 @@ __all__ = [
     "stabilizer_criterion",
     "generate_min_weight_polys",
     "min_weight_witness",
-    "is_min_weight_form",
 ]
 
 
@@ -155,13 +154,10 @@ def apply_permutation(vector: tuple[int, ...], perm: tuple[int, ...]) -> tuple[i
     return tuple(vector[j] for j in perm)
 
 
-def enumerate_group(p: CodeParams, cap: int | None = None):
+def enumerate_group(p: CodeParams):
     """All affine maps, translations outer, linear parts inner, both in
     lexicographic entry order."""
-    order = group_order_formula(p)
-    if cap is not None and order > cap:
-        raise limits.CapExceeded(f"group of {p} has order {order}, cap {cap}")
-    limits.ensure("group", order, f"enumerating the affine group of {p}")
+    limits.ensure("group", group_order_formula(p), f"enumerating the affine group of {p}")
     gf = p.field()
     linear = list(enumerate_gl(p.lp, gf))
     for flat in product(range(p.q), repeat=p.delta):
@@ -227,7 +223,7 @@ def _canonical_column_reps(p: CodeParams) -> list[MatrixGF]:
     return [r.transpose() for r in enumerate_rref(p.l, p.lp, p.field())]
 
 
-def generate_min_weight_polys(p: CodeParams, cap: int | None = None) -> list[MinorCombination]:
+def generate_min_weight_polys(p: CodeParams) -> list[MinorCombination]:
     """Every minimum weight combination, sorted by coefficient vector.
 
     The parametrization runs over nonzero scalars, canonical column space
@@ -236,8 +232,6 @@ def generate_min_weight_polys(p: CodeParams, cap: int | None = None) -> list[Min
     which is asserted.
     """
     count = min_weight_count_formula(p)
-    if cap is not None and count > cap:
-        raise limits.CapExceeded(f"minimum weight family of {p} has size {count}, cap {cap}")
     limits.ensure("group", count, f"generating the minimum weight family of {p}")
     gf = p.field()
     lead = tuple(range(1, p.l + 1))
@@ -290,21 +284,15 @@ def min_weight_witness(
     else:
         locus = row_vanishing_locus(g, 1)
         stacked = MatrixGF.from_rows(gf, [list(v) for v in locus])
-        reduced = stacked.rref_rows()
-        basis_rows = [reduced.row(i) for i in range(1, reduced.rank() + 1)]
+        basis_rows = [row for row in stacked.rref_rows().rows() if any(row)]
         if len(basis_rows) < lp - l:
             return None
         basis_rows = basis_rows[: lp - l]
-        # complete to an invertible matrix whose last lp-l rows are the basis
-        completion: list[tuple[int, ...]] = []
-        have = MatrixGF.from_rows(gf, basis_rows).rank()
-        for j in range(lp):
-            cand = tuple(1 if t == j else 0 for t in range(lp))
-            trial = MatrixGF.from_rows(gf, [*completion, cand, *basis_rows])
-            if trial.rank() > have + len(completion):
-                completion.append(cand)
-            if len(completion) == l:
-                break
+        # complete to an invertible matrix whose last lp-l rows are the basis by
+        # the l unit vectors off their pivot columns; any completion gives
+        # h = scalar * anchor, and the witness is canonicalised below
+        pivots = {row.index(1) for row in basis_rows}
+        completion = [tuple(int(t == j) for t in range(lp)) for j in range(lp) if j not in pivots]
         a_inv = MatrixGF.from_rows(gf, [*completion, *basis_rows])
         straighten = AffineMap(p, MatrixGF.zeros(gf, l, lp), a_inv.inverse())
     h = act_on_poly(straighten, g)
@@ -330,7 +318,3 @@ def min_weight_witness(
         return None
     return scalar_canon, m_canon, shift_canon
 
-
-def is_min_weight_form(f: MinorCombination) -> bool:
-    """Whether f is a minimum weight combination (has a valid witness)."""
-    return min_weight_witness(f) is not None

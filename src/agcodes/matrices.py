@@ -352,12 +352,9 @@ def enumerate_matrices(gf: GF, nrows: int, ncols: int) -> Iterator[MatrixGF]:
         yield MatrixGF._of(gf, nrows, ncols, flat)
 
 
-def enumerate_gl(n: int, gf: GF, cap: int | None = None) -> Iterator[MatrixGF]:
+def enumerate_gl(n: int, gf: GF) -> Iterator[MatrixGF]:
     """Invertible n x n matrices, filtered out of the full enumeration."""
-    needed = gf.q ** (n * n)
-    if cap is not None and needed > cap:
-        raise limits.CapExceeded(f"GL({n}) enumeration needs {needed} candidates, cap {cap}")
-    limits.ensure("matrices", needed, f"enumerating GL({n}, GF({gf.q}))")
+    limits.ensure("matrices", gf.q ** (n * n), f"enumerating GL({n}, GF({gf.q}))")
     for m in product(range(gf.q), repeat=n * n):
         mat = MatrixGF._of(gf, n, n, m)
         if mat.det() != 0:

@@ -7,16 +7,20 @@ generators end in, so a faster check cannot draw fewer or other cases.
 Criterion 4's codewords from its per-point minor table are checked against
 MinorCombination.evaluate at every point.  Criterion 5's generator
 certificate must fail when the generators do not generate or one product is
-wrong, and must make exactly |S| * |G| compositions."""
+wrong, and must make exactly |S| * |G| compositions; its code preservation
+check runs on the generators only and must name one that leaves the code.
+The focused suite runs criteria 2 and 3's per-parameter checks, and the
+options that only tests used to set are gone."""
 
 import hashlib
+import inspect
 import random
 
 import pytest
 
-from agcodes import verify
-from agcodes.code import points
-from agcodes.group import compose, enumerate_group, generating_set
+from agcodes import code, fields, group, matrices, verify
+from agcodes.code import LinearCode, points, weight_distribution
+from agcodes.group import apply_permutation, compose, enumerate_group, generating_set, permutation
 from agcodes.matrices import MatrixGF
 from agcodes.minors import MinorCombination, leading_maximal_minor
 from agcodes.params import CodeParams
@@ -96,6 +100,71 @@ def test_criterion_5_composes_generators_times_the_group(monkeypatch):
     assert result.ok, result.detail
     assert len(calls) == 6 * 96
     assert result.detail.startswith("96 maps, 6 generators, 576 products: ")
+
+
+def test_criterion_5_checks_code_preservation_on_generators_only(monkeypatch):
+    calls = []
+    contains = LinearCode.contains
+    monkeypatch.setattr(LinearCode, "contains", lambda self, v: calls.append(1) or contains(self, v))
+    result = check_automorphism_suite()
+    assert result.ok, result.detail
+    assert len(calls) == 6 * 6  # 6 generators, 6 generator rows
+
+
+def test_criterion_5_names_a_generator_that_leaves_the_code(monkeypatch):
+    s = generating_set(P222)[4]
+    perm_s = permutation(s)
+    # perm(s) with its first two coordinates swapped moves a row out of the code
+    swapped = (perm_s[1], perm_s[0]) + perm_s[2:]
+    monkeypatch.setattr(
+        verify,
+        "apply_permutation",
+        lambda v, perm: apply_permutation(v, swapped if perm == perm_s else perm),
+    )
+    result = check_automorphism_suite()
+    assert not result.ok
+    assert result.detail == f"{P222}: the coordinate permutation of generator {s!r} left the code"
+
+
+@pytest.mark.parametrize(
+    "attr, fake, check, detail",
+    [
+        ("min_distance", lambda c: 0, "blind-min-distance", "blind d = 0, formula 2"),
+        (
+            "weight_distribution",
+            lambda c: {**weight_distribution(c), 1: 1},
+            "min-weight-census",
+            "distribution minimum mismatch",
+        ),
+        (
+            "weight_distribution",
+            lambda c: {w: n for w, n in weight_distribution(c).items() if w},
+            "min-weight-census",
+            "distribution total is not q^k",
+        ),
+    ],
+    ids=["distance", "minimum", "total"],
+)
+def test_focused_suite_runs_the_grid_checks(monkeypatch, attr, fake, check, detail):
+    p = CodeParams(2, 1, 2)
+    monkeypatch.setattr(verify, attr, fake)
+    results = {r.name: r for r in verify.run_params_suite(p)}
+    assert not results[check].ok
+    assert results[check].detail == f"{p}: {detail}"
+    assert all(r.ok for name, r in results.items() if name != check)
+
+
+def test_options_no_caller_sets_are_gone():
+    removed = [
+        (code.min_distance, "early_exit_at"),
+        (matrices.enumerate_gl, "cap"),
+        (group.enumerate_group, "cap"),
+        (group.generate_min_weight_polys, "cap"),
+        (fields.GF, "modulus"),
+        (verify.check_algebra_identities, "seed"),
+    ]
+    for fn, name in removed:
+        assert name not in inspect.signature(fn).parameters, f"{fn.__qualname__} takes {name}"
 
 
 def test_criterion_6_algebra_identities():

@@ -223,8 +223,6 @@ def test_packed_scan_matches_encode_oracle(case):
     assert weight_distribution(fresh) == dist
     assert min_distance(fresh) == d
     assert min_weight_codewords(fresh) == words
-    # the early exit path on a code whose caches are empty
-    assert min_distance(LinearCode(code.gf, code.generator), early_exit_at=d) == d
 
 
 # (257,1,1) has 16-bit lanes and 257^2 messages, too many to encode one
@@ -267,12 +265,9 @@ def test_frontier_codes_blind(shape):
     assert elapsed < 10.0, f"{shape}: build and blind scans took {elapsed:.1f}s, budget 10s"
 
 
-def test_blind_distance_and_early_exit_agree():
+def test_blind_distance_of_2_2_3():
     p = CodeParams(2, 2, 3)
-    code = build(p)
-    d = min_distance(code)
-    assert d == min_distance_formula(p) == 24
-    assert min_distance(code, early_exit_at=24) == 24
+    assert min_distance(build(p)) == min_distance_formula(p) == 24
 
 
 def test_min_weight_codewords():

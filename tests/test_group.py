@@ -18,7 +18,6 @@ from agcodes.group import (
     generate_min_weight_polys,
     generating_set,
     inverse,
-    is_min_weight_form,
     min_weight_witness,
     permutation,
     stabilizer_criterion,
@@ -155,14 +154,15 @@ def test_permutation_properties():
             assert combined == tuple(permutation(phi)[t] for t in permutation(psi))
 
 
-def test_enumerate_group():
+def test_enumerate_group(monkeypatch):
     p = CodeParams(2, 1, 2)
     group = list(enumerate_group(p))
     assert len(group) == group_order_formula(p) == 24
     assert len(set(group)) == 24
     assert AffineMap.identity(p) in group
-    with pytest.raises(CapExceeded):
-        list(enumerate_group(P222, cap=50))
+    monkeypatch.setenv("AGCODES_GROUP_CAP", "50")
+    with pytest.raises(CapExceeded, match="AGCODES_GROUP_CAP"):
+        list(enumerate_group(P222))
 
 
 def test_cayley_table_of_the_coordinate_action():
@@ -221,7 +221,7 @@ def test_stabilizer_routes_agree():
         assert stabilizer_criterion(phi) == stabilizer_test(phi)
 
 
-def test_generate_min_weight_family():
+def test_generate_min_weight_family(monkeypatch):
     fam = generate_min_weight_polys(P222)
     assert len(fam) == min_weight_count_formula(P222) == 16
     assert len({f.coeffs for f in fam}) == 16
@@ -229,7 +229,7 @@ def test_generate_min_weight_family():
     d = min_distance_formula(P222)
     for f in fam:
         assert weight(evaluate_vector(f)) == d
-        assert is_min_weight_form(f)
+        assert min_weight_witness(f) is not None
 
     p12 = CodeParams(2, 1, 2)
     fam12 = generate_min_weight_polys(p12)
@@ -238,8 +238,9 @@ def test_generate_min_weight_family():
     p11 = CodeParams(3, 1, 1)
     fam11 = generate_min_weight_polys(p11)
     assert len(fam11) == 6
-    with pytest.raises(CapExceeded):
-        generate_min_weight_polys(P223, cap=10)
+    monkeypatch.setenv("AGCODES_GROUP_CAP", "10")
+    with pytest.raises(CapExceeded, match="AGCODES_GROUP_CAP"):
+        generate_min_weight_polys(P223)
 
 
 def test_witness_round_trip():
@@ -294,4 +295,4 @@ def test_witness_decides_membership_exhaustively():
             digits.append(mm % q)
             mm //= q
         f = MinorCombination(p, tuple(digits))
-        assert is_min_weight_form(f) == (weight(code.encode(f.coeffs)) == d)
+        assert (min_weight_witness(f) is not None) == (weight(code.encode(f.coeffs)) == d)

@@ -287,9 +287,10 @@ def test_group_counts_match_formulas():
     assert len(list(enumerate_gl(2, gf3))) == gl_order(2, 3) == 48
 
 
-def test_enumeration_caps():
-    with pytest.raises(CapExceeded):
-        list(enumerate_gl(2, gf2, cap=10))
+def test_enumeration_caps(monkeypatch):
+    monkeypatch.setenv("AGCODES_MATRICES_CAP", "10")
+    with pytest.raises(CapExceeded, match="AGCODES_MATRICES_CAP"):
+        list(enumerate_gl(2, gf2))
 
 
 def test_enumerate_rref_counts_and_canonicality():
