@@ -265,23 +265,6 @@ class GF:
             raise ZeroDivisionError(f"0 has no inverse in {self}")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise ZeroDivisionError(f"0 has no inverse in {self}")
-            return 0
-        n %= self.q - 1 if self.q > 2 else 1
-        return self._exp[(self._log[a] * n) % (self.q - 1)] if self.q > 2 else a
-
-    def elements(self) -> list[int]:
-        """All element indices in canonical order 0, 1, ..., q-1."""
-        return list(range(self.q))
-
     # -- plumbing --
 
     def __eq__(self, other: object) -> bool:

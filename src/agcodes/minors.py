@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterator, NamedTuple
+from itertools import combinations, compress, product
+from typing import Iterable, Iterator, NamedTuple
 
 from .matrices import MatrixGF
 from .params import CodeParams, dimension_formula
@@ -201,58 +201,45 @@ def _shift_past(labels: tuple[int, ...], removed: int) -> tuple[int, ...]:
     return tuple(x if x < removed else x - 1 for x in labels)
 
 
-@lru_cache(maxsize=None)
-def _specialize_plan(
-    p: CodeParams, line: int, is_row: bool
-) -> tuple[CodeParams, tuple[tuple[int, int], ...], tuple[tuple[int, int, int, bool], ...]]:
-    """How substituting row (or column) `line` of p moves coefficients.
+def _specializations(
+    f: MinorCombination, line: int, is_row: bool, vectors: Iterable[tuple[int, ...]]
+) -> Iterator[MinorCombination]:
+    """f with row (or column) `line` substituted by each vector in turn.
 
-    Returns (target shape, kept, expanded).  kept holds (source position,
-    target position) for each minor that does not use the line: the same
-    minor with later labels shifted down.  expanded holds (source position,
-    vector index, target position, negate) for each term of the Laplace
-    expansion of a minor along the line.
+    Worked out once from f: the target shape, the coefficients of minors
+    that avoid the line (same minor, later labels shifted down), and the
+    signed Laplace terms (vector index, target position, +-c) of each
+    nonzero minor that uses it.  Each vector then only adds its terms.
     """
-    if is_row:
-        target = CodeParams(p.q, p.l - 1, p.lp)
-    else:
-        target = CodeParams(p.q, p.l, p.lp - 1)
+    p = f.params
+    target = CodeParams(p.q, p.l - 1, p.lp) if is_row else CodeParams(p.q, p.l, p.lp - 1)
     pos = basis_positions(target)
+    gf = p.field()
+    add, mul = gf.add, gf.mul
 
     def at(along: tuple[int, ...], across: tuple[int, ...]) -> int:
         return pos[MinorIndex(along, across) if is_row else MinorIndex(across, along)]
 
-    kept, expanded = [], []
-    for s, mi in enumerate(minor_basis(p)):
+    base = [0] * len(pos)
+    terms = []
+    for mi, c in f.terms():
         # labels along the substituted line's direction, and across it
         along, across = (mi.rows, mi.cols) if is_row else (mi.cols, mi.rows)
         if line not in along:
-            kept.append((s, at(_shift_past(along, line), across)))
+            # kept minors land on distinct targets, so they are copied, not added
+            base[at(_shift_past(along, line), across)] = c
             continue
         u = along.index(line) + 1
         rest = _shift_past(tuple(x for x in along if x != line), line)
         for t, x in enumerate(across, start=1):
             others = tuple(y for y in across if y != x)
-            expanded.append((s, x - 1, at(rest, others), (u + t) % 2 == 1))
-    return target, tuple(kept), tuple(expanded)
-
-
-def _specialize(f: MinorCombination, line: int, is_row: bool, vector: tuple[int, ...]) -> MinorCombination:
-    target, kept, expanded = _specialize_plan(f.params, line, is_row)
-    gf = target.field()
-    add, mul, neg = gf.add, gf.mul, gf.neg
-    coeffs = f.coeffs
-    out = [0] * dimension_formula(target)
-    # kept minors land on distinct targets, so they are copied, not added
-    for s, t in kept:
-        out[t] = coeffs[s]
-    for s, x, t, negate in expanded:
-        c = coeffs[s]
-        if c:
-            v = mul(c, vector[x])
-            if v:
-                out[t] = add(out[t], neg(v) if negate else v)
-    return MinorCombination._of(target, tuple(out))
+            terms.append((x - 1, at(rest, others), gf.neg(c) if (u + t) % 2 else c))
+    for v in vectors:
+        out = base.copy()
+        for x, t, c in terms:
+            if v[x]:
+                out[t] = add(out[t], mul(c, v[x]))
+        yield MinorCombination._of(target, tuple(out))
 
 
 def specialize_row(f: MinorCombination, i: int, a: tuple[int, ...]) -> MinorCombination:
@@ -269,7 +256,7 @@ def specialize_row(f: MinorCombination, i: int, a: tuple[int, ...]) -> MinorComb
         raise ValueError(f"need a vector of length {p.lp}, got {len(a)}")
     if any(not 0 <= x < p.q for x in a):
         raise ValueError("vector entries must be element indices")
-    return _specialize(f, i, True, a)
+    return next(_specializations(f, i, True, [a]))
 
 
 def specialize_col(f: MinorCombination, j: int, b: tuple[int, ...]) -> MinorCombination:
@@ -283,7 +270,7 @@ def specialize_col(f: MinorCombination, j: int, b: tuple[int, ...]) -> MinorComb
         raise ValueError(f"need a vector of length {p.l}, got {len(b)}")
     if any(not 0 <= x < p.q for x in b):
         raise ValueError("vector entries must be element indices")
-    return _specialize(f, j, False, b)
+    return next(_specializations(f, j, False, [b]))
 
 
 def row_vanishing_locus(f: MinorCombination, i: int) -> list[tuple[int, ...]]:
@@ -294,11 +281,10 @@ def row_vanishing_locus(f: MinorCombination, i: int) -> list[tuple[int, ...]]:
     runs in lexicographic vector order, so the result is sorted.
     """
     p = f.params
-    out = []
-    for a in product(range(p.q), repeat=p.lp):
-        if specialize_row(f, i, a).is_zero:
-            out.append(a)
-    return out
+    if not 1 <= i <= p.l:
+        raise ValueError(f"row {i} outside 1..{p.l}")
+    vectors = list(product(range(p.q), repeat=p.lp))
+    return list(compress(vectors, (g.is_zero for g in _specializations(f, i, True, vectors))))
 
 
 def det_product_expansion(

@@ -46,12 +46,11 @@ from .group import (
 from .matrices import MatrixGF, cauchy_binet, enumerate_matrices
 from .minors import (
     MinorCombination,
+    _specializations,
     absorb_translation,
     det_translation_expand,
     minor_basis,
     row_vanishing_locus,
-    specialize_col,
-    specialize_row,
 )
 from .params import (
     CodeParams,
@@ -395,19 +394,15 @@ def _random_map(rng: random.Random, p: CodeParams) -> AffineMap:
     return AffineMap(p, u, _random_invertible(rng, gf, p.lp))
 
 
-def _weight_of(f: MinorCombination) -> int:
-    """The weight of the codeword of f."""
-    return _codeword_weight(build(f.params), f.coeffs)
-
-
-def _specialized_weight(f: MinorCombination, specialize, line: int, length: int) -> int:
+def _specialized_weight(f: MinorCombination, line: int, is_row: bool) -> int:
     """Total weight of f specialized along one row (or column) to every vector."""
-    parts = 0
-    for v in product(range(f.params.q), repeat=length):
-        g = specialize(f, line, v)
-        if not g.is_zero:
-            parts += _weight_of(g)
-    return parts
+    p = f.params
+    if is_row:
+        code, length = build(CodeParams(p.q, p.l - 1, p.lp)), p.lp
+    else:
+        code, length = build(CodeParams(p.q, p.l, p.lp - 1)), p.l
+    parts = _specializations(f, line, is_row, product(range(p.q), repeat=length))
+    return sum(_codeword_weight(code, g.coeffs) for g in parts if not g.is_zero)
 
 
 def suite_substitution_pointwise(p: CodeParams, rng: random.Random, trials: int) -> str:
@@ -437,14 +432,14 @@ def suite_weight_partition(p: CodeParams, rng: random.Random, trials: int) -> st
     """Specializing any one row, or any one column, partitions the weight of f."""
     for _ in range(trials):
         f = _random_combination(rng, p)
-        total = _weight_of(f)
+        total = _codeword_weight(build(p), f.coeffs)
         for i in range(1, p.l + 1):
-            assert _specialized_weight(f, specialize_row, i, p.lp) == total, (
+            assert _specialized_weight(f, i, True) == total, (
                 f"{p}: row {i} weight partition fails for f = {f.coeffs}"
             )
         if p.lp > p.l:
             for j in range(1, p.lp + 1):
-                assert _specialized_weight(f, specialize_col, j, p.l) == total, (
+                assert _specialized_weight(f, j, False) == total, (
                     f"{p}: column {j} weight partition fails for f = {f.coeffs}"
                 )
     return f"{trials} trials"

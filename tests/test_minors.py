@@ -15,6 +15,7 @@ from agcodes.minors import (
     EMPTY_MINOR,
     MinorCombination,
     MinorIndex,
+    _specializations,
     absorb_translation,
     basis_positions,
     det_product_expansion,
@@ -165,6 +166,32 @@ def test_specialize_col_oracle(p):
                     assert g.evaluate(pt) == f.evaluate(insert_col(pt, j, b))
 
 
+@pytest.mark.parametrize(
+    "p", [P223, CodeParams(3, 2, 2), CodeParams(4, 2, 2), CodeParams(9, 1, 2)]
+)
+def test_specializations_one_pass_matches_single_vectors(p):
+    # one pass over every vector of a line gives, in order, what the
+    # single-vector calls give, and each result evaluates like f with the
+    # vector put in (fields 2, 3, 2^2 and 3^2)
+    rng = random.Random(37)
+    fs = [rand_combination(rng, p) for _ in range(4)]
+    fs += [MinorCombination.zero(p), leading_maximal_minor(p)]
+    sides = [(True, p.l, p.lp, specialize_row, insert_row)]
+    if p.lp > p.l:
+        sides.append((False, p.lp, p.l, specialize_col, insert_col))
+    for f in fs:
+        for is_row, nlines, length, single, insert in sides:
+            small = CodeParams(p.q, p.l - 1, p.lp) if is_row else CodeParams(p.q, p.l, p.lp - 1)
+            vectors = list(product(range(p.q), repeat=length))
+            for line in range(1, nlines + 1):
+                out = list(_specializations(f, line, is_row, vectors))
+                assert out == [single(f, line, v) for v in vectors]
+                for v, g in zip(vectors, out):
+                    assert g.params == small
+                    for pt in all_points(small):
+                        assert g.evaluate(pt) == f.evaluate(insert(pt, line, v))
+
+
 def test_specialize_col_needs_wide_shape():
     with pytest.raises(ValueError):
         specialize_col(leading_maximal_minor(P222), 1, (0, 0))
@@ -183,6 +210,8 @@ def test_row_vanishing_locus_examples():
     assert row_vanishing_locus(f, 1) == [(1,)]
     # the zero combination vanishes under every substitution
     assert len(row_vanishing_locus(MinorCombination.zero(P222), 1)) == 4
+    with pytest.raises(ValueError):
+        row_vanishing_locus(det, 3)
 
 
 def test_row_vanishing_locus_sorted():
