@@ -5,7 +5,8 @@ invertible lp x lp matrix; composition follows the semidirect product of the
 translation group with GL(lp).  The group acts on points, hence by
 coordinate permutation on codewords, and symbolically on minor combinations
 by substitution: act_on_poly(phi, f) is the exact coefficient vector of
-f(X A^(-1) + u), computed by the expansion engine, never by interpolation.
+f(X A^(-1) + u), computed by the expansion engine from one table of the
+minors of A^(-1) and one of u, never by interpolation.
 generating_set(p) lists elementary translations and linear maps that
 generate the whole group, so a property closed under composition can be
 certified on them instead of on every element.
@@ -25,10 +26,11 @@ from itertools import product
 
 from . import limits
 from .code import point_index, points
-from .matrices import MatrixGF, enumerate_gl, rref_rows_with_transform, enumerate_rref
+from .matrices import MatrixGF, _all_minors, enumerate_gl, enumerate_rref, rref_rows_with_transform
 from .minors import (
     MinorCombination,
     MinorIndex,
+    _expansion,
     basis_positions,
     det_product_expansion,
     leading_maximal_minor,
@@ -122,22 +124,14 @@ def act_on_poly(phi: AffineMap, f: MinorCombination) -> MinorCombination:
     """The exact coefficient vector of f(X A^(-1) + u).
 
     Each basis minor on rows R and columns C becomes
-    det(X[R, :] @ A^(-1)[:, C] + u[R, C]), expanded symbolically.
+    det(X[R, :] @ A^(-1)[:, C] + u[R, C]), expanded symbolically from one
+    table of the minors of A^(-1) and one of the minors of u.
     """
     p = f.params
     if phi.params != p:
         raise ValueError("map and combination live on different domains")
-    gf = p.field()
-    out = MinorCombination.zero(p)
-    all_rows = tuple(range(1, p.lp + 1))
-    for mi, c in f.terms():
-        if mi.order == 0:
-            out = out + MinorCombination.constant(p, c)
-            continue
-        v = phi.a_inv.submatrix(all_rows, mi.cols)
-        n = phi.u.submatrix(mi.rows, mi.cols)
-        out = out + det_product_expansion(p, mi.rows, v, n).scale(c)
-    return out
+    mix, shift = _all_minors(phi.a_inv, p.l), _all_minors(phi.u, p.l)
+    return _expansion(p, ((mi.rows, mi.rows, mi.cols, c) for mi, c in f.terms()), mix, shift)
 
 
 def permutation(phi: AffineMap) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
-"""Dense matrices over GF(q): exact determinants, echelon forms, minors,
-minors of a whole batch of matrices at once, and enumeration of all matrices,
-of GL(n) and of reduced row echelon forms.
+"""Dense matrices over GF(q): exact determinants, echelon forms, minors one
+at a time, all minors of one matrix as a table, minors of a whole batch of
+matrices at once, and enumeration of all matrices, of GL(n) and of reduced
+row echelon forms.
 
 Matrices are immutable and hashable; the hash is computed on the first
 __hash__ call, not when a matrix is made.  Row and column labels in the
@@ -288,6 +289,28 @@ def _det(gf: GF, rows: list[list[int]]) -> int:
     return gf.neg(out) if negate else out
 
 
+def _all_minors(m: MatrixGF, order: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Every minor of m of order at most `order`, the empty one included,
+    keyed by (row labels, column labels) as MatrixGF.minor takes them.  Each
+    minor is the expansion along its first row of minors one order lower
+    already in the table."""
+    add, sub, mul = m.gf.add, m.gf.sub, m.gf.mul
+    flat, n = m._flat, m.ncols
+    table = {((), ()): 1}
+    for k in range(1, min(order, m.nrows, n) + 1):
+        col_sets = list(combinations(range(1, n + 1), k))
+        for rows in combinations(range(1, m.nrows + 1), k):
+            rest, row = rows[1:], flat[(rows[0] - 1) * n : rows[0] * n]
+            for cols in col_sets:
+                v = 0
+                for s, j in enumerate(cols):
+                    if row[j - 1]:
+                        t = mul(row[j - 1], table[rest, cols[:s] + cols[s + 1 :]])
+                        v = sub(v, t) if s % 2 else add(v, t)
+                table[rows, cols] = v
+    return table
+
+
 def _check_labels(labels: tuple[int, ...], bound: int, kind: str) -> None:
     for a, b in zip(labels, labels[1:]):
         if a >= b:
@@ -381,23 +404,29 @@ def enumerate_rref(k: int, n: int, gf: GF) -> Iterator[MatrixGF]:
             yield MatrixGF._of(gf, k, n, tuple(x for r in rows for x in r))
 
 
-def cauchy_binet(a: MatrixGF, b: MatrixGF) -> tuple[int, int]:
-    """Both sides of the Cauchy-Binet identity for det(a @ b).
+def cauchy_binet(pairs: Sequence[tuple[MatrixGF, MatrixGF]]) -> list[tuple[int, int]]:
+    """Both sides of the Cauchy-Binet identity for det(a @ b), per pair.
 
-    a is r x s, b is s x r with r <= s.  Returns (det(a @ b), sum over all
-    r-subsets I of columns of det(a[:, I]) * det(b[I, :])).  The two values
-    are equal; returning both keeps the check independent of itself.
+    The pairs share one field and one shape: a is r x s, b is s x r, r <= s.
+    Returns, in order, (det(a @ b) by elimination, sum over all r-subsets I
+    of columns of det(a[:, I]) * det(b[I, :]) from two batch_minors calls
+    over the batch).  The two are equal; returning both keeps the check
+    independent of itself.
     """
-    if a.nrows != b.ncols or a.ncols != b.nrows:
-        raise ValueError("cauchy_binet needs shapes r x s and s x r")
-    r, s = a.nrows, a.ncols
+    if not pairs:
+        return []
+    gf, r, s = pairs[0][0].gf, pairs[0][0].nrows, pairs[0][0].ncols
+    if any((a.gf, a.nrows, a.ncols, b.gf, b.nrows, b.ncols) != (gf, r, s, gf, s, r) for a, b in pairs):
+        raise ValueError("cauchy_binet needs shapes r x s and s x r, one field and shape per batch")
     if r > s:
         raise ValueError(f"need r <= s, got r={r}, s={s}")
-    gf = a.gf
-    lhs = (a @ b).det()
-    rows_a = tuple(range(1, r + 1))
-    rhs = 0
-    for subset in combinations(range(1, s + 1), r):
-        term = gf.mul(a.minor(rows_a, subset), b.minor(subset, rows_a))
-        rhs = gf.add(rhs, term)
-    return lhs, rhs
+    lead, subsets = tuple(range(1, r + 1)), list(combinations(range(1, s + 1), r))
+    flat_a, flat_b = (list(zip(*(m._flat for m in side))) for side in zip(*pairs))
+    a_rows = [flat_a[i * s : (i + 1) * s] for i in range(r)]
+    b_rows = [flat_b[i * r : (i + 1) * r] for i in range(s)]
+    a_minors = batch_minors(gf, a_rows, len(pairs), [(lead, c) for c in subsets])
+    b_minors = batch_minors(gf, b_rows, len(pairs), [(c, lead) for c in subsets])
+    rhs = [0] * len(pairs)
+    for x, y in zip(a_minors, b_minors):
+        rhs = list(map(gf.add, rhs, map(gf.mul, x, y)))
+    return [((a @ b).det(), v) for (a, b), v in zip(pairs, rhs)]

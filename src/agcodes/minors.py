@@ -19,8 +19,9 @@ as a combination of minors of X: split the determinant by which columns are
 taken from the constant block N (multilinearity in columns), expand those
 columns out (generalized Laplace, sign (-1)^(sum of local row and column
 positions)), and open the remaining product minor over column subsets of V
-(Cauchy-Binet).  Row translations, basis changes of the column space, and
-the translation expansion of det(X + B) are all instances of it.
+(Cauchy-Binet).  Every minor of V and N is read from a table of all of
+them, computed once.  Row translations, basis changes of the column space,
+and the translation expansion of det(X + B) are all instances of it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations, compress, product
 from typing import Iterable, Iterator, NamedTuple
 
-from .matrices import MatrixGF
+from .matrices import MatrixGF, _all_minors
 from .params import CodeParams, dimension_formula
 
 __all__ = [
@@ -306,27 +307,37 @@ def det_product_expansion(
         raise ValueError(f"shift must be {r}x{r}, got {shift.nrows}x{shift.ncols}")
     if col_mix.gf != gf or shift.gf != gf:
         raise ValueError("field mismatch")
+    local = tuple(range(1, r + 1))
+    return _expansion(p, [(rows, local, local, 1)], _all_minors(col_mix, r), _all_minors(shift, r))
+
+
+def _expansion(p: CodeParams, terms: Iterable, mix: dict, shift: dict) -> MinorCombination:
+    """The sum of c * det(X[rows, :] @ V[:, cols] + N[shift_rows, cols]) over
+    the terms (rows, shift_rows, cols, c), reading the minors of V and N from
+    their matrices._all_minors tables mix and shift."""
+    gf = p.field()
+    add, mul = gf.add, gf.mul
     pos = basis_positions(p)
-    out = [0] * dimension_formula(p)
-    all_local = range(r)
-    for s_cols in _subsets(all_local):
-        rest_cols = tuple(c + 1 for c in all_local if c not in s_cols)
-        s_cols_1 = tuple(c + 1 for c in s_cols)
-        for t_rows in combinations(all_local, len(s_cols)):
-            c_shift = shift.minor(tuple(t + 1 for t in t_rows), s_cols_1)
-            if c_shift == 0:
-                continue
-            parity = (sum(t_rows) + sum(s_cols)) % 2
-            x_rows = tuple(rows[t] for t in all_local if t not in t_rows)
-            for picked in combinations(range(1, p.lp + 1), len(x_rows)):
-                c_mix = col_mix.minor(picked, rest_cols)
-                if c_mix == 0:
+    out = [0] * len(pos)
+    for rows, shift_rows, cols, c in terms:
+        local = range(len(rows))
+        for s_cols in _subsets(local):
+            rest = tuple(cols[x] for x in local if x not in s_cols)
+            s_labels = tuple(cols[x] for x in s_cols)
+            pickable = list(combinations(range(1, p.lp + 1), len(rest)))
+            for t_rows in combinations(local, len(s_cols)):
+                w = shift[tuple(shift_rows[t] for t in t_rows), s_labels]
+                if w == 0:
                     continue
-                v = gf.mul(c_shift, c_mix)
-                if parity:
-                    v = gf.neg(v)
-                j = pos[MinorIndex(x_rows, picked)]
-                out[j] = gf.add(out[j], v)
+                w = mul(c, w)
+                if (sum(t_rows) + sum(s_cols)) % 2:
+                    w = gf.neg(w)
+                x_rows = tuple(rows[t] for t in local if t not in t_rows)
+                for picked in pickable:
+                    v = mix[picked, rest]
+                    if v:
+                        j = pos[x_rows, picked]
+                        out[j] = add(out[j], mul(w, v))
     return MinorCombination._of(p, tuple(out))
 
 

@@ -480,14 +480,20 @@ def suite_locus_affine(p: CodeParams, rng: random.Random, trials: int) -> str:
 
 def suite_cauchy_binet(p: CodeParams, rng: random.Random, trials: int) -> str:
     """Cauchy-Binet over GF(q) for random r x s times s x r products, with
-    r <= min(3, lp) and r <= s <= lp."""
+    r <= min(3, lp) and r <= s <= lp; all pairs are drawn first, each shape
+    is computed as one batch, and the first failing draw is reported."""
     gf = p.field()
+    pairs = []
     for _ in range(trials):
         r = rng.randint(1, min(3, p.lp))
         s = rng.randint(r, p.lp)
-        a = _random_matrix(rng, gf, r, s)
-        b = _random_matrix(rng, gf, s, r)
-        lhs, rhs = cauchy_binet(a, b)
+        pairs.append((_random_matrix(rng, gf, r, s), _random_matrix(rng, gf, s, r)))
+    sides = {}
+    for shape in {(a.nrows, a.ncols) for a, _ in pairs}:
+        draws = [t for t, (a, _) in enumerate(pairs) if (a.nrows, a.ncols) == shape]
+        sides.update(zip(draws, cauchy_binet([pairs[t] for t in draws])))
+    for t, (a, b) in enumerate(pairs):
+        lhs, rhs = sides[t]
         assert lhs == rhs, (
             f"{p}: Cauchy-Binet fails over GF({p.q}) for A = {a.tolists()}, "
             f"B = {b.tolists()}: {lhs} != {rhs}"

@@ -9,6 +9,8 @@ MinorCombination.evaluate at every point.  Criterion 5's generator
 certificate must fail when the generators do not generate or one product is
 wrong, and must make exactly |S| * |G| compositions; its code preservation
 check runs on the generators only and must name one that leaves the code.
+Criterion 6's Cauchy-Binet suite must name the first failing draw, however
+its draws are batched by shape.
 The focused suite runs criteria 2 and 3's per-parameter checks, and the
 options that only tests used to set are gone."""
 
@@ -165,6 +167,59 @@ def test_options_no_caller_sets_are_gone():
     ]
     for fn, name in removed:
         assert name not in inspect.signature(fn).parameters, f"{fn.__qualname__} takes {name}"
+
+
+def _cauchy_binet_pairs(monkeypatch, p, seed, trials):
+    """The pairs suite_cauchy_binet draws, in draw order."""
+    drawn = []
+    draw = verify._random_matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_random_matrix", lambda *a: drawn.append(draw(*a)) or drawn[-1])
+        verify.suite_cauchy_binet(p, random.Random(seed), trials)
+    return list(zip(drawn[::2], drawn[1::2]))
+
+
+def _cauchy_binet_failure(monkeypatch, p, seed, trials, wrong):
+    """The message suite_cauchy_binet fails with when the right side is off
+    by one on the pairs in wrong."""
+
+    def batch(pairs):
+        sides = matrices.cauchy_binet(pairs)
+        return [
+            (lhs, (rhs + 1) % p.q if pair in wrong else rhs)
+            for pair, (lhs, rhs) in zip(pairs, sides)
+        ]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "cauchy_binet", batch)
+        with pytest.raises(AssertionError) as failure:
+            verify.suite_cauchy_binet(p, random.Random(seed), trials)
+    return str(failure.value)
+
+
+def test_criterion_6_cauchy_binet_names_the_first_failing_draw(monkeypatch):
+    p, seed, trials = CodeParams(3, 1, 4), 5, 60
+    pairs = _cauchy_binet_pairs(monkeypatch, p, seed, trials)
+    shapes = [(a.nrows, a.ncols) for a, _ in pairs]
+    assert {(3, 4), (2, 4)} <= set(shapes) and len(set(shapes)) > 2
+    first = {shape: shapes.index(shape) for shape in ((3, 4), (2, 4))}
+    last = {shape: len(shapes) - 1 - shapes[::-1].index(shape) for shape in ((3, 4), (2, 4))}
+
+    def named(t):
+        a, b = pairs[t]
+        assert pairs.count(pairs[t]) == 1
+        return f"{p}: Cauchy-Binet fails over GF(3) for A = {a.tolists()}, B = {b.tolists()}: "
+
+    # one wrong draw among several shapes, then two wrong draws of different
+    # shapes, each way round, so that in one of the two runs the later
+    # draw's batch is checked first
+    for t in (first[(3, 4)], last[(2, 4)]):
+        assert _cauchy_binet_failure(monkeypatch, p, seed, trials, [pairs[t]]).startswith(named(t))
+    for early, late in (((3, 4), (2, 4)), ((2, 4), (3, 4))):
+        t, u = first[early], last[late]
+        assert t < u
+        message = _cauchy_binet_failure(monkeypatch, p, seed, trials, [pairs[t], pairs[u]])
+        assert message.startswith(named(t))
 
 
 def test_criterion_6_algebra_identities():

@@ -1,11 +1,13 @@
 """The affine substitution group: composition laws, the symbolic action
-against a pointwise oracle, coordinate permutations, stabilizers, the
-minimum weight family and its witness reconstruction."""
+against a pointwise oracle (and computed without MatrixGF.minor),
+coordinate permutations, stabilizers, the minimum weight family and its
+witness reconstruction."""
 
 import random
 
 import pytest
 
+from agcodes import verify
 from agcodes.code import build, evaluate_vector, points, weight
 from agcodes.fields import field_for_order
 from agcodes.group import (
@@ -118,6 +120,42 @@ def test_act_pointwise_oracle():
             g = act_on_poly(phi, f)
             for pt in points(p):
                 assert g.evaluate(pt) == f.evaluate(apply_point(phi, pt))
+
+
+@pytest.mark.parametrize(
+    "p", [CodeParams(2, 3, 3), CodeParams(3, 2, 3), CodeParams(9, 2, 2), CodeParams(4, 1, 3)]
+)
+def test_act_on_every_point(p):
+    """Order-3 minors, an odd prime and a p^e field: the codeword of
+    act_on_poly(phi, f) is f(apply_point(phi, P)) at every point P, for a
+    random map, a translation and a linear map."""
+    rng = random.Random(p.q * 100 + p.l * 10 + p.lp)
+    gf = p.field()
+    one, zero = MatrixGF.identity(gf, p.lp), MatrixGF.zeros(gf, p.l, p.lp)
+    base = rand_map(rng, p)
+    for phi in (base, AffineMap(p, base.u, one), AffineMap(p, zero, base.a)):
+        f = rand_combination(rng, p)
+        expected = tuple(f.evaluate(apply_point(phi, pt)) for pt in points(p))
+        assert evaluate_vector(act_on_poly(phi, f)) == expected
+
+
+def test_expansions_make_no_minor_calls(monkeypatch):
+    """act_on_poly, det_product_expansion and the Cauchy-Binet suite read
+    their minors from tables, never through MatrixGF.minor."""
+    calls = []
+    minor = MatrixGF.minor
+    monkeypatch.setattr(MatrixGF, "minor", lambda self, *a: calls.append(a) or minor(self, *a))
+    rng = random.Random(23)
+    for p in (P222, CodeParams(2, 3, 3), CodeParams(3, 2, 3), CodeParams(9, 2, 2)):
+        for _ in range(5):
+            act_on_poly(rand_map(rng, p), rand_combination(rng, p))
+        lead, every = tuple(range(1, p.l + 1)), tuple(range(1, p.lp + 1))
+        m = rand_map(rng, p)
+        det_product_expansion(p, lead, m.a_inv.submatrix(every, lead), m.u.submatrix(lead, lead))
+    verify.suite_cauchy_binet(CodeParams(3, 1, 4), rng, 200)
+    assert calls == []
+    MatrixGF.identity(P222.field(), 2).minor((1,), (2,))
+    assert calls == [((1,), (2,))]
 
 
 def test_act_structure():

@@ -1,7 +1,8 @@
 """Matrix layer: determinants and minors against a recursive oracle, the
 unchecked internal results against the checking constructor, echelon form
-properties, batched minors against per-matrix minors, the small matrix
-groups counted against the closed forms, and Cauchy-Binet."""
+properties, batched minors and the table of all minors against per-matrix
+minors, the small matrix groups counted against the closed forms, and
+Cauchy-Binet batched by shape against a minor-by-minor sum."""
 
 import random
 from itertools import combinations
@@ -13,6 +14,7 @@ from agcodes.fields import field_for_order
 from agcodes.limits import CapExceeded
 from agcodes.matrices import (
     MatrixGF,
+    _all_minors,
     batch_minors,
     cauchy_binet,
     enumerate_gl,
@@ -308,6 +310,15 @@ def test_enumerate_rref_counts_and_canonicality():
         list(enumerate_rref(3, 2, gf2))
 
 
+def cauchy_binet_reference(a, b):
+    """The right side summed minor by minor through MatrixGF.minor."""
+    gf, lead = a.gf, tuple(range(1, a.nrows + 1))
+    out = 0
+    for cols in combinations(range(1, a.ncols + 1), a.nrows):
+        out = gf.add(out, gf.mul(a.minor(lead, cols), b.minor(cols, lead)))
+    return out
+
+
 def test_cauchy_binet():
     rng = random.Random(13)
     for _ in range(200):
@@ -316,9 +327,57 @@ def test_cauchy_binet():
         s = rng.randint(r, 4)
         a = rand_matrix(rng, gf, r, s)
         b = rand_matrix(rng, gf, s, r)
-        lhs, rhs = cauchy_binet(a, b)
+        [(lhs, rhs)] = cauchy_binet([(a, b)])
         assert lhs == rhs
     with pytest.raises(ValueError):
-        cauchy_binet(rand_matrix(rng, gf2, 3, 2), rand_matrix(rng, gf2, 2, 3))
+        cauchy_binet([(rand_matrix(rng, gf2, 3, 2), rand_matrix(rng, gf2, 2, 3))])
     with pytest.raises(ValueError):
-        cauchy_binet(rand_matrix(rng, gf2, 2, 3), rand_matrix(rng, gf2, 2, 3))
+        cauchy_binet([(rand_matrix(rng, gf2, 2, 3), rand_matrix(rng, gf2, 2, 3))])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_batched_cauchy_binet_matches_the_minor_by_minor_sum(q):
+    gf = field_for_order(q)
+    rng = random.Random(60 + q)
+    for r in range(4):
+        for s in range(r, 5):
+            pairs = [
+                (rand_matrix(rng, gf, r, s), rand_matrix(rng, gf, s, r))
+                for _ in range(rng.randint(1, 12))
+            ]
+            expected = [((a @ b).det(), cauchy_binet_reference(a, b)) for a, b in pairs]
+            assert cauchy_binet(pairs) == expected
+            assert all(lhs == rhs for lhs, rhs in expected)
+    assert cauchy_binet([]) == []
+
+
+def test_cauchy_binet_refuses_a_mixed_batch():
+    rng = random.Random(17)
+    pair_23 = (rand_matrix(rng, gf3, 2, 3), rand_matrix(rng, gf3, 3, 2))
+    pair_24 = (rand_matrix(rng, gf3, 2, 4), rand_matrix(rng, gf3, 4, 2))
+    pair_13 = (rand_matrix(rng, gf3, 1, 3), rand_matrix(rng, gf3, 3, 1))
+    pair_23_gf2 = (rand_matrix(rng, gf2, 2, 3), rand_matrix(rng, gf2, 3, 2))
+    bad_b = (pair_23[0], rand_matrix(rng, gf3, 2, 2))
+    for mixed in ([pair_23, pair_24], [pair_23, pair_13], [pair_23, pair_23_gf2], [pair_23, bad_b]):
+        with pytest.raises(ValueError, match="one field and shape per batch"):
+            cauchy_binet(mixed)
+    assert len(cauchy_binet([pair_23, pair_23])) == 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_minor_table_matches_minor(q):
+    """The table of all minors holds every minor of each order up to the
+    one asked for, the empty minor included, each equal to MatrixGF.minor."""
+    gf = field_for_order(q)
+    rng = random.Random(80 + q)
+    for nrows in range(5):
+        for ncols in range(5):
+            m = rand_matrix(rng, gf, nrows, ncols)
+            for order in range(min(nrows, ncols) + 2):
+                expected = {
+                    (rows, cols): m.minor(rows, cols)
+                    for k in range(min(order, nrows, ncols) + 1)
+                    for rows in combinations(range(1, nrows + 1), k)
+                    for cols in combinations(range(1, ncols + 1), k)
+                }
+                assert _all_minors(m, order) == expected
