@@ -4,6 +4,7 @@ coordinate permutations, stabilizers, the minimum weight family and its
 witness reconstruction."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -293,6 +294,31 @@ def test_witness_round_trip():
             assert rebuilt == f
             # the column space representative is column reduced
             assert m.transpose().rref_rows().transpose() == m
+
+
+@pytest.mark.parametrize(
+    "p",
+    [CodeParams(3, 1, 3), CodeParams(5, 1, 2), CodeParams(9, 1, 2)],
+    ids=lambda p: f"{p.q},{p.l},{p.lp}",
+)
+def test_witness_decides_membership_over_odd_and_prime_power_fields(p):
+    """l < lp over odd q and q = 9: a sign slip in M turns members into
+    refutations, which the weight of every nonzero message exposes."""
+    code, d = build(p), min_distance_formula(p)
+    for coeffs in product(range(p.q), repeat=dimension_formula(p)):
+        if any(coeffs):
+            f = MinorCombination(p, coeffs)
+            assert (min_weight_witness(f) is not None) == (weight(code.encode(coeffs)) == d), f
+
+
+def test_witness_round_trip_whole_323_family():
+    p = CodeParams(3, 2, 3)
+    fam = generate_min_weight_polys(p)
+    assert len(fam) == 2106
+    for f in fam:
+        scalar, m, shift = min_weight_witness(f)
+        assert det_product_expansion(p, (1, 2), m, shift).scale(scalar) == f
+        assert m.transpose().rref_rows().transpose() == m
 
 
 def test_witness_known_forms():
