@@ -17,8 +17,8 @@ import sys
 from dataclasses import asdict
 from typing import Callable
 
-from . import __version__, verify
-from .code import build, min_distance, min_weight_codewords, weight, weight_distribution
+from . import __version__, limits, verify
+from .code import LinearCode, build, min_distance, min_weight_codewords, weight, weight_distribution
 from .fields import field_for_order
 from .grassmann import VerificationError, build_grassmann_code, cell_restriction_compare
 from .limits import CapExceeded
@@ -56,6 +56,12 @@ def _add_params_args(sub) -> None:
     sub.add_argument("--q", type=int, required=True, help="field size, a prime power")
     sub.add_argument("--l", type=int, required=True, help="number of matrix rows")
     sub.add_argument("--lp", type=int, required=True, help="number of matrix columns (>= rows)")
+
+
+def _build_to_scan(p: CodeParams) -> LinearCode:
+    """build(p), refused before building when its q^k messages exceed the cap."""
+    limits.ensure("messages", p.q ** dimension_formula(p), f"scanning the code of {p}")
+    return build(p)
 
 
 def _group_order_digits(p: CodeParams) -> int:
@@ -124,7 +130,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_mindist(args) -> int:
     p = _params_of(args)
-    code = build(p)
+    code = _build_to_scan(p)
     d = min_distance(code)
     if args.format == "json":
         _emit(_json({"d": d}), args.out)
@@ -138,7 +144,7 @@ def _cmd_mindist(args) -> int:
 
 def _cmd_weightdist(args) -> int:
     p = _params_of(args)
-    code = build(p)
+    code = _build_to_scan(p)
     dist = weight_distribution(code)
     if args.format == "json":
         _emit(_json({"n": code.n, "weights": {str(w): c for w, c in dist.items()}}), args.out)
@@ -150,7 +156,7 @@ def _cmd_weightdist(args) -> int:
 
 def _cmd_minwords(args) -> int:
     p = _params_of(args)
-    code = build(p)
+    code = _build_to_scan(p)
     words = min_weight_codewords(code)
     if args.format == "json":
         _emit(_json({"count": len(words), "words": [list(w) for w in words]}), args.out)
@@ -180,6 +186,10 @@ def _cmd_autocheck(args) -> int:
 
 def _cmd_grassmann(args) -> int:
     gf = field_for_order(args.q)
+    if args.mindist and 0 <= args.l <= args.m:
+        # k = C(m, l); the build itself refuses any other l and m
+        what = f"scanning the Grassmann code of ({args.l}, {args.m}) over GF({args.q})"
+        limits.ensure("messages", args.q ** math.comb(args.m, args.l), what)
     code = build_grassmann_code(args.l, args.m, gf)
     data = {
         "q": args.q,

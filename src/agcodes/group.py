@@ -14,28 +14,19 @@ certified on them instead of on every element.
 The orbit of the leading maximal minor under this action is the full set of
 minimum weight codewords; generate_min_weight_polys walks a bijective
 parametrization of it (scalar, canonical column space representative,
-translation block) and min_weight_witness inverts it: given f, it either
-reconstructs the parameters or refutes membership at one of the structural
-steps (empty vanishing locus, stray low-order support, locus dimension,
-final anchor comparison).
+translation block) and min_weight_witness inverts it, reading the
+parameters off f's order-l and order l-1 coefficients and confirming them
+with one expansion.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from . import limits
 from .code import point_index, points
-from .matrices import MatrixGF, _all_minors, enumerate_gl, enumerate_rref, rref_rows_with_transform
-from .minors import (
-    MinorCombination,
-    MinorIndex,
-    _expansion,
-    basis_positions,
-    det_product_expansion,
-    leading_maximal_minor,
-    row_vanishing_locus,
-)
+from .matrices import MatrixGF, _all_minors, enumerate_gl, enumerate_rref
+from .minors import MinorCombination, MinorIndex, _expansion, det_product_expansion, leading_maximal_minor
 from .params import CodeParams, group_order_formula, min_weight_count_formula
 
 __all__ = [
@@ -245,70 +236,51 @@ def generate_min_weight_polys(p: CodeParams) -> list[MinorCombination]:
 def min_weight_witness(
     f: MinorCombination,
 ) -> tuple[int, MatrixGF, MatrixGF] | None:
-    """Invert the minimum weight parametrization, or refute membership.
+    """Read the minimum weight parameters off f's coefficients, or refute membership.
 
     Returns (scalar, M, m) with f = scalar * det(X M + m), M the canonical
     column space representative, or None when f is not of minimum weight.
-    The reconstruction follows the structure of the family: translate a row
-    vanishing point of every row to zero, check that only full-order minors
-    survive, straighten the remaining column space, and compare against the
-    anchor minor.
+    By Cauchy-Binet the order-l coefficients of scalar * det(X M + m) are
+    scalar times the Pluecker coordinates of M's column space, and the
+    column-reduced M has coordinate 1 on its pivot set S and 0 on every
+    earlier column set.  So S and the scalar are f's first nonzero order-l
+    coefficient; entry (j, i) of M off S is the coordinate on S with its
+    i-th label swapped for j; entry (i, j) of m is the coefficient on the
+    rows and columns that drop i from 1..l and the j-th label from S; all
+    up to sign and the scalar.  One expansion confirms the read-off.
     """
     p = f.params
-    if p.l == 0:
-        raise ValueError("the minimum weight family needs l >= 1")
-    if f.is_zero:
-        return None
     l, lp = p.l, p.lp
+    if l == 0:
+        raise ValueError("the minimum weight family needs l >= 1")
     gf = p.field()
-    # a vanishing point for every row, lexicographically smallest
-    rows_u = []
-    for i in range(1, l + 1):
-        locus = row_vanishing_locus(f, i)
-        if not locus:
-            return None
-        rows_u.append(locus[0])
-    u = MatrixGF.from_rows(gf, rows_u)
-    translate = AffineMap(p, u, MatrixGF.identity(gf, lp))
-    g = act_on_poly(translate, f)
-    if any(mi.order < l for mi in g.support()):
+    full = tuple(range(1, l + 1))
+    s = next((c for c in combinations(range(1, lp + 1), l) if f.coeff(MinorIndex(full, c))), None)
+    if s is None:
         return None
-    if l == lp:
-        straighten = AffineMap.identity(p)
-    else:
-        locus = row_vanishing_locus(g, 1)
-        stacked = MatrixGF.from_rows(gf, [list(v) for v in locus])
-        basis_rows = [row for row in stacked.rref_rows().rows() if any(row)]
-        if len(basis_rows) < lp - l:
-            return None
-        basis_rows = basis_rows[: lp - l]
-        # complete to an invertible matrix whose last lp-l rows are the basis by
-        # the l unit vectors off their pivot columns; any completion gives
-        # h = scalar * anchor, and the witness is canonicalised below
-        pivots = {row.index(1) for row in basis_rows}
-        completion = [tuple(int(t == j) for t in range(lp)) for j in range(lp) if j not in pivots]
-        a_inv = MatrixGF.from_rows(gf, [*completion, *basis_rows])
-        straighten = AffineMap(p, MatrixGF.zeros(gf, l, lp), a_inv.inverse())
-    h = act_on_poly(straighten, g)
-    anchor_pos = basis_positions(p)[
-        MinorIndex(tuple(range(1, l + 1)), tuple(range(1, l + 1)))
-    ]
-    scalar = h.coeffs[anchor_pos]
-    if scalar == 0 or any(c and i != anchor_pos for i, c in enumerate(h.coeffs)):
-        return None
-    # f = scalar * anchor(X psi_A^(-1) + psi_u) for psi = (translate o straighten)^(-1)
-    psi = inverse(compose(translate, straighten))
-    lead = tuple(range(1, l + 1))
-    m_raw = psi.a_inv.submatrix(tuple(range(1, lp + 1)), lead)
-    shift_raw = psi.u.submatrix(lead, lead)
-    # straighten the column space representative
-    reduced, trans = rref_rows_with_transform(m_raw.transpose())
-    m_canon = reduced.transpose()
-    g_change = trans.transpose()
-    scalar_canon = gf.mul(scalar, gf.inv(g_change.det()))
-    shift_canon = shift_raw @ g_change
-    witness = det_product_expansion(p, lead, m_canon, shift_canon).scale(scalar_canon)
-    if witness != f:
-        return None
-    return scalar_canon, m_canon, shift_canon
+    scalar = f.coeff(MinorIndex(full, s))
+    inv = gf.inv(scalar)
 
+    def read(rows: tuple[int, ...], cols: tuple[int, ...], sign: int) -> int:
+        """(-1)^sign * coeff(rows, cols) / scalar."""
+        x = gf.mul(f.coeff(MinorIndex(rows, cols)), inv)
+        return gf.neg(x) if sign % 2 else x
+
+    mix = [0] * (lp * l)
+    for i, si in enumerate(s, 1):
+        mix[(si - 1) * l + i - 1] = 1
+        rest = tuple(x for x in s if x != si)
+        for j in range(1, lp + 1):
+            if j not in s:
+                swapped = tuple(sorted(rest + (j,)))
+                mix[(j - 1) * l + i - 1] = read(full, swapped, swapped.index(j) + 1 + i)
+    col_mix = MatrixGF._of(gf, lp, l, tuple(mix))
+    flat = [
+        read(tuple(x for x in full if x != i), tuple(x for x in s if x != sj), i + j)
+        for i in full
+        for j, sj in enumerate(s, 1)
+    ]
+    shift = MatrixGF._of(gf, l, l, tuple(flat))
+    if det_product_expansion(p, full, col_mix, shift).scale(scalar) != f:
+        return None
+    return scalar, col_mix, shift

@@ -28,7 +28,6 @@ from .fields import GF
 
 __all__ = [
     "MatrixGF",
-    "rref_rows_with_transform",
     "enumerate_matrices",
     "enumerate_gl",
     "enumerate_rref",
@@ -360,12 +359,6 @@ def batch_minors(
         return out
 
     return tuple(tuple(minor(tuple(rows), tuple(cols))) for rows, cols in wanted)
-
-
-def rref_rows_with_transform(m: MatrixGF) -> tuple[MatrixGF, MatrixGF]:
-    """(R, T) with R the reduced row echelon form of m and R = T @ m, T invertible."""
-    rref, trans, _ = m._rref_transform()
-    return MatrixGF.from_rows(m.gf, rref), MatrixGF.from_rows(m.gf, trans)
 
 
 def enumerate_matrices(gf: GF, nrows: int, ncols: int) -> Iterator[MatrixGF]:

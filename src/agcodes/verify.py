@@ -16,6 +16,7 @@ from itertools import islice, product
 from math import comb
 from typing import Callable
 
+from . import limits
 from .code import (
     _codeword_weight,
     build,
@@ -675,7 +676,9 @@ def run_acceptance(write: Callable[[str], None] | None = None) -> list[CheckResu
 
 
 def run_params_suite(p: CodeParams, write: Callable[[str], None] | None = None) -> list[CheckResult]:
-    """Focused verification of a single parameter set."""
+    """Focused verification of a single parameter set; its scans of q^k
+    messages are refused before the code is built."""
+    limits.ensure("messages", p.q ** dimension_formula(p), f"scanning the code of {p}")
 
     def dims() -> str:
         code = build(p)

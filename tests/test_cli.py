@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from agcodes import cli, verify
+from agcodes import cli, code, grassmann, matrices, verify
 from agcodes.cli import main
 from agcodes.code import build
 from agcodes.minors import MinorCombination
@@ -311,6 +311,30 @@ def test_cap_variable_must_be_a_positive_integer(capsys, monkeypatch):
         code, out, err = run(capsys, "mindist", "--q", "2", "--l", "2", "--lp", "2")
         assert (code, out) == (2, "")
         assert err == f"error: AGCODES_MESSAGES_CAP must be a positive integer, got '{raw}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mindist", "--q", "4", "--l", "3", "--lp", "3"],
+        ["weightdist", "--q", "2", "--l", "4", "--lp", "4"],
+        ["minwords", "--q", "4", "--l", "3", "--lp", "3"],
+        ["grassmann", "--q", "2", "--l", "2", "--m", "8", "--mindist"],
+        ["verify-all", "--q", "4", "--l", "3", "--lp", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_oversized_scans_are_refused_before_building(capsys, monkeypatch, argv):
+    def no_build(*args):
+        raise RuntimeError("built a generator for a scan over the cap")
+
+    for module in (cli, verify, code):
+        monkeypatch.setattr(module, "build", no_build)
+    for module in (code, grassmann, matrices):
+        monkeypatch.setattr(module, "batch_minors", no_build)
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("resource cap: scanning ") and "messages, above the cap" in err
 
 
 def test_version(capsys):

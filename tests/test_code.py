@@ -1,7 +1,6 @@
 """Evaluation codes and scan engines: point encoding round trips, a naive
-reference scan, the packed scan against an encode-every-message oracle
-(blind and with early exit), weight accounting oracles, and the resource
-caps."""
+reference scan, the packed scan against an encode-every-message oracle,
+weight accounting oracles, and the resource caps."""
 
 import hashlib
 import json

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from agcodes import verify
+from agcodes import group, minors, verify
 from agcodes.code import build, evaluate_vector, points, weight
 from agcodes.fields import field_for_order
 from agcodes.group import (
@@ -284,7 +284,7 @@ def test_generate_min_weight_family(monkeypatch):
 
 def test_witness_round_trip():
     rng = random.Random(19)
-    for p in (P222, CodeParams(2, 1, 2), CodeParams(3, 1, 1)):
+    for p in (P222, CodeParams(2, 1, 2), CodeParams(3, 1, 1), CodeParams(3, 2, 3)):
         lead = tuple(range(1, p.l + 1))
         for f in generate_min_weight_polys(p):
             got = min_weight_witness(f)
@@ -296,29 +296,30 @@ def test_witness_round_trip():
             assert m.transpose().rref_rows().transpose() == m
 
 
-@pytest.mark.parametrize(
-    "p",
-    [CodeParams(3, 1, 3), CodeParams(5, 1, 2), CodeParams(9, 1, 2)],
-    ids=lambda p: f"{p.q},{p.l},{p.lp}",
-)
-def test_witness_decides_membership_over_odd_and_prime_power_fields(p):
-    """l < lp over odd q and q = 9: a sign slip in M turns members into
-    refutations, which the weight of every nonzero message exposes."""
-    code, d = build(p), min_distance_formula(p)
-    for coeffs in product(range(p.q), repeat=dimension_formula(p)):
-        if any(coeffs):
-            f = MinorCombination(p, coeffs)
-            assert (min_weight_witness(f) is not None) == (weight(code.encode(coeffs)) == d), f
+def test_witness_reads_off_with_one_expansion(monkeypatch):
+    """One det_product_expansion per f with a nonzero order-l part, and no
+    vanishing locus sweep, substitution, composition or row reduction."""
+    rng = random.Random(29)
+    fs = generate_min_weight_polys(P222) + [MinorCombination.constant(P223, 1)]
+    fs += [rand_combination(rng, p) for p in (P222, P223, CodeParams(3, 2, 3)) for _ in range(20)]
+    fs += [rand_combination(rng, CodeParams(9, 1, 2)) for _ in range(20)]
+    top = sum(any(mi.order == f.params.l for mi in f.support()) for f in fs)
+    calls = []
 
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
 
-def test_witness_round_trip_whole_323_family():
-    p = CodeParams(3, 2, 3)
-    fam = generate_min_weight_polys(p)
-    assert len(fam) == 2106
-    for f in fam:
-        scalar, m, shift = min_weight_witness(f)
-        assert det_product_expansion(p, (1, 2), m, shift).scale(scalar) == f
-        assert m.transpose().rref_rows().transpose() == m
+        return wrapped
+
+    for module, name in [(group, "det_product_expansion"), (group, "act_on_poly"), (group, "compose")]:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    monkeypatch.setattr(minors, "row_vanishing_locus", counting(minors.row_vanishing_locus))
+    monkeypatch.setattr(MatrixGF, "_rref_transform", counting(MatrixGF._rref_transform))
+    found = sum(min_weight_witness(f) is not None for f in fs)
+    assert calls == ["det_product_expansion"] * top
+    assert 16 <= found < top < len(fs)
 
 
 def test_witness_known_forms():
@@ -348,15 +349,11 @@ def test_witness_refutations():
 
 
 def test_witness_decides_membership_exhaustively():
-    p = P222
-    code = build(p)
-    d = min_distance_formula(p)
-    q, k = p.q, dimension_formula(p)
-    for idx in range(1, q**k):
-        digits = []
-        mm = idx
-        for _ in range(k):
-            digits.append(mm % q)
-            mm //= q
-        f = MinorCombination(p, tuple(digits))
-        assert (min_weight_witness(f) is not None) == (weight(code.encode(f.coeffs)) == d)
+    """Every nonzero message; l < lp over odd q and q = 9 is where a sign
+    slip in M turns members into refutations."""
+    for p in (P222, CodeParams(3, 1, 3), CodeParams(5, 1, 2), CodeParams(9, 1, 2)):
+        code, d = build(p), min_distance_formula(p)
+        for coeffs in product(range(p.q), repeat=dimension_formula(p)):
+            if any(coeffs):
+                f = MinorCombination(p, coeffs)
+                assert (min_weight_witness(f) is not None) == (weight(code.encode(coeffs)) == d), f

@@ -20,7 +20,6 @@ from agcodes.matrices import (
     enumerate_gl,
     enumerate_matrices,
     enumerate_rref,
-    rref_rows_with_transform,
 )
 from agcodes.params import CodeParams, gaussian_binomial, gl_order
 
@@ -247,9 +246,7 @@ def test_rref_properties():
         gf = rng.choice([gf2, gf3])
         r, c = rng.randint(1, 4), rng.randint(1, 5)
         m = rand_matrix(rng, gf, r, c)
-        reduced, trans = rref_rows_with_transform(m)
-        assert trans @ m == reduced
-        assert trans.det() != 0
+        reduced = m.rref_rows()
         assert reduced.rref_rows() == reduced
         assert reduced.rank() == m.rank()
         # canonical under left multiplication by anything invertible
