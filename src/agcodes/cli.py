@@ -18,10 +18,9 @@ from dataclasses import asdict
 from typing import Callable
 
 from . import __version__, limits, verify
-from .code import LinearCode, build, min_distance, min_weight_codewords, weight, weight_distribution
+from .code import build, ensure_scannable, min_distance, min_weight_codewords, weight, weight_distribution
 from .fields import field_for_order
 from .grassmann import VerificationError, build_grassmann_code, cell_restriction_compare
-from .limits import CapExceeded
 from .minors import minor_basis
 from .params import (
     CodeParams,
@@ -56,12 +55,6 @@ def _add_params_args(sub) -> None:
     sub.add_argument("--q", type=int, required=True, help="field size, a prime power")
     sub.add_argument("--l", type=int, required=True, help="number of matrix rows")
     sub.add_argument("--lp", type=int, required=True, help="number of matrix columns (>= rows)")
-
-
-def _build_to_scan(p: CodeParams) -> LinearCode:
-    """build(p), refused before building when its q^k messages exceed the cap."""
-    limits.ensure("messages", p.q ** dimension_formula(p), f"scanning the code of {p}")
-    return build(p)
 
 
 def _group_order_digits(p: CodeParams) -> int:
@@ -130,7 +123,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_mindist(args) -> int:
     p = _params_of(args)
-    code = _build_to_scan(p)
+    ensure_scannable(p)
+    code = build(p)
     d = min_distance(code)
     if args.format == "json":
         _emit(_json({"d": d}), args.out)
@@ -144,7 +138,8 @@ def _cmd_mindist(args) -> int:
 
 def _cmd_weightdist(args) -> int:
     p = _params_of(args)
-    code = _build_to_scan(p)
+    ensure_scannable(p)
+    code = build(p)
     dist = weight_distribution(code)
     if args.format == "json":
         _emit(_json({"n": code.n, "weights": {str(w): c for w, c in dist.items()}}), args.out)
@@ -156,7 +151,8 @@ def _cmd_weightdist(args) -> int:
 
 def _cmd_minwords(args) -> int:
     p = _params_of(args)
-    code = _build_to_scan(p)
+    ensure_scannable(p)
+    code = build(p)
     words = min_weight_codewords(code)
     if args.format == "json":
         _emit(_json({"count": len(words), "words": [list(w) for w in words]}), args.out)
@@ -189,19 +185,12 @@ def _cmd_grassmann(args) -> int:
     if args.mindist and 0 <= args.l <= args.m:
         # k = C(m, l); the build itself refuses any other l and m
         what = f"scanning the Grassmann code of ({args.l}, {args.m}) over GF({args.q})"
-        limits.ensure("messages", args.q ** math.comb(args.m, args.l), what)
+        limits.ensure_power("messages", args.q, math.comb(args.m, args.l), what)
     code = build_grassmann_code(args.l, args.m, gf)
-    data = {
-        "q": args.q,
-        "l": args.l,
-        "m": args.m,
-        "n": code.n,
-        "k": code.k,
-    }
+    data = {"q": args.q, "l": args.l, "m": args.m, "n": code.n, "k": code.k}
+    lines = [f"n {code.n}", f"k {code.k}"]
     if args.mindist:
         data["d"] = min_distance(code)
-    lines = [f"n {data['n']}", f"k {data['k']}"]
-    if "d" in data:
         lines.append(f"d {data['d']}")
     if args.compare_cell:
         report = cell_restriction_compare(args.l, args.m, gf)
@@ -298,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
+    except limits.CapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 2
 

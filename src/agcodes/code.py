@@ -35,7 +35,7 @@ from operator import itemgetter, methodcaller
 from . import limits
 from .matrices import MatrixGF, batch_minors
 from .minors import MinorCombination, minor_basis
-from .params import CodeParams
+from .params import CodeParams, dimension_formula
 
 __all__ = [
     "point_index",
@@ -43,6 +43,7 @@ __all__ = [
     "points",
     "LinearCode",
     "build",
+    "ensure_scannable",
     "evaluate_vector",
     "weight",
     "min_distance",
@@ -182,6 +183,12 @@ def build(p: CodeParams) -> LinearCode:
     if not all(map(any, zip(*code.generator))):
         raise AssertionError(f"evaluation matrix of {p} has an all-zero column")
     return code
+
+
+def ensure_scannable(p: CodeParams) -> None:
+    """Refuse a scan of build(p) before building: build's points cap, then q^k messages."""
+    limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
+    limits.ensure_power("messages", p.q, dimension_formula(p), f"scanning the code of {p}")
 
 
 def evaluate_vector(f: MinorCombination) -> tuple[int, ...]:
@@ -373,7 +380,7 @@ def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, in
     in message index order.
     """
     q = code.gf.q
-    limits.ensure("messages", q**code.k, f"scanning {code!r}")
+    limits.ensure_power("messages", q, code.k, f"scanning {code!r}")
     lanes = _lanes(code)
     minus_one = code.gf.neg(1)
     counts: Counter = Counter()

@@ -43,9 +43,20 @@ def cap(name: str) -> int:
 
 def ensure(name: str, needed: int, what: str) -> None:
     """Raise CapExceeded if `needed` exceeds the configured cap `name`."""
-    limit = cap(name)
-    if needed > limit:
-        raise CapExceeded(
-            f"{what} needs {needed} {name}, above the cap {limit} "
-            f"(override with {_ENV_PREFIX}{name.upper()}_CAP)"
-        )
+    if needed > cap(name):
+        raise _refusal(name, needed, what)
+
+
+def ensure_power(name: str, base: int, exponent: int, what: str) -> None:
+    """ensure(name, base**exponent, what) for base >= 2, refused on the exponent
+    alone when that suffices: 2**C(40, 20) would take gigabytes to compute."""
+    if exponent >= cap(name).bit_length():  # base**exponent >= 2**exponent > cap
+        raise _refusal(name, f"{base}^{exponent}", what)
+    ensure(name, base**exponent, what)
+
+
+def _refusal(name: str, needed: int | str, what: str) -> CapExceeded:
+    return CapExceeded(
+        f"{what} needs {needed} {name}, above the cap {cap(name)} "
+        f"(override with {_ENV_PREFIX}{name.upper()}_CAP)"
+    )

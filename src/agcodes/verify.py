@@ -16,10 +16,10 @@ from itertools import islice, product
 from math import comb
 from typing import Callable
 
-from . import limits
 from .code import (
     _codeword_weight,
     build,
+    ensure_scannable,
     evaluate_vector,
     min_distance,
     min_weight_codewords,
@@ -676,9 +676,8 @@ def run_acceptance(write: Callable[[str], None] | None = None) -> list[CheckResu
 
 
 def run_params_suite(p: CodeParams, write: Callable[[str], None] | None = None) -> list[CheckResult]:
-    """Focused verification of a single parameter set; its scans of q^k
-    messages are refused before the code is built."""
-    limits.ensure("messages", p.q ** dimension_formula(p), f"scanning the code of {p}")
+    """Focused verification of a single parameter set."""
+    ensure_scannable(p)
 
     def dims() -> str:
         code = build(p)

@@ -2,10 +2,14 @@
 exit codes, and file output."""
 
 import json
+import os
+import resource
+import subprocess
 import sys
 
 import pytest
 
+import agcodes
 from agcodes import cli, code, grassmann, matrices, verify
 from agcodes.cli import main
 from agcodes.code import build
@@ -335,6 +339,41 @@ def test_oversized_scans_are_refused_before_building(capsys, monkeypatch, argv):
     status, out, err = run(capsys, *argv)
     assert (status, out) == (2, "")
     assert err.startswith("resource cap: scanning ") and "messages, above the cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mindist", "--q", "2", "--l", "20", "--lp", "20"],
+        ["weightdist", "--q", "2", "--l", "20", "--lp", "20"],
+        ["verify-all", "--q", "2", "--l", "20", "--lp", "20"],
+        ["grassmann", "--q", "2", "--l", "20", "--m", "40", "--mindist"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_scans_of_a_huge_dimension_are_refused_on_k_alone(argv):
+    """k = C(40, 20) = 137846528820, so 2^k would be an integer of 17 GB.
+    The points cap is raised past 2^400 so that the affine commands reach the
+    messages check.  The command runs in a child process with 1 GiB of
+    address space, so computing the power fails the test instead of taking
+    the host's memory."""
+    src = os.path.dirname(os.path.dirname(agcodes.__file__))
+    env = {**os.environ, "AGCODES_POINTS_CAP": str(2**400), "PYTHONPATH": src}
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "agcodes", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("resource cap: scanning ")
+    assert "needs 2^137846528820 messages, above the cap" in proc.stderr
 
 
 def test_version(capsys):

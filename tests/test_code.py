@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 import agcodes.code as code_module
+from agcodes import limits
 from agcodes.code import (
     LinearCode,
     build,
@@ -355,6 +356,17 @@ def test_contains_matches_rank_comparison(case):
             members += expect
             outsiders += not expect
     assert members >= 40 and outsiders > 0
+
+
+def test_power_cap_is_refused_on_the_exponent_alone(monkeypatch):
+    monkeypatch.setenv("AGCODES_MESSAGES_CAP", "100")  # 7 bits
+    limits.ensure_power("messages", 2, 6, "x")
+    limits.ensure_power("messages", 10, 2, "x")  # exactly the cap
+    with pytest.raises(CapExceeded, match=r"^x needs 243 messages, above the cap 100 "):
+        limits.ensure_power("messages", 3, 5, "x")
+    for exponent in (7, 10**6):  # 2^exponent > 100, not computed
+        with pytest.raises(CapExceeded, match=rf"^x needs 2\^{exponent} messages, above the cap 100 "):
+            limits.ensure_power("messages", 2, exponent, "x")
 
 
 def test_caps(monkeypatch):
