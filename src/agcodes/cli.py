@@ -187,7 +187,13 @@ def _cmd_grassmann(args) -> int:
         what = f"scanning the Grassmann code of ({args.l}, {args.m}) over GF({args.q})"
         limits.ensure_power("messages", args.q, math.comb(args.m, args.l), what)
     code = build_grassmann_code(args.l, args.m, gf)
-    data = {"q": args.q, "l": args.l, "m": args.m, "n": code.n, "k": code.k}
+    data = {
+        "q": args.q,
+        "l": args.l,
+        "m": args.m,
+        "n": code.n,
+        "k": code.k,
+    }
     lines = [f"n {code.n}", f"k {code.k}"]
     if args.mindist:
         data["d"] = min_distance(code)
