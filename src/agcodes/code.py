@@ -16,21 +16,36 @@ most r unless both have the same rows and columns, where it is 1; the basis
 is sorted by order, so the generator's k x k block at the points E_b is upper
 unitriangular, of determinant 1.  The build checks that block, entry by entry.
 
-Minimum distance and weight distributions come from full message scans, one
-engine for every field: codewords are packed into integers with one lane per
-position, a table holds the words of every message on the low digits, and
-each message costs one lane-packed operation and a popcount (see _Lanes).
-Every scan is blind: it visits every message, so a scanned minimum is
-independent of the closed form it confirms.
+Minimum distance and weight distributions come from full message scans, by
+one of two routes that return the same results, each for every field:
+
+- The packed scan: codewords are packed into integers with one lane per
+  position, a table holds the words of every message on the low digits, and
+  each message costs one lane-packed operation and a popcount (see _Lanes).
+- The coset engine: an affine code contains RM_q(1, δ), so its words fall
+  into cosets of q^(δ+1) words each, and one shift transform counts the
+  weights of a whole coset (see _Cosets).  It runs only on a generator that
+  itself certifies the first-order rows (n = q^δ, row 0 all ones, row 1 + t
+  digit t of the point index; the code's params are not consulted), after
+  the messages cap passes, and when a batch of its ints fits _TABLE_BYTES.
+
+_scan picks the route from counts alone (_cosets_pay): the coset engine when
+the code has a coset besides RM_q(1, δ) and the packed scan would visit at
+least _COSET_MESSAGES messages.  Grassmann codes, random codes, small codes
+and the codes RM_q(1, δ) itself stay on the packed scan, which the tests also
+run as the second route.  Every scan is blind: it visits every message, or
+counts every coset, so a scanned minimum is independent of the closed form it
+confirms.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, islice
-from operator import itemgetter, methodcaller
+from operator import add, itemgetter, methodcaller, or_
 
 from . import limits
 from .matrices import MatrixGF, batch_minors
@@ -225,7 +240,8 @@ def _codeword_weight(code: LinearCode, message: tuple[int, ...]) -> int:
 # segments' messages in order.  Each one stands for its q-1 multiples.
 
 _TABLE_ENTRIES = 2**12  # low-digit words kept per code
-_TABLE_BYTES = 2**20  # and the memory they may take
+_TABLE_BYTES = 2**20  # and the memory they may take, as may a coset batch
+_COSET_MESSAGES = 2**10  # the fewest scanned messages the coset engine takes
 
 
 class _Lanes:
@@ -245,16 +261,21 @@ class _Lanes:
     w(h) + table[j], which is zero exactly where table[j] equals -w(h): a
     block of messages costs one XOR and one count of nonzero lanes each,
     against the negated word of the block's high part.
+
+    A positive `width` asks for lanes of at least that many bits and no
+    table (low = 0): the coset engine's words, whose lanes later hold counts.
     """
 
-    def __init__(self, code: LinearCode):
+    def __init__(self, code: LinearCode, width: int = 0):
         gf = code.gf
         p, e, q, n = gf.p, gf.e, gf.q, code.n
         # no reference back to the code, which caches this object
         self.generator, self.gf, self.n = code.generator, gf, n
         self.box = bytes if q <= 256 else tuple  # holds a vector of elements
         self.sub = sub = 1 if p == 2 else (p - 1).bit_length() + 1
-        self.width = width = 1 if q == 2 else next(w for w in (8, 16, 32) if e * sub < w)
+        tabled = not width
+        need = 1 if q == 2 else next(w for w in (8, 16, 32) if e * sub < w)
+        self.width = width = max(need, width)
         bias = 0 if p == 2 else (1 << (sub - 1)) - p
 
         def pattern(x: int, b: int) -> int:
@@ -284,7 +305,8 @@ class _Lanes:
         per_word = width * n // 8 + 32
         low = 0
         while (
-            low < e * (code.k - 1)
+            tabled
+            and low < e * (code.k - 1)
             and p ** (low + 1) <= _TABLE_ENTRIES
             and p ** (low + 1) * per_word <= _TABLE_BYTES
         ):
@@ -325,6 +347,22 @@ class _Lanes:
             if c:
                 out = self.add(out, self.row(gf.mul(scale, c * p ** (t % e)), t // e))
             t += 1
+        return out
+
+    def stored(self, indices: list[int]) -> list[tuple[int, int]]:
+        """(index, stored word) for messages whose top nonzero coefficient
+        is 1: a table word plus the word of the high part, which messages
+        next to each other in the list often share."""
+        q, out, last, high = self.gf.q, [], None, 0
+        for index in indices:
+            r = 0
+            while q ** (r + 1) <= index:
+                r += 1
+            step = min(q**r, len(self.table))
+            h, j = divmod(index - q**r, step)
+            if (r, h) != last:
+                last, high = (r, h), self.base(1, r, h) - self.zero
+            out.append((index, self.add(self.table[j], high)))
         return out
 
     def nonzero(self, diff: int) -> int:
@@ -377,10 +415,20 @@ def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, in
 
     Mode "dist" counts weights, "min" only tracks the least, and "words"
     keeps (message index, stored word) for each message at the least weight,
-    in message index order.
+    in message index order.  Both routes return the same triple: the coset
+    engine where its counts say it pays and the generator certifies it, the
+    packed scan otherwise.
     """
+    q, n, k = code.gf.q, code.n, code.k
+    limits.ensure_power("messages", q, k, f"scanning {code!r}")
+    if _cosets_pay(q, n, k) and _cosets(code) is not None:
+        return _coset_scan(code, mode)
+    return _packed_scan(code, mode)
+
+
+def _packed_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, int]]]:
+    """The triple of _scan, one lane-packed XOR and popcount per message."""
     q = code.gf.q
-    limits.ensure_power("messages", q, code.k, f"scanning {code!r}")
     lanes = _lanes(code)
     minus_one = code.gf.neg(1)
     counts: Counter = Counter()
@@ -401,10 +449,282 @@ def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, in
                     continue
                 if least < best:
                     best, hits = least, []
-                word = lanes.base(1, r, at // step) - lanes.zero
-                found = compress(range(step), map(least.__eq__, ws))
-                hits += [(size + at + j, lanes.add(lanes.table[j], word)) for j in found]
-    return counts, best, hits
+                hits += compress(range(size + at, size + at + step), map(least.__eq__, ws))
+    return counts, best, lanes.stored(hits)
+
+
+# -- the coset engine --
+#
+# When rows 0..δ of the generator are the constant 1 and the δ digits of the
+# point index, the code contains RM_q(1, δ), and a message is a higher part
+# h, its coefficients on rows δ+1..k-1, above b + q·L: b on row 0 and L the
+# index of the linear form x -> L·x on the points.  The q^(δ+1) words with
+# higher part h make the coset g + RM_q(1, δ) of its word g.
+
+
+def _degree(q: int, n: int) -> int | None:
+    """δ with q^δ = n, or None when n is not a power of q."""
+    delta, size = 0, 1
+    while size < n:
+        delta, size = delta + 1, size * q
+    return delta if size == n else None
+
+
+def _cosets_pay(q: int, n: int, k: int) -> bool:
+    """Whether the coset engine is the cheaper route, from counts alone: it
+    must have a coset besides RM_q(1, δ), whose q^(δ+1) words it unpacks
+    one at a time, and the packed scan at least _COSET_MESSAGES messages.
+    Below that the two routes measure within a few tenths of a millisecond."""
+    delta = _degree(q, n)
+    return delta is not None and k > delta + 1 and (q**k - 1) // (q - 1) >= _COSET_MESSAGES
+
+
+class _Cosets:
+    """Weight counts of an affine code, one shift transform per coset of its
+    first-order Reed–Muller subcode: the q-ary, count-valued form of the
+    fast Hadamard transform that MacWilliams and Sloane (The Theory of
+    Error-Correcting Codes, 1977, ch. 14) apply to the cosets of RM(1, m).
+
+    For a coset word g, A_c holds [g(x) = c] in one lane per point x, one
+    int per c != 0; A_0 is the lanes' point count minus their sum.  Stage t
+    replaces digit t of the lane index, the coordinate x_t, by a
+    coefficient L_t: B_c[..L_t..] = Σ_v A_{c - L_t·v}[..v..], through the
+    field tables.  After the δ stages lane L of B_c counts the points where
+    g + L·x = c.  So the word g + L·x + b has weight n - B_c[L] for b = -c,
+    and for b = 0 weight S[L], the sum of B_c[L] over c != 0.
+
+    A lane holds a count of at most n, in 16 bits, or 32 once n >= 2^15, so
+    that a lane compared against a bound in packed form keeps its top bit
+    free.  A batch of cosets sits side by side in the same ints, one block
+    of n lanes each, and no stage moves a count out of its block.
+    """
+
+    def __init__(self, code: LinearCode, delta: int, words: _Lanes, blocks: int):
+        gf = code.gf
+        q = gf.q
+        self.gf, self.n, self.k, self.delta = gf, code.n, code.k, delta
+        self.words, self.blocks = words, blocks  # cosets per full batch
+        sub, mul = gf.sub, gf.mul
+        # the pieces of a stage are A_c's lanes of digit t = v, at c * q + v
+        self.plan = [[[sub(c, mul(b, v)) * q + v for v in range(q)] for b in range(q)] for c in range(1, q)]
+        self._shape: tuple = (0, None)  # the last batch's, the only one kept
+
+    def shape(self, blocks: int) -> tuple:
+        """(every, fill, high, constants, stages) of a batch of that many
+        cosets: 1, 2^(w-1) - 1 and 2^(w-1) in each lane, each constant word
+        c != 0, and per stage its shift, the mask of the lanes whose digit t
+        is 0 and their point count."""
+        if self._shape[0] != blocks:
+            words, n, q = self.words, self.n, self.gf.q
+            width, size = words.width, self.n * words.width // 8
+
+            def tile(x: int) -> int:
+                return int.from_bytes(x.to_bytes(size, "little") * blocks, "little")
+
+            every = tile(((1 << (width * n)) - 1) // ((1 << width) - 1))
+            stages = []
+            for t in range(self.delta):
+                shift = width * q**t
+                mask = tile(((1 << shift) - 1) * (((1 << (width * n)) - 1) // ((1 << (shift * q)) - 1)))
+                stages.append((shift, mask, q**t * (every & mask)))
+            # row 0 is all ones, so c times it is the constant word c
+            constants = [tile(words.add(words.zero, words.row(c, 0))) for c in range(1, q)]
+            half = 1 << (width - 1)
+            self._shape = (blocks, (every, (half - 1) * every, half * every, constants, stages))
+        return self._shape[1]
+
+    def batches(self):
+        """(hs, B, S) for the higher part 0 alone, then for batches of the
+        higher parts whose top coefficient is 1, in index order."""
+        batch = [(0, self.words.zero)]
+        higher = self._higher()
+        while batch:
+            hs, gs = zip(*batch)
+            b = self.transform(gs)
+            yield hs, b, b[0] if self.gf.q == 2 else sum(b)
+            batch = list(islice(higher, self.blocks))
+
+    def _higher(self):
+        """(h, g) for every higher part h whose top coefficient is 1, in
+        index order, g its stored word."""
+        words, p, e = self.words, self.gf.p, self.gf.e
+        first = self.delta + 1
+        # base-p digit t stands for p^(t % e) on row first + t // e
+        steps = [words.row(p ** (t % e), first + t // e) for t in range(e * (self.k - first))]
+        for r in range(self.k - first):
+            g = words.add(words.zero, words.row(1, first + r))
+            digits = [0] * (e * r)
+            for h in range(self.gf.q**r, 2 * self.gf.q**r):
+                yield h, g
+                for t in range(e * r):  # g of h + 1
+                    g = words.add(g, steps[t])
+                    digits[t] += 1
+                    if digits[t] < p:
+                        break
+                    digits[t] = 0
+
+    def transform(self, gs: tuple[int, ...]) -> list[int]:
+        """The B_c of the cosets of the stored words gs, side by side."""
+        q, plan, width = self.gf.q, self.plan, self.words.width
+        _, fill, high, constants, stages = self.shape(len(gs))
+        size = self.n * width // 8
+        g = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in gs), "little")
+        # A_c: 1 in the lanes where g - c is zero
+        a = [(((g ^ c) + fill) & high ^ high) >> (width - 1) for c in constants]
+        for shift, mask, count in stages:
+            pieces = [0] * q  # A_0's pieces go here; v = 0 is never read
+            for x in a:
+                pieces += [(x >> (v * shift)) & mask for v in range(q)]
+            for v in range(1, q):
+                pieces[v] = count - reduce(add, pieces[v + q :: q])
+            get = pieces.__getitem__
+            a = [
+                reduce(or_, [reduce(add, map(get, row)) << (b * shift) for b, row in enumerate(rows)])
+                for rows in plan
+            ]
+        return a
+
+    def lanes(self, x: int, blocks: int) -> array:
+        """The lanes of x, a batch of that many cosets."""
+        out = array("H" if self.words.width == 16 else "I")
+        out.frombytes(x.to_bytes(blocks * self.n * out.itemsize, "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out
+
+    def weights(self, b: list[int], s: int) -> list[int]:
+        """The weight of the word b + q·L of a single coset, for every index."""
+        n, q, neg = self.n, self.gf.q, self.gf.neg
+        out = [0] * (q * n)
+        out[0::q] = self.lanes(s, 1)
+        for c, x in zip(range(1, q), b):
+            out[neg(c) :: q] = [n - v for v in self.lanes(x, 1)]
+        return out
+
+    def tally(self, into: Counter, x: int, blocks: int) -> None:
+        """Add to `into` how many lanes of x hold each value.  While few
+        values are known, each is counted in packed form, in a few ops; a
+        Counter takes the lanes with other values, if any are left."""
+        every, fill, high = self.shape(blocks)[:3]
+        lanes = left = blocks * self.n
+        known = list(into) if len(into) <= 32 else []
+        for v in known:
+            same = lanes - (((x ^ v * every) + fill) & high).bit_count()
+            into[v] += same
+            left -= same
+            if not left:
+                return
+        for v, c in Counter(self.lanes(x, blocks)).items():
+            if v not in known:
+                into[v] += c
+
+    def reaches(self, b: list[int], s: int, reach: int, blocks: int) -> bool:
+        """Whether a word of the batch has weight at most reach >= -1: a
+        lane of some B_c of at least n - reach, or a lane of S of at most
+        reach."""
+        if reach >= self.n:
+            return True
+        every, _, high = self.shape(blocks)[:3]
+        half = 1 << (self.words.width - 1)
+        low, up = (half - self.n + reach) * every, (half - 1 - reach) * every
+        return (s + up) & high != high or any((x + low) & high for x in b)
+
+    def find(self, hs: tuple[int, ...], b: list[int], s: int, weight: int) -> list[int]:
+        """The message indices of the batch's words of that weight, in order."""
+        n, q, blocks = self.n, self.gf.q, len(hs)
+        span = q * n  # words per coset
+        every, fill, high = self.shape(blocks)[:3]
+        step = self.words.width // 8
+        found = []
+        for low, x, v in [(0, s, weight)] + [(self.gf.neg(c), x, n - weight) for c, x in zip(range(1, q), b)]:
+            same = ((x ^ v * every) + fill) & high ^ high
+            # a lane's top bit is the top bit of its last byte
+            tops = same.to_bytes(blocks * n * step, "little")[step - 1 :: step]
+            at = tops.find(128)
+            while at >= 0:
+                found.append(hs[at // n] * span + low + q * (at % n))
+                at = tops.find(128, at + 1)
+        return sorted(found)
+
+
+def _cosets(code: LinearCode) -> _Cosets | None:
+    """The coset engine of the code, or None when the generator itself does
+    not certify the first-order rows (n = q^δ, row 0 all 1, row 1 + t digit t
+    of the point index) or one coset's ints would pass _TABLE_BYTES."""
+    if "cosets" not in code._cache:
+        code._cache["cosets"] = None
+        q, n, k, gen = code.gf.q, code.n, code.k, code.generator
+        delta = _degree(q, n)
+        if delta is None or k <= delta:
+            return None
+        words = _Lanes(code, 16 if n < 2**15 else 32)
+        # the ints of a batch: q^2 pieces, q - 1 A_c, q - 1 B_c, S, a
+        # temporary, and its shape's 3 + (q - 1) + 2δ
+        blocks = _TABLE_BYTES // ((q * q + 3 * q + 2 * delta + 4) * n * words.width // 8)
+        if not blocks or gen[0] != (1,) * n:
+            return None
+        for t in range(delta):
+            if gen[1 + t] != sum(((v,) * q**t for v in range(q)), ()) * q ** (delta - t - 1):
+                return None
+        code._cache["cosets"] = _Cosets(code, delta, words, blocks)
+    return code._cache["cosets"]
+
+
+def _top_is_one(j: int, q: int) -> bool:
+    """Whether the top nonzero base-q digit of j is 1."""
+    while j >= q:
+        j //= q
+    return j == 1
+
+
+def _coset_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, int]]]:
+    """The triple of _scan, one transform per coset.  Only g = 0 and the
+    higher parts with top coefficient 1 are transformed: every word of such
+    a coset has top coefficient 1, and the nonzero words of g = 0 fall into
+    classes of q - 1 multiples.  "dist" counts lanes; "min" and "words"
+    unpack only the batches whose lanes, compared against the least weight
+    in packed form, reach it."""
+    engine = _cosets(code)
+    if engine is None:
+        raise ValueError(f"{code!r} is not certified for the coset engine")
+    n, q = code.n, code.gf.q
+    counts: Counter = Counter()
+    plus: Counter = Counter()  # S lanes, weight v
+    minus = plus if q == 2 else Counter()  # B_c lanes, weight n - v
+    best, hits = n + 1, []
+    for hs, b, s in engine.batches():
+        blocks = len(hs)
+        if hs == (0,):  # RM_q(1, δ) itself, without its zero word
+            ws = engine.weights(b, s)[1:]
+            if mode == "dist":
+                counts.update({w: c // (q - 1) for w, c in Counter(ws).items()})
+                continue
+            least = min(ws)
+            found = [j for j, w in enumerate(ws, 1) if w == least and _top_is_one(j, q)]
+        elif mode == "dist":
+            engine.tally(plus, s, blocks)
+            for x in b if q > 2 else ():
+                engine.tally(minus, x, blocks)
+            continue
+        elif engine.reaches(b, s, best - 1, blocks):
+            most = max(max(engine.lanes(x, blocks)) for x in b)
+            least = min(min(engine.lanes(s, blocks)), n - most)
+            found = engine.find(hs, b, s, least) if mode == "words" else []
+        elif mode == "words" and engine.reaches(b, s, best, blocks):
+            least, found = best, engine.find(hs, b, s, best)
+        else:
+            continue
+        if mode == "min" or least > best:
+            best = min(best, least)
+            continue
+        if least < best:
+            best, hits = least, []
+        hits += found
+    for v, c in plus.items():
+        counts[v] += c
+    for v, c in minus.items():
+        counts[n - v] += c
+    return counts, best, _lanes(code).stored(hits) if hits else []
 
 
 def min_distance(code: LinearCode) -> int:

@@ -129,31 +129,51 @@ def test_criterion_5_names_a_generator_that_leaves_the_code(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "attr, fake, check, detail",
+    "fake, failures",
     [
-        ("min_distance", lambda c: 0, "blind-min-distance", "blind d = 0, formula 2"),
         (
-            "weight_distribution",
             lambda c: {**weight_distribution(c), 1: 1},
-            "min-weight-census",
-            "distribution minimum mismatch",
+            {
+                "blind-min-distance": "blind d = 1, formula 2",
+                "min-weight-census": "distribution minimum mismatch",
+            },
         ),
         (
-            "weight_distribution",
+            lambda c: {**weight_distribution(c), 2: weight_distribution(c)[2] + 1},
+            {"min-weight-census": "census 7 at weight 2, formula 6"},
+        ),
+        (
             lambda c: {w: n for w, n in weight_distribution(c).items() if w},
-            "min-weight-census",
-            "distribution total is not q^k",
+            {"min-weight-census": "distribution total is not q^k"},
         ),
     ],
     ids=["distance", "minimum", "total"],
 )
-def test_focused_suite_runs_the_grid_checks(monkeypatch, attr, fake, check, detail):
+def test_focused_suite_runs_the_grid_checks(monkeypatch, fake, failures):
+    """The distance is the least positive weight of the distribution the
+    census reads, so a wrong least weight fails both checks."""
     p = CodeParams(2, 1, 2)
-    monkeypatch.setattr(verify, attr, fake)
-    results = {r.name: r for r in verify.run_params_suite(p)}
-    assert not results[check].ok
-    assert results[check].detail == f"{p}: {detail}"
-    assert all(r.ok for name, r in results.items() if name != check)
+    monkeypatch.setattr(verify, "weight_distribution", fake)
+    results = verify.run_params_suite(p)
+    assert {r.name: r.detail for r in results if not r.ok} == {
+        name: f"{p}: {detail}" for name, detail in failures.items()
+    }
+
+
+def test_grid_checks_scan_each_code_once(monkeypatch):
+    """Criteria 2 and 3, and the focused suite, read d and A_d off one
+    cached weight distribution per code: one "dist" scan each."""
+    scans = []
+    scan = code._scan
+    monkeypatch.setattr(code, "_scan", lambda c, mode: scans.append((c.params, mode)) or scan(c, mode))
+    p = CodeParams(3, 1, 3)
+    for shape in (*verify.DESK_GRID, p):
+        code.build(shape)._cache.clear()
+    assert check_min_distance_grid().ok and check_min_weight_census().ok
+    assert scans == [(shape, "dist") for shape in verify.DESK_GRID]
+    scans.clear()
+    assert all(r.ok for r in verify.run_params_suite(p))
+    assert scans == [(p, "dist")]
 
 
 def test_options_no_caller_sets_are_gone():

@@ -36,6 +36,7 @@ from agcodes.params import (
     min_distance_formula,
     min_weight_count_formula,
 )
+from agcodes.verify import DESK_GRID
 
 gf2 = field_for_order(2)
 gf3 = field_for_order(3)
@@ -181,13 +182,53 @@ def _random_code(q, k, n, seed):
     return LinearCode(gf, tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)))
 
 
+def _random_affine(q, delta, extra, seed):
+    """Rows 0..delta of an affine generator, the constant and the point
+    coordinates, under `extra` random rows: the engine accepts it, and no
+    symmetry of a minor code hides a fault."""
+    rng = random.Random(seed)
+    n = q**delta
+    rows = [(1,) * n] + [tuple(i // q**t % q for i in range(n)) for t in range(delta)]
+    rows += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(extra)]
+    return LinearCode(field_for_order(q), rows)
+
+
+def _altered(shape, change):
+    """The generator of build(shape) after change(rows), a list of rows."""
+    code = build(CodeParams(*shape))
+    rows = [list(row) for row in code.generator]
+    change(rows, code.gf)
+    return LinearCode(code.gf, rows)
+
+
+def _swap_digit_rows(rows, gf):
+    rows[1], rows[2] = rows[2], rows[1]
+
+
+def _scale_digit_row(rows, gf):
+    rows[1] = [gf.mul(2, x) for x in rows[1]]
+
+
+def _drop_last_point(rows, gf):
+    for row in rows:
+        row.pop()
+
+
 # Every q <= 9 on small affine shapes, a Grassmann code, random generators
 # that come from no affine code, and fields whose elements need 8-, 16- and
-# 32-bit lanes (GF(128), GF(25), GF(131), GF(256), GF(729)).
+# 32-bit lanes (GF(128), GF(25), GF(131), GF(256), GF(729)).  The altered
+# affine generators span codes the coset engine must refuse: their digit
+# rows are not the point coordinates in order, or n is not a power of q.
 DIFFERENTIAL = {
     **{f"affine({q},1,2)": lambda q=q: build(CodeParams(q, 1, 2)) for q in (2, 3, 4, 5, 7, 8, 9)},
     "affine(2,2,3)": lambda: build(CodeParams(2, 2, 3)),
     "affine(3,2,2)": lambda: build(CodeParams(3, 2, 2)),
+    "affine(2,2,2)-swapped": lambda: _altered((2, 2, 2), _swap_digit_rows),
+    "affine(3,2,2)-scaled": lambda: _altered((3, 2, 2), _scale_digit_row),
+    "affine(2,2,2)-punctured": lambda: _altered((2, 2, 2), _drop_last_point),
+    "random-affine-gf3": lambda: _random_affine(3, 2, 3, 3),
+    "random-affine-gf4": lambda: _random_affine(4, 2, 2, 4),
+    "random-affine-gf9": lambda: _random_affine(9, 1, 2, 9),
     "grassmann(2,4,3)": lambda: build_grassmann_code(2, 4, field_for_order(3)),
     "random-gf8": lambda: _random_code(8, 3, 7, 8),
     "random-gf9": lambda: _random_code(9, 3, 7, 9),
@@ -215,14 +256,65 @@ def _encode_every_message(case):
     return dict(sorted(dist.items())), best, words
 
 
-@pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
-def test_packed_scan_matches_encode_oracle(case):
-    dist, d, words = _encode_every_message(case)
-    code = DIFFERENTIAL[case]()
+def _public_scans(code, blocks=None):
+    """The three public scans of a fresh copy of code; blocks sets the coset
+    engine's batch size."""
     fresh = LinearCode(code.gf, code.generator)
-    assert weight_distribution(fresh) == dist
-    assert min_distance(fresh) == d
-    assert min_weight_codewords(fresh) == words
+    if blocks:
+        code_module._cosets(fresh).blocks = blocks
+    return weight_distribution(fresh), min_distance(fresh), min_weight_codewords(fresh)
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
+def test_packed_scan_matches_encode_oracle(case, monkeypatch):
+    """The public scans, then each route by name: the packed scan always,
+    the coset engine wherever it accepts the generator, in batches of its
+    own size and of one coset."""
+    oracle = _encode_every_message(case)
+    code = DIFFERENTIAL[case]()
+    assert _public_scans(code) == oracle
+    monkeypatch.setattr(code_module, "_scan", code_module._packed_scan)
+    assert _public_scans(code) == oracle
+    if code_module._cosets(LinearCode(code.gf, code.generator)) is not None:
+        monkeypatch.setattr(code_module, "_scan", code_module._coset_scan)
+        assert _public_scans(code) == oracle
+        assert _public_scans(code, blocks=1) == oracle
+
+
+REFUSED = (
+    "grassmann(2,4,3)",
+    "random-gf8",
+    "affine(2,2,2)-swapped",
+    "affine(3,2,2)-scaled",
+    "affine(2,2,2)-punctured",
+)
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_coset_engine_refuses_uncertified_generators(case):
+    """The engine trusts only what the generator shows: n = q^δ, row 0 all
+    ones and row 1 + t digit t of the point index.  Refused codes still
+    scan, by the packed route, to the oracle's results."""
+    code = DIFFERENTIAL[case]()
+    fresh = LinearCode(code.gf, code.generator, params=code.params)
+    assert code_module._cosets(fresh) is None
+    with pytest.raises(ValueError, match="not certified for the coset engine"):
+        code_module._coset_scan(fresh, "min")
+    assert _public_scans(code) == _encode_every_message(case)
+
+
+ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID] + [(2, 3, 3), (3, 2, 3), (7, 2, 2), (8, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", ROUTE_GRID, ids=lambda s: ",".join(map(str, s)))
+def test_scan_routes_agree(shape):
+    """The packed scan and the coset engine return the same triple, mode by
+    mode, each on a code of its own."""
+    code = build(CodeParams(*shape))
+    for mode in ("min", "dist", "words"):
+        packed = code_module._packed_scan(LinearCode(code.gf, code.generator), mode)
+        cosets = code_module._coset_scan(LinearCode(code.gf, code.generator), mode)
+        assert packed == cosets, mode
 
 
 # (257,1,1) has 16-bit lanes and 257^2 messages, too many to encode one
@@ -252,7 +344,7 @@ def test_packed_weight_matches_encode(case):
         code_module._codeword_weight(code, (1,) * (k + 1))
 
 
-@pytest.mark.parametrize("shape", [(3, 2, 3), (8, 2, 2)], ids=["3,2,3", "8,2,2"])
+@pytest.mark.parametrize("shape", [(3, 2, 3), (8, 2, 2), (3, 2, 4)], ids=["3,2,3", "8,2,2", "3,2,4"])
 def test_frontier_codes_blind(shape):
     p = CodeParams(*shape)
     start = time.perf_counter()
