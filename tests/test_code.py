@@ -1,6 +1,7 @@
 """Evaluation codes and scan engines: point encoding round trips, a naive
-reference scan, the packed scan against an encode-every-message oracle,
-weight accounting oracles, and the resource caps."""
+reference scan, both scan routes (the packed scan and the coset engine)
+against an encode-every-message oracle and against each other, the coset
+engine's certification, weight accounting oracles, and the resource caps."""
 
 import hashlib
 import json
