@@ -41,7 +41,6 @@ confirms.
 from __future__ import annotations
 
 import sys
-from array import array
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import compress, islice
@@ -584,13 +583,13 @@ class _Cosets:
             ]
         return a
 
-    def lanes(self, x: int, blocks: int) -> array:
-        """The lanes of x, a batch of that many cosets."""
-        out = array("H" if self.words.width == 16 else "I")
-        out.frombytes(x.to_bytes(blocks * self.n * out.itemsize, "little"))
-        if sys.byteorder == "big":
-            out.byteswap()
-        return out
+    def lanes(self, x: int, blocks: int) -> memoryview:
+        """The lanes of x, a batch of that many cosets, in order."""
+        width = self.words.width
+        raw = x.to_bytes(blocks * self.n * width // 8, sys.byteorder)
+        lanes = memoryview(raw).cast("H" if width == 16 else "I")
+        # big-endian order puts the last lane first
+        return lanes if sys.byteorder == "little" else lanes[::-1]
 
     def weights(self, b: list[int], s: int) -> list[int]:
         """The weight of the word b + q·L of a single coset, for every index."""
