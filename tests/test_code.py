@@ -304,6 +304,25 @@ def test_coset_engine_refuses_uncertified_generators(case):
     assert _public_scans(code) == _encode_every_message(case)
 
 
+@pytest.mark.parametrize(
+    "shape, cosets",
+    [
+        ((9, 1, 2), False),
+        ((7, 1, 3), False),
+        ((2, 2, 3), False),
+        ((4, 2, 2), True),
+        ((2, 3, 3), True),
+        ((3, 2, 4), True),
+    ],
+    ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else str(x),
+)
+def test_route_is_picked_from_counts(shape, cosets):
+    """First-order codes (one coset) and codes of under 2^10 scanned
+    messages stay on the packed scan, where the engine measured slower."""
+    p = CodeParams(*shape)
+    assert code_module._cosets_pay(p.q, p.npoints, dimension_formula(p)) is cosets
+
+
 ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID] + [(2, 3, 3), (3, 2, 3), (7, 2, 2), (8, 2, 2)]
 
 
