@@ -6,8 +6,10 @@ significant, so index 0 is the zero matrix and the enumeration is the natural
 odometer over entries.  The generator matrix holds the canonical minor basis
 evaluated at every point in index order; messages are coefficient vectors
 over that basis.  It is built for all points at once: entry t of every point
-is one vector of base-q digits, and each basis minor is a Laplace expansion
-over those vectors (matrices.batch_minors), so no point is materialized.
+is one vector of base-q digits, made by repetition, and each basis minor is a
+Laplace expansion over those vectors (matrices.batch_minors), so no point is
+materialized.  Before any vector is made, the build counts its k·n minor
+evaluations against the points cap.
 
 A build proves rank k without elimination (_certify_rank).  Let E_b be the
 partial permutation with ones at (I[s], J[s]) for the basis minor b on rows I
@@ -120,6 +122,17 @@ class LinearCode:
         self.label = label
         self._cache: dict = {}
 
+    @classmethod
+    def _of(
+        cls, gf, generator: tuple[tuple[int, ...], ...], params: CodeParams | None = None, label: str = ""
+    ) -> LinearCode:
+        """A code the package built itself: generator is a non-empty tuple of
+        equal-length tuples of element indices of gf by construction, so
+        nothing is checked."""
+        code = object.__new__(cls)
+        code.gf, code.generator, code.params, code.label, code._cache = gf, generator, params, label, {}
+        return code
+
     @property
     def n(self) -> int:
         return len(self.generator[0])
@@ -160,7 +173,7 @@ class LinearCode:
             rref = self.generator_matrix().rref_rows().rows()
             # each nonzero row of the reduced form leads with its pivot, a 1
             pivots = [row.index(1) for row in rref if any(row)]
-            self._cache["reduced"] = (LinearCode(self.gf, rref), pivots)
+            self._cache["reduced"] = (LinearCode._of(self.gf, tuple(rref)), pivots)
         reduced, pivots = self._cache["reduced"]
         message = [vector[c] for c in pivots] + [0] * (self.k - len(pivots))
         return reduced.encode(tuple(message)) == tuple(vector)
@@ -179,18 +192,34 @@ def _certify_rank(code: LinearCode, cols: list[int], what: str) -> None:
             raise AssertionError(f"{what} is not certified full rank: row {a} of its block")
 
 
+def _digits(q: int, delta: int) -> list[bytes | tuple[int, ...]]:
+    """Base-q digit t of every index below q^delta, one vector per t, by
+    repetition: each element q^t times in turn, that block q^(delta-t-1)
+    times.  bytes when q <= 256."""
+    out = []
+    for w in (q**t for t in range(delta)):
+        if q <= 256:
+            block = b"".join(bytes((v,)) * w for v in range(q))
+        else:
+            block = tuple(v for v in range(q) for _ in range(w))
+        out.append(block * (q**delta // (q * w)))
+    return out
+
+
 @lru_cache(maxsize=64)  # bound: see points
 def build(p: CodeParams) -> LinearCode:
     """The evaluation code of the full minor space on the domain of p."""
     gf = p.field()
     limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
     q, n = p.q, p.npoints
+    k = dimension_formula(p)
+    limits.ensure("points", k * n, f"evaluating {k} minors at each of the {n} points of {p}")
     # base-q digit t of a point's index is its flat row-major entry t
-    digits = [[i // w % q for i in range(n)] for w in (q**t for t in range(p.delta))]
+    digits = _digits(q, p.delta)
     entries = [digits[r * p.lp : (r + 1) * p.lp] for r in range(p.l)]
     basis = minor_basis(p)
     rows = batch_minors(gf, entries, n, basis)
-    code = LinearCode(gf, rows, params=p, label=f"affine[q={p.q},l={p.l},lp={p.lp}]")
+    code = LinearCode._of(gf, rows, params=p, label=f"affine[q={p.q},l={p.l},lp={p.lp}]")
     # the column of E_b, whose entry (i, j) is flat digit (i-1)*lp + j-1
     cols = [sum(q ** ((i - 1) * p.lp + j - 1) for i, j in zip(*b)) for b in basis]
     _certify_rank(code, cols, f"evaluation matrix of {p}")
@@ -662,9 +691,8 @@ def _cosets(code: LinearCode) -> _Cosets | None:
         blocks = _TABLE_BYTES // ((q * q + 3 * q + 2 * delta + 4) * n * words.width // 8)
         if not blocks or gen[0] != (1,) * n:
             return None
-        for t in range(delta):
-            if gen[1 + t] != sum(((v,) * q**t for v in range(q)), ()) * q ** (delta - t - 1):
-                return None
+        if any(gen[1 + t] != tuple(digit) for t, digit in enumerate(_digits(q, delta))):
+            return None
         code._cache["cosets"] = _Cosets(code, delta, words, blocks)
     return code._cache["cosets"]
 

@@ -106,7 +106,7 @@ def _grassmann_code(l: int, m: int, gf: GF, subspaces: Sequence[MatrixGF]) -> Li
     p = None
     if 1 <= l <= m - l:
         p = CodeParams(gf.q, l, m - l)
-    code = LinearCode(gf, rows, params=p, label=f"grassmann[q={gf.q},l={l},m={m}]")
+    code = LinearCode._of(gf, rows, params=p, label=f"grassmann[q={gf.q},l={l},m={m}]")
     # column of the coordinate subspace of each l-subset, keyed by the subset
     coordinate = {
         tuple(x % m + 1 for x in compress(count(), w._flat)): j

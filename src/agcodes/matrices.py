@@ -3,6 +3,11 @@ at a time, all minors of one matrix as a table, minors of a whole batch of
 matrices at once, and enumeration of all matrices, of GL(n) and of reduced
 row echelon forms.
 
+A batch of minors is computed on whole vectors, one per matrix entry across
+the batch.  For q <= 16 a vector is a bytes of element indices, and a vector
+product, sum or negation is one bytes.translate through a 256-byte table;
+larger fields take one gf call per entry (see _Vectors).
+
 Matrices are immutable and hashable; the hash is computed on the first
 __hash__ call, not when a matrix is made.  Row and column labels in the
 public API are 1-based so that a minor taken on row set {1,2} and column set
@@ -20,6 +25,7 @@ submatrix in between.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -318,6 +324,79 @@ def _check_labels(labels: tuple[int, ...], bound: int, kind: str) -> None:
         raise ValueError(f"{kind} labels {labels} outside 1..{bound}")
 
 
+class _Vectors:
+    """Products, sums and negations of vectors of `size` elements of gf,
+    entry by entry.
+
+    For q <= 16 a vector is a bytes of element indices.  Two vectors x, y
+    make their pair vector x * q + y in one big-int step, each byte a pair
+    index below q^2 <= 256 with no carry between bytes, and a product or a
+    sum is then one bytes.translate of it through a 256-byte table of
+    gf.mul or gf.add, made here; a negation is one translate of the vector.
+    Larger fields keep tuples and one gf call per entry.
+    """
+
+    def __init__(self, gf: GF, size: int):
+        q = self.q = gf.q
+        self.gf, self.size = gf, size
+        if q > 16:
+            self.box = tuple
+            return
+        self.box = bytes
+        pairs = [divmod(t, q) for t in range(q * q)]
+        self._mul = bytes(gf.mul(a, b) for a, b in pairs).ljust(256, b"\0")
+        self._add = bytes(gf.add(a, b) for a, b in pairs).ljust(256, b"\0")
+        self._neg = bytes(map(gf.neg, range(q))).ljust(256, b"\0")
+
+    def _pairs(self, x: bytes, y: bytes) -> bytes:
+        # the same byte order on both sides and on the way back
+        pair = int.from_bytes(x, "little") * self.q + int.from_bytes(y, "little")
+        return pair.to_bytes(self.size, "little")
+
+    def mul(self, x, y):
+        if self.box is tuple:
+            return tuple(map(self.gf.mul, x, y))
+        return self._pairs(x, y).translate(self._mul)
+
+    def add(self, x, y):
+        if self.box is tuple:
+            return tuple(map(self.gf.add, x, y))
+        return self._pairs(x, y).translate(self._add)
+
+    def neg(self, x):
+        if self.box is tuple:
+            return tuple(map(self.gf.neg, x))
+        return x.translate(self._neg)
+
+
+def _minor_vectors(
+    vec: _Vectors,
+    entries: Sequence[Sequence[Sequence[int]]],
+    wanted: Iterable[tuple[Sequence[int], Sequence[int]]],
+) -> list:
+    """batch_minors with every vector in vec's form."""
+    signed = vec.gf.p != 2  # in characteristic 2, -x = x
+    factors: dict[tuple[int, int, bool], bytes | tuple[int, ...]] = {}
+    memo = {((), ()): vec.box((1,) * vec.size)}
+
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]):
+        out = memo.get((rows, cols))
+        if out is None:
+            i0, rest = rows[0], rows[1:]
+            for s, j in enumerate(cols):
+                key = (i0, j, signed and s % 2 == 1)
+                x = factors.get(key)
+                if x is None:
+                    x = vec.box(entries[i0 - 1][j - 1])
+                    x = factors[key] = vec.neg(x) if key[2] else x
+                term = vec.mul(x, minor(rest, cols[:s] + cols[s + 1 :]))
+                out = term if out is None else vec.add(out, term)
+            memo[rows, cols] = out
+        return out
+
+    return [minor(tuple(rows), tuple(cols)) for rows, cols in wanted]
+
+
 def batch_minors(
     gf: GF,
     entries: Sequence[Sequence[Sequence[int]]],
@@ -334,31 +413,12 @@ def batch_minors(
 
     A minor on rows I and columns J is the Laplace expansion along the first
     row i0 of I, the sum over s of (-1)^s x[i0, J[s]] M(I - i0, J - J[s]),
-    with products and sums taken entry by entry over the batch.  Sub-minors
-    are memoized, so a minor of order r costs r vector products and r - 1
-    vector sums, and only the minors on row suffixes of the wanted row sets
-    are formed.
+    with products and sums taken over whole vectors (see _Vectors).
+    Sub-minors are memoized, so a minor of order r costs r vector products
+    and r - 1 vector sums, and only the minors on row suffixes of the wanted
+    row sets are formed.
     """
-    signed = gf.p != 2  # in characteristic 2, -x = x
-    factors: dict[tuple[int, int, bool], Sequence[int]] = {}
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {((), ()): [1] * size}
-
-    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
-        out = memo.get((rows, cols))
-        if out is None:
-            i0, rest = rows[0], rows[1:]
-            for s, j in enumerate(cols):
-                key = (i0, j, signed and s % 2 == 1)
-                x = factors.get(key)
-                if x is None:
-                    x = entries[i0 - 1][j - 1]
-                    x = factors[key] = list(map(gf.neg, x)) if key[2] else x
-                term = list(map(gf.mul, x, minor(rest, cols[:s] + cols[s + 1 :])))
-                out = term if out is None else list(map(gf.add, out, term))
-            memo[rows, cols] = out
-        return out
-
-    return tuple(tuple(minor(tuple(rows), tuple(cols))) for rows, cols in wanted)
+    return tuple(map(tuple, _minor_vectors(_Vectors(gf, size), entries, wanted)))
 
 
 def enumerate_matrices(gf: GF, nrows: int, ncols: int) -> Iterator[MatrixGF]:
@@ -402,9 +462,10 @@ def cauchy_binet(pairs: Sequence[tuple[MatrixGF, MatrixGF]]) -> list[tuple[int, 
 
     The pairs share one field and one shape: a is r x s, b is s x r, r <= s.
     Returns, in order, (det(a @ b) by elimination, sum over all r-subsets I
-    of columns of det(a[:, I]) * det(b[I, :]) from two batch_minors calls
-    over the batch).  The two are equal; returning both keeps the check
-    independent of itself.
+    of columns of det(a[:, I]) * det(b[I, :]), the minors of each side
+    batched as in batch_minors and the products summed on the same vectors).
+    The two are equal; returning both keeps the check independent of
+    itself.
     """
     if not pairs:
         return []
@@ -417,9 +478,8 @@ def cauchy_binet(pairs: Sequence[tuple[MatrixGF, MatrixGF]]) -> list[tuple[int, 
     flat_a, flat_b = (list(zip(*(m._flat for m in side))) for side in zip(*pairs))
     a_rows = [flat_a[i * s : (i + 1) * s] for i in range(r)]
     b_rows = [flat_b[i * r : (i + 1) * r] for i in range(s)]
-    a_minors = batch_minors(gf, a_rows, len(pairs), [(lead, c) for c in subsets])
-    b_minors = batch_minors(gf, b_rows, len(pairs), [(c, lead) for c in subsets])
-    rhs = [0] * len(pairs)
-    for x, y in zip(a_minors, b_minors):
-        rhs = list(map(gf.add, rhs, map(gf.mul, x, y)))
+    vec = _Vectors(gf, len(pairs))
+    a_minors = _minor_vectors(vec, a_rows, [(lead, c) for c in subsets])
+    b_minors = _minor_vectors(vec, b_rows, [(c, lead) for c in subsets])
+    rhs = reduce(vec.add, map(vec.mul, a_minors, b_minors))
     return [((a @ b).det(), v) for (a, b), v in zip(pairs, rhs)]

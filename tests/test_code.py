@@ -82,7 +82,7 @@ def test_build_smallest():
 
 @pytest.mark.parametrize(
     "shape",
-    [(2, 2, 3), (3, 2, 2), (4, 2, 2), (9, 1, 2), (3, 0, 2), (257, 1, 1), (1024, 1, 1)],
+    [(2, 2, 3), (3, 2, 2), (4, 2, 2), (9, 1, 2), (3, 0, 2), (16, 1, 2), (17, 1, 2), (257, 1, 1), (1024, 1, 1)],
     ids=lambda s: ",".join(map(str, s)),
 )
 def test_build_matches_per_point_minors(shape):
@@ -496,3 +496,17 @@ def test_caps(monkeypatch):
     monkeypatch.delenv("AGCODES_MESSAGES_CAP")
     code._cache.clear()
     assert min_distance(code) == min_distance_formula(CodeParams(2, 1, 2))
+
+
+def test_build_refuses_k_times_n_evaluations_over_the_points_cap(monkeypatch):
+    """(2,1,3) has n = 8 points, passing a cap of 8, and k = 4 minors: its 32
+    evaluations are refused before any vector is made."""
+    monkeypatch.setenv("AGCODES_POINTS_CAP", "8")
+
+    def no_build(*args):
+        raise AssertionError("evaluated minors past the cap")
+
+    monkeypatch.setattr(code_module, "batch_minors", no_build)
+    refusal = r"^evaluating 4 minors at each of the 8 points .* needs 32 points, above the cap 8 "
+    with pytest.raises(CapExceeded, match=refusal):
+        build.__wrapped__(CodeParams(2, 1, 3))  # past the cache
