@@ -28,16 +28,16 @@ one of two routes that return the same results, each for every field:
   into cosets of q^(δ+1) words each, and one shift transform counts the
   weights of a whole coset (see _Cosets).  It runs only on a generator that
   itself certifies the first-order rows (n = q^δ, row 0 all ones, row 1 + t
-  digit t of the point index; the code's params are not consulted), after
-  the messages cap passes, and when a batch of its ints fits _TABLE_BYTES.
+  digit t of the point index; the code's params are not consulted).
 
-_scan picks the route from counts alone (_cosets_pay): the coset engine when
-the code has a coset besides RM_q(1, δ) and the packed scan would visit at
-least _COSET_MESSAGES messages.  Grassmann codes, random codes, small codes
-and the codes RM_q(1, δ) itself stay on the packed scan, which the tests also
-run as the second route.  Every scan is blind: it visits every message, or
-counts every coset, so a scanned minimum is independent of the closed form it
-confirms.
+_scan picks the route from the generator alone, after the messages cap
+passes: the coset engine when the generator certifies it and k > δ + 1, so
+that the code has a coset besides RM_q(1, δ); the packed scan otherwise.
+Grassmann codes, random codes and the codes RM_q(1, δ) itself stay on the
+packed scan, which the tests also run as the second route.  The messages cap
+also bounds the engine's memory (see _cosets).  Every scan is blind: it
+visits every message, or counts every coset, so a scanned minimum is
+independent of the closed form it confirms.
 """
 
 from __future__ import annotations
@@ -269,7 +269,6 @@ def _codeword_weight(code: LinearCode, message: tuple[int, ...]) -> int:
 
 _TABLE_ENTRIES = 2**12  # low-digit words kept per code
 _TABLE_BYTES = 2**20  # and the memory they may take, as may a coset batch
-_COSET_MESSAGES = 2**10  # the fewest scanned messages the coset engine takes
 
 
 class _Lanes:
@@ -413,13 +412,7 @@ class _Lanes:
             return format(word, f"0{n}b")[::-1].encode().translate(self.decode)
         if width == 8:
             return word.to_bytes(n, "little").translate(self.decode)
-        # native byte order, so the cast reads each lane whole; big-endian
-        # order puts the last lane first
-        raw = word.to_bytes(n * width // 8, sys.byteorder)
-        lanes = memoryview(raw).cast("H" if width == 16 else "I")
-        if sys.byteorder == "big":
-            lanes = lanes[::-1]
-        return self.box(map(self.decode.__getitem__, lanes))
+        return self.box(map(self.decode.__getitem__, _lane_view(word, n, width)))
 
     def times(self) -> list:
         """times[c](v) is c * v, entry by entry, for a vector v of elements."""
@@ -428,6 +421,14 @@ class _Lanes:
             return [lambda v, c=c: tuple(gf.mul(c, x) for x in v) for c in range(q)]
         tables = (bytes(gf.mul(c, x) for x in range(q)).ljust(256, b"\0") for c in range(q))
         return [methodcaller("translate", table) for table in tables]
+
+
+def _lane_view(x: int, count: int, width: int) -> memoryview:
+    """The first `count` lanes of x, of 16 or 32 bits each, lowest first."""
+    # native byte order, so the cast reads each lane whole; big-endian order
+    # puts the last lane first
+    lanes = memoryview(x.to_bytes(count * width // 8, sys.byteorder)).cast("H" if width == 16 else "I")
+    return lanes if sys.byteorder == "little" else lanes[::-1]
 
 
 def _lanes(code: LinearCode) -> _Lanes:
@@ -444,12 +445,14 @@ def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, in
     Mode "dist" counts weights, "min" only tracks the least, and "words"
     keeps (message index, stored word) for each message at the least weight,
     in message index order.  Both routes return the same triple: the coset
-    engine where its counts say it pays and the generator certifies it, the
-    packed scan otherwise.
+    engine where the generator certifies it and k > δ + 1, the packed scan
+    otherwise (a first-order code is the one coset RM_q(1, δ)).
     """
     q, n, k = code.gf.q, code.n, code.k
     limits.ensure_power("messages", q, k, f"scanning {code!r}")
-    if _cosets_pay(q, n, k) and _cosets(code) is not None:
+    delta = _degree(q, n)
+    # k and δ first: certifying a generator costs more than a small scan
+    if delta is not None and k > delta + 1 and _cosets(code) is not None:
         return _coset_scan(code, mode)
     return _packed_scan(code, mode)
 
@@ -496,15 +499,6 @@ def _degree(q: int, n: int) -> int | None:
     while size < n:
         delta, size = delta + 1, size * q
     return delta if size == n else None
-
-
-def _cosets_pay(q: int, n: int, k: int) -> bool:
-    """Whether the coset engine is the cheaper route, from counts alone: it
-    must have a coset besides RM_q(1, δ), whose q^(δ+1) words it unpacks
-    one at a time, and the packed scan at least _COSET_MESSAGES messages.
-    Below that the two routes measure within a few tenths of a millisecond."""
-    delta = _degree(q, n)
-    return delta is not None and k > delta + 1 and (q**k - 1) // (q - 1) >= _COSET_MESSAGES
 
 
 class _Cosets:
@@ -614,11 +608,7 @@ class _Cosets:
 
     def lanes(self, x: int, blocks: int) -> memoryview:
         """The lanes of x, a batch of that many cosets, in order."""
-        width = self.words.width
-        raw = x.to_bytes(blocks * self.n * width // 8, sys.byteorder)
-        lanes = memoryview(raw).cast("H" if width == 16 else "I")
-        # big-endian order puts the last lane first
-        return lanes if sys.byteorder == "little" else lanes[::-1]
+        return _lane_view(x, blocks * self.n, self.words.width)
 
     def weights(self, b: list[int], s: int) -> list[int]:
         """The weight of the word b + q·L of a single coset, for every index."""
@@ -678,21 +668,26 @@ class _Cosets:
 def _cosets(code: LinearCode) -> _Cosets | None:
     """The coset engine of the code, or None when the generator itself does
     not certify the first-order rows (n = q^δ, row 0 all 1, row 1 + t digit t
-    of the point index) or one coset's ints would pass _TABLE_BYTES."""
+    of the point index).
+
+    A batch holds as many cosets as fit _TABLE_BYTES, and at least one.  One
+    coset takes (q^2 + 3q + 2δ + 4)·n lanes of 2 or 4 bytes.  _scan runs the
+    engine only when k >= δ + 2, so n·q^2 <= q^k, which the messages cap
+    bounds: one coset's ints are at most a few times q^k lanes.  At the
+    default caps the largest is (19,2,2)'s, 430·19^4 lanes of 4 bytes,
+    about 224 MB; a transform's temporaries can more than double that."""
     if "cosets" not in code._cache:
         code._cache["cosets"] = None
         q, n, k, gen = code.gf.q, code.n, code.k, code.generator
         delta = _degree(q, n)
-        if delta is None or k <= delta:
+        if delta is None or k <= delta or gen[0] != (1,) * n:
+            return None
+        if any(gen[1 + t] != tuple(digit) for t, digit in enumerate(_digits(q, delta))):
             return None
         words = _Lanes(code, 16 if n < 2**15 else 32)
         # the ints of a batch: q^2 pieces, q - 1 A_c, q - 1 B_c, S, a
         # temporary, and its shape's 3 + (q - 1) + 2δ
-        blocks = _TABLE_BYTES // ((q * q + 3 * q + 2 * delta + 4) * n * words.width // 8)
-        if not blocks or gen[0] != (1,) * n:
-            return None
-        if any(gen[1 + t] != tuple(digit) for t, digit in enumerate(_digits(q, delta))):
-            return None
+        blocks = max(1, _TABLE_BYTES // ((q * q + 3 * q + 2 * delta + 4) * n * words.width // 8))
         code._cache["cosets"] = _Cosets(code, delta, words, blocks)
     return code._cache["cosets"]
 

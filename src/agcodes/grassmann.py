@@ -35,7 +35,7 @@ from itertools import combinations, compress, count
 from typing import Sequence
 
 from . import limits
-from .code import LinearCode, _certify_rank, build, point_index
+from .code import LinearCode, _certify_rank, build
 from .fields import GF
 from .matrices import MatrixGF, batch_minors, enumerate_rref
 from .minors import MinorIndex, minor_basis
@@ -154,11 +154,12 @@ def cell_restriction_compare(l: int, m: int, gf: GF) -> CellReport:
     affine = build(p)
     subspaces = enumerate_subspaces(l, m, gf)
     grass = build_grassmann_code(l, m, gf)
-    lead = tuple(range(1, l + 1))
-    tail = tuple(range(l + 1, m + 1))
+    # the complement block's flat positions, weighted as in its point index
+    block = [i * m + j for i in range(l) for j in range(l, m)]
+    weights = [gf.q**t for t in range(len(block))]
     # row 0 holds the coordinate on columns 1..l: 1 exactly on the cell
     cell_cols = {
-        j: point_index(w.submatrix(lead, tail))
+        j: sum(w._flat[c] * x for c, x in zip(block, weights))
         for j, w in enumerate(subspaces)
         if grass.generator[0][j] == 1
     }

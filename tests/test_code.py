@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -304,23 +305,41 @@ def test_coset_engine_refuses_uncertified_generators(case):
     assert _public_scans(code) == _encode_every_message(case)
 
 
-@pytest.mark.parametrize(
-    "shape, cosets",
-    [
-        ((9, 1, 2), False),
-        ((7, 1, 3), False),
-        ((2, 2, 3), False),
-        ((4, 2, 2), True),
-        ((2, 3, 3), True),
-        ((3, 2, 4), True),
+ROUTE_PICKS = [
+    *[(case, "_packed_scan") for case in REFUSED],
+    ((9, 1, 2), "_packed_scan"),
+    ((7, 1, 3), "_packed_scan"),
+    *[
+        (shape, "_coset_scan")
+        for shape in [(2, 2, 2), (2, 2, 3), (4, 2, 2), (2, 3, 3), (9, 2, 2), (5, 2, 3), (3, 2, 4)]
     ],
-    ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else str(x),
+]
+
+
+@pytest.mark.parametrize(
+    "case, route",
+    ROUTE_PICKS,
+    ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else x,
 )
-def test_route_is_picked_from_counts(shape, cosets):
-    """First-order codes (one coset) and codes of under 2^10 scanned
-    messages stay on the packed scan, where the engine measured slower."""
-    p = CodeParams(*shape)
-    assert code_module._cosets_pay(p.q, p.npoints, dimension_formula(p)) is cosets
+def test_route_is_picked_from_the_generator(case, route, monkeypatch):
+    """The public scans take the coset engine exactly when the generator
+    certifies it and k > δ + 1, whatever the message count; first-order
+    codes (the one coset RM_q(1, δ)) and refused generators stay packed.
+    The routes are replaced by stubs that record the call, so no code is
+    scanned here."""
+    code = DIFFERENTIAL[case]() if isinstance(case, str) else build(CodeParams(*case))
+    called = []
+
+    def stub(name):
+        return lambda c, mode: called.append(name) or (Counter(), 0, [])
+
+    for name in ("_packed_scan", "_coset_scan"):
+        monkeypatch.setattr(code_module, name, stub(name))
+    fresh = LinearCode(code.gf, code.generator)
+    min_distance(fresh)
+    weight_distribution(fresh)
+    min_weight_codewords(fresh)
+    assert called == [route] * 3
 
 
 ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID] + [(2, 3, 3), (3, 2, 3), (7, 2, 2), (8, 2, 2)]
@@ -364,16 +383,19 @@ def test_packed_weight_matches_encode(case):
         code_module._codeword_weight(code, (1,) * (k + 1))
 
 
-@pytest.mark.parametrize("shape", [(3, 2, 3), (8, 2, 2), (3, 2, 4)], ids=["3,2,3", "8,2,2", "3,2,4"])
+@pytest.mark.parametrize(
+    "shape", [(3, 2, 3), (8, 2, 2), (3, 2, 4), (5, 2, 3), (9, 2, 2)], ids=lambda s: ",".join(map(str, s))
+)
 def test_frontier_codes_blind(shape):
     p = CodeParams(*shape)
     start = time.perf_counter()
     code = build(p)
     d = min_distance(code)
-    count = weight_distribution(code).get(d, 0)
+    dist = weight_distribution(code)
     elapsed = time.perf_counter() - start
     assert d == min_distance_formula(p)
-    assert count == min_weight_count_formula(p)
+    assert dist.get(d, 0) == min_weight_count_formula(p)
+    assert sum(dist.values()) == p.q ** code.k
     assert elapsed < 10.0, f"{shape}: build and blind scans took {elapsed:.1f}s, budget 10s"
 
 
