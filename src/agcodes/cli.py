@@ -15,7 +15,8 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
 from . import __version__, limits, verify
 from .code import build, ensure_scannable, min_distance, min_weight_codewords, weight, weight_distribution
@@ -36,11 +37,20 @@ __all__ = ["main"]
 
 
 def _emit(text: str, out: str | None) -> None:
+    _stream((text,), out)
+
+
+def _stream(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces in order, to stdout or to the file out, without
+    joining them first."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+
+
+_DIGITS = b"0123456789".ljust(256)  # element index -> its ASCII digit, for q <= 10
 
 
 def _json(obj) -> str:
@@ -154,12 +164,22 @@ def _cmd_minwords(args) -> int:
     ensure_scannable(p)
     code = build(p)
     words = min_weight_codewords(code)
-    if args.format == "json":
-        _emit(_json({"count": len(words), "words": [list(w) for w in words]}), args.out)
+    names = [str(x) for x in range(p.q)]
+
+    def entries(word, sep: str) -> str:
+        if p.q > 10:
+            return sep.join(map(names.__getitem__, word))
+        # a bytes word of one-digit entries: its ASCII digits, sep between
+        line = bytearray(sep.encode()) * (2 * len(word) - 1)
+        line[::2] = word.translate(_DIGITS)
+        return line.decode()
+
+    # a word at a time, byte for byte what joining all the lines would give
+    if args.format == "json":  # _json({"count": ..., "words": [list(w) for w in words]})
+        body = (("," if i else "") + "[" + entries(w, ",") + "]" for i, w in enumerate(words))
+        _stream(chain([f'{{"count":{len(words)},"words":['], body, ["]}\n"]), args.out)
     else:
-        lines = [str(len(words))]
-        lines += [" ".join(str(x) for x in w) for w in words]
-        _emit("\n".join(lines) + "\n", args.out)
+        _stream(chain([f"{len(words)}\n"], (entries(w, " ") + "\n" for w in words)), args.out)
     if args.verify:
         d = min_distance_formula(p)
         expected = min_weight_count_formula(p)

@@ -239,9 +239,9 @@ def evaluate_vector(f: MinorCombination) -> tuple[int, ...]:
     return build(f.params).encode(f.coeffs)
 
 
-def weight(vector: tuple[int, ...]) -> int:
-    """Hamming weight."""
-    return sum(1 for x in vector if x)
+def weight(vector: tuple[int, ...] | bytes) -> int:
+    """Hamming weight of a vector of element indices."""
+    return len(vector) - vector.count(0)
 
 
 def _codeword_weight(code: LinearCode, message: tuple[int, ...]) -> int:
@@ -415,12 +415,16 @@ class _Lanes:
         return self.box(map(self.decode.__getitem__, _lane_view(word, n, width)))
 
     def times(self) -> list:
-        """times[c](v) is c * v, entry by entry, for a vector v of elements."""
+        """times[c](v) is c * v, entry by entry, for a vector v of elements;
+        times[1] returns v itself, which is immutable."""
         gf, q = self.gf, self.gf.q
         if self.box is tuple:
-            return [lambda v, c=c: tuple(gf.mul(c, x) for x in v) for c in range(q)]
-        tables = (bytes(gf.mul(c, x) for x in range(q)).ljust(256, b"\0") for c in range(q))
-        return [methodcaller("translate", table) for table in tables]
+            out = [lambda v, c=c: tuple(gf.mul(c, x) for x in v) for c in range(q)]
+        else:
+            tables = (bytes(gf.mul(c, x) for x in range(q)).ljust(256, b"\0") for c in range(q))
+            out = [methodcaller("translate", table) for table in tables]
+        out[1] = lambda v: v
+        return out
 
 
 def _lane_view(x: int, count: int, width: int) -> memoryview:
@@ -766,12 +770,18 @@ def weight_distribution(code: LinearCode) -> dict[int, int]:
     return dict(code._cache["dist"])
 
 
-def min_weight_codewords(code: LinearCode) -> list[tuple[int, ...]]:
-    """All codewords of minimum weight, in message index order."""
+def min_weight_codewords(code: LinearCode) -> list[bytes] | list[tuple[int, ...]]:
+    """All codewords of minimum weight, in message index order.  Each word
+    holds the element index of every position: `bytes` when q <= 256,
+    a tuple of ints above that.
+
+    The scan's hits are counted against the points cap, (q - 1)·n entries
+    each, before any word is unpacked."""
     if "minwords" not in code._cache:
         hits = _scan(code, "words")[2]
+        q, k, n = code.gf.q, code.k, code.n
+        limits.ensure("points", len(hits) * (q - 1) * n, f"listing the minimum weight words of {code!r}")
         lanes = _lanes(code)
-        q, k = code.gf.q, code.k
         times = lanes.times()
         # each hit stands for its multiples c * hit, whose coefficients, top
         # first, are the hit's times c: sorting those puts them in index order
@@ -781,5 +791,5 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[int, ...]]:
             word = lanes.unpack(packed)
             multiples += [(times[c](top_first), c, word) for c in range(1, q)]
         multiples.sort(key=itemgetter(0))
-        code._cache["minwords"] = [tuple(times[c](word)) for _, c, word in multiples]
+        code._cache["minwords"] = [times[c](word) for _, c, word in multiples]
     return list(code._cache["minwords"])

@@ -248,7 +248,7 @@ def check_min_weight_characterization() -> CheckResult:
         for p in (CodeParams(2, 2, 2), CodeParams(2, 2, 3)):
             code = build(p)
             d = min_distance_formula(p)
-            scanned = set(min_weight_codewords(code))
+            scanned = set(map(tuple, min_weight_codewords(code)))  # bytes words, the family's are tuples
             family = generate_min_weight_polys(p)
             assert len(family) == min_weight_count_formula(p)
             generated = set()

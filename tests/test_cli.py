@@ -146,6 +146,42 @@ def test_minwords_verify(capsys):
     assert all(w.count("1") == 2 for w in lines[1:])
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4, 2, 2), (3, 1, 2), (11, 1, 2)], ids=str)
+def test_minwords_streams_what_joining_would_print(capsys, tmp_path, shape):
+    """minwords writes a word at a time, to stdout or --out, byte for byte
+    the output of joining every line first; q = 11 has two-digit entries."""
+    args = [f"--{name}={value}" for name, value in zip(("q", "l", "lp"), shape)]
+    words = [list(w) for w in code.min_weight_codewords(build(agcodes.CodeParams(*shape)))]
+    joined = {
+        "text": "\n".join([str(len(words))] + [" ".join(str(x) for x in w) for w in words]) + "\n",
+        "json": cli._json({"count": len(words), "words": words}),
+    }
+    for fmt, expected in joined.items():
+        assert run(capsys, "minwords", *args, "--format", fmt) == (0, expected, "")
+        out = tmp_path / f"{fmt}.out"
+        assert run(capsys, "minwords", *args, "--format", fmt, "--out", str(out)) == (0, "", "")
+        assert out.read_text(encoding="utf-8") == expected
+
+
+def test_minwords_over_the_points_cap_exits_2(capsys):
+    """Under a points cap of 200, (2,2,2) builds (k·n = 96) and scans, and
+    its minimum words (256 entries) are refused with exit 2: the cap named
+    on stderr, no traceback, nothing on stdout."""
+    src = os.path.dirname(os.path.dirname(agcodes.__file__))
+    env = {**os.environ, "AGCODES_POINTS_CAP": "200", "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "agcodes", "minwords", "--q", "2", "--l", "2", "--lp", "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("resource cap: listing the minimum weight words of ")
+    assert "needs 256 points, above the cap 200 (override with AGCODES_POINTS_CAP)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_autocheck(capsys):
     code, out, err = run(
         capsys, "autocheck", "--q", "2", "--l", "2", "--lp", "2", "--trials", "20", "--seed", "1"

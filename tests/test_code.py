@@ -259,12 +259,16 @@ def _encode_every_message(case):
 
 
 def _public_scans(code, blocks=None):
-    """The three public scans of a fresh copy of code; blocks sets the coset
-    engine's batch size."""
+    """The three public scans of a fresh copy of code, its minimum words as
+    tuples once each is seen to be bytes for q <= 256 and a tuple above;
+    blocks sets the coset engine's batch size."""
     fresh = LinearCode(code.gf, code.generator)
     if blocks:
         code_module._cosets(fresh).blocks = blocks
-    return weight_distribution(fresh), min_distance(fresh), min_weight_codewords(fresh)
+    dist, d, words = weight_distribution(fresh), min_distance(fresh), min_weight_codewords(fresh)
+    box = bytes if code.gf.q <= 256 else tuple
+    assert words and all(type(w) is box for w in words)
+    return dist, d, [tuple(w) for w in words]
 
 
 @pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
@@ -518,6 +522,25 @@ def test_caps(monkeypatch):
     monkeypatch.delenv("AGCODES_MESSAGES_CAP")
     code._cache.clear()
     assert min_distance(code) == min_distance_formula(CodeParams(2, 1, 2))
+
+
+def test_min_weight_words_are_refused_over_the_points_cap_before_unpacking(monkeypatch):
+    """(2,2,2) builds (k·n = 96) and scans (64 messages) under a points cap
+    of 200, but its 16 minimum words of 16 entries need 256: refused before
+    any word is unpacked."""
+    monkeypatch.setenv("AGCODES_POINTS_CAP", "200")
+    code = build.__wrapped__(CodeParams(2, 2, 2))  # past the cache
+
+    def no_unpack(*args):
+        raise AssertionError("unpacked a word past the cap")
+
+    monkeypatch.setattr(code_module._Lanes, "unpack", no_unpack)
+    refusal = r"^listing the minimum weight words of .* needs 256 points, above the cap 200 "
+    with pytest.raises(CapExceeded, match=refusal):
+        min_weight_codewords(code)
+    assert "minwords" not in code._cache
+    monkeypatch.undo()
+    assert len(min_weight_codewords(code)) == 16
 
 
 def test_build_refuses_k_times_n_evaluations_over_the_points_cap(monkeypatch):
