@@ -50,9 +50,6 @@ def _stream(pieces: Iterable[str], out: str | None) -> None:
             fh.writelines(pieces)
 
 
-_DIGITS = b"0123456789".ljust(256)  # element index -> its ASCII digit, for q <= 10
-
-
 def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -167,12 +164,7 @@ def _cmd_minwords(args) -> int:
     names = [str(x) for x in range(p.q)]
 
     def entries(word, sep: str) -> str:
-        if p.q > 10:
-            return sep.join(map(names.__getitem__, word))
-        # a bytes word of one-digit entries: its ASCII digits, sep between
-        line = bytearray(sep.encode()) * (2 * len(word) - 1)
-        line[::2] = word.translate(_DIGITS)
-        return line.decode()
+        return sep.join(map(names.__getitem__, word))
 
     # a word at a time, byte for byte what joining all the lines would give
     if args.format == "json":  # _json({"count": ..., "words": [list(w) for w in words]})

@@ -241,7 +241,7 @@ def evaluate_vector(f: MinorCombination) -> tuple[int, ...]:
 
 def weight(vector: tuple[int, ...] | bytes) -> int:
     """Hamming weight of a vector of element indices."""
-    return len(vector) - vector.count(0)
+    return sum(1 for x in vector if x)
 
 
 def _codeword_weight(code: LinearCode, message: tuple[int, ...]) -> int:
@@ -442,13 +442,12 @@ def _lanes(code: LinearCode) -> _Lanes:
     return code._cache["lanes"]
 
 
-def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, int]]]:
+def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
     """Scan every message whose top nonzero coefficient is 1; returns
     (weight counts, min weight, hits).
 
     Mode "dist" counts weights, "min" only tracks the least, and "words"
-    keeps (message index, stored word) for each message at the least weight,
-    in message index order.  Both routes return the same triple: the coset
+    keeps the index of each message at the least weight, in index order.  Both routes return the same triple: the coset
     engine where the generator certifies it and k > δ + 1, the packed scan
     otherwise (a first-order code is the one coset RM_q(1, δ)).
     """
@@ -461,7 +460,7 @@ def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, in
     return _packed_scan(code, mode)
 
 
-def _packed_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, int]]]:
+def _packed_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
     """The triple of _scan, one lane-packed XOR and popcount per message."""
     q = code.gf.q
     lanes = _lanes(code)
@@ -485,7 +484,7 @@ def _packed_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[
                 if least < best:
                     best, hits = least, []
                 hits += compress(range(size + at, size + at + step), map(least.__eq__, ws))
-    return counts, best, lanes.stored(hits)
+    return counts, best, hits
 
 
 # -- the coset engine --
@@ -703,7 +702,7 @@ def _top_is_one(j: int, q: int) -> bool:
     return j == 1
 
 
-def _coset_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[int, int]]]:
+def _coset_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
     """The triple of _scan, one transform per coset.  Only g = 0 and the
     higher parts with top coefficient 1 are transformed: every word of such
     a coset has top coefficient 1, and the nonzero words of g = 0 fall into
@@ -750,7 +749,7 @@ def _coset_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[tuple[i
         counts[v] += c
     for v, c in minus.items():
         counts[n - v] += c
-    return counts, best, _lanes(code).stored(hits) if hits else []
+    return counts, best, hits
 
 
 def min_distance(code: LinearCode) -> int:
@@ -776,7 +775,7 @@ def min_weight_codewords(code: LinearCode) -> list[bytes] | list[tuple[int, ...]
     a tuple of ints above that.
 
     The scan's hits are counted against the points cap, (q - 1)·n entries
-    each, before any word is unpacked."""
+    each, before any word is stored or unpacked."""
     if "minwords" not in code._cache:
         hits = _scan(code, "words")[2]
         q, k, n = code.gf.q, code.k, code.n
@@ -786,7 +785,7 @@ def min_weight_codewords(code: LinearCode) -> list[bytes] | list[tuple[int, ...]
         # each hit stands for its multiples c * hit, whose coefficients, top
         # first, are the hit's times c: sorting those puts them in index order
         multiples = []
-        for index, packed in hits:
+        for index, packed in lanes.stored(hits):
             top_first = lanes.box(index // q**i % q for i in reversed(range(k)))
             word = lanes.unpack(packed)
             multiples += [(times[c](top_first), c, word) for c in range(1, q)]

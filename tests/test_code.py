@@ -527,14 +527,15 @@ def test_caps(monkeypatch):
 def test_min_weight_words_are_refused_over_the_points_cap_before_unpacking(monkeypatch):
     """(2,2,2) builds (k·n = 96) and scans (64 messages) under a points cap
     of 200, but its 16 minimum words of 16 entries need 256: refused before
-    any word is unpacked."""
+    any word is stored (packed) or unpacked."""
     monkeypatch.setenv("AGCODES_POINTS_CAP", "200")
     code = build.__wrapped__(CodeParams(2, 2, 2))  # past the cache
 
-    def no_unpack(*args):
-        raise AssertionError("unpacked a word past the cap")
+    def refuse(*args):
+        raise AssertionError("made a word past the cap")
 
-    monkeypatch.setattr(code_module._Lanes, "unpack", no_unpack)
+    monkeypatch.setattr(code_module._Lanes, "stored", refuse)
+    monkeypatch.setattr(code_module._Lanes, "unpack", refuse)
     refusal = r"^listing the minimum weight words of .* needs 256 points, above the cap 200 "
     with pytest.raises(CapExceeded, match=refusal):
         min_weight_codewords(code)
