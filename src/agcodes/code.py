@@ -47,6 +47,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from itertools import compress, islice
 from operator import add, itemgetter, methodcaller, or_
+from typing import Sequence
 
 from . import limits
 from .matrices import MatrixGF, batch_minors
@@ -192,18 +193,21 @@ def _certify_rank(code: LinearCode, cols: list[int], what: str) -> None:
             raise AssertionError(f"{what} is not certified full rank: row {a} of its block")
 
 
+def _repeated(q: int, values: Sequence[int], w: int, size: int) -> bytes | tuple[int, ...]:
+    """A vector of size element indices of GF(q): each of values w times in
+    turn, that block tiled.  bytes when q <= 256."""
+    if q <= 256:
+        block = b"".join(bytes((v,)) * w for v in values)
+    else:
+        block = tuple(v for v in values for _ in range(w))
+    return block * (size // (len(values) * w))
+
+
 def _digits(q: int, delta: int) -> list[bytes | tuple[int, ...]]:
     """Base-q digit t of every index below q^delta, one vector per t, by
-    repetition: each element q^t times in turn, that block q^(delta-t-1)
-    times.  bytes when q <= 256."""
-    out = []
-    for w in (q**t for t in range(delta)):
-        if q <= 256:
-            block = b"".join(bytes((v,)) * w for v in range(q))
-        else:
-            block = tuple(v for v in range(q) for _ in range(w))
-        out.append(block * (q**delta // (q * w)))
-    return out
+    repetition (_repeated): each element q^t times in turn, that block
+    q^(delta-t-1) times."""
+    return [_repeated(q, range(q), q**t, q**delta) for t in range(delta)]
 
 
 @lru_cache(maxsize=64)  # bound: see points
@@ -775,20 +779,19 @@ def min_weight_codewords(code: LinearCode) -> list[bytes] | list[tuple[int, ...]
     a tuple of ints above that.
 
     The scan's hits are counted against the points cap, (q - 1)·n entries
-    each, before any word is stored or unpacked."""
-    if "minwords" not in code._cache:
-        hits = _scan(code, "words")[2]
-        q, k, n = code.gf.q, code.k, code.n
-        limits.ensure("points", len(hits) * (q - 1) * n, f"listing the minimum weight words of {code!r}")
-        lanes = _lanes(code)
-        times = lanes.times()
-        # each hit stands for its multiples c * hit, whose coefficients, top
-        # first, are the hit's times c: sorting those puts them in index order
-        multiples = []
-        for index, packed in lanes.stored(hits):
-            top_first = lanes.box(index // q**i % q for i in reversed(range(k)))
-            word = lanes.unpack(packed)
-            multiples += [(times[c](top_first), c, word) for c in range(1, q)]
-        multiples.sort(key=itemgetter(0))
-        code._cache["minwords"] = [times[c](word) for _, c, word in multiples]
-    return list(code._cache["minwords"])
+    each, before any word is stored or unpacked.  The list is made on every
+    call and kept nowhere else, so it is freed with the caller's reference."""
+    hits = _scan(code, "words")[2]
+    q, k, n = code.gf.q, code.k, code.n
+    limits.ensure("points", len(hits) * (q - 1) * n, f"listing the minimum weight words of {code!r}")
+    lanes = _lanes(code)
+    times = lanes.times()
+    # each hit stands for its multiples c * hit, whose coefficients, top
+    # first, are the hit's times c: sorting those puts them in index order
+    multiples = []
+    for index, packed in lanes.stored(hits):
+        top_first = lanes.box(index // q**i % q for i in reversed(range(k)))
+        word = lanes.unpack(packed)
+        multiples += [(times[c](top_first), c, word) for c in range(1, q)]
+    multiples.sort(key=itemgetter(0))
+    return [times[c](word) for _, c, word in multiples]

@@ -1,22 +1,27 @@
 """Grassmann codes from Pluecker coordinates, and the cell bridge to the
 affine construction.
 
-Subspaces of dimension l in GF(q)^m are enumerated as reduced row echelon
+Subspaces of dimension l in GF(q)^m are represented by reduced row echelon
 matrices, one per subspace, ordered by pivot columns then free entries.  The
 Pluecker vector of a subspace lists the maximal minors of its representative
 over all l-subsets of columns in lexicographic order; the code's generator
-matrix has those vectors as columns.  All representatives are expanded at
-once: entry (i, j) of every representative is one vector, and each maximal
-minor is a Laplace expansion along its first row over those vectors
+matrix has those vectors as columns.  No representative is made on its own:
+entry (i, j) of every representative is one vector (subspace_entries), and
+the representatives of one pivot set differ only in their free entries, so
+each block is made by repetition, as code._digits makes point digits.  Each
+maximal minor is a Laplace expansion along its first row over those vectors
 (matrices.batch_minors), which forms only the sub-minors on the lower rows.
-pluecker(w) is the one-subspace reference.
+enumerate_subspaces and pluecker(w), one subspace at a time, are the
+reference the tests compare the build against.
 
 The build proves rank as code.build does: the coordinate subspace of an
 l-subset S, the one representative with only l nonzero entries, has the unit
 vector at S as its Pluecker vector, so these columns hold an identity block.
-The build checks that block and fails if a coordinate subspace is missing.
-Both the subspace enumeration and the build are cached, so the comparison
-below reuses the code its caller has just built.
+The build finds them by counting nonzero entries on the vectors, checks that
+block and fails if a coordinate subspace is missing.  Before any vector is
+made, it counts its k·n minor evaluations against the points cap.  The build
+is cached and keeps its entry vectors with the code, so the comparison below
+reuses both.
 
 The subspaces whose representative starts with an identity block form a cell
 of exactly q^(l * (m - l)) columns, indexed by the complement block.  On that
@@ -29,13 +34,16 @@ perfect matching exists.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, count
+from itertools import chain, combinations
+from math import comb
+from operator import itemgetter
 from typing import Sequence
 
 from . import limits
-from .code import LinearCode, _certify_rank, build
+from .code import LinearCode, _certify_rank, _repeated, build
 from .fields import GF
 from .matrices import MatrixGF, batch_minors, enumerate_rref
 from .minors import MinorIndex, minor_basis
@@ -43,6 +51,7 @@ from .params import CodeParams, gaussian_binomial
 
 __all__ = [
     "enumerate_subspaces",
+    "subspace_entries",
     "pluecker_indices",
     "pluecker",
     "build_grassmann_code",
@@ -57,17 +66,46 @@ class VerificationError(RuntimeError):
     """A structural correspondence that must hold failed on actual data."""
 
 
-# run_acceptance fills 4 entries of each cache and the construct benchmark 2;
-# a CLI call or a criterion builds a code and then compares its cell, and
-# the comparison reuses both cached values
-@lru_cache(maxsize=8)
-def enumerate_subspaces(l: int, m: int, gf: GF) -> tuple[MatrixGF, ...]:
-    """Canonical representatives of all l-dimensional subspaces of GF(q)^m."""
+_NONZERO = bytes([0] + [1] * 255)  # translates element indices to nonzero flags
+
+
+def _subspace_count(l: int, m: int, gf: GF) -> int:
+    """The number of l-subspaces of GF(q)^m, refused over the points cap."""
     if not 0 <= l <= m:
         raise ValueError(f"need 0 <= l <= m, got l={l}, m={m}")
-    count = gaussian_binomial(m, l, gf.q)
-    limits.ensure("points", count, f"enumerating {l}-subspaces of GF({gf.q})^{m}")
+    n = gaussian_binomial(m, l, gf.q)
+    limits.ensure("points", n, f"enumerating {l}-subspaces of GF({gf.q})^{m}")
+    return n
+
+
+def enumerate_subspaces(l: int, m: int, gf: GF) -> tuple[MatrixGF, ...]:
+    """Canonical representatives of all l-dimensional subspaces of GF(q)^m."""
+    _subspace_count(l, m, gf)
     return tuple(enumerate_rref(l, m, gf))
+
+
+def subspace_entries(l: int, m: int, gf: GF) -> list[bytes | tuple[int, ...]]:
+    """Entry (i, j) of every representative of enumerate_subspaces, in its
+    order, one vector per entry at flat index i * m + j; bytes when q <= 256.
+
+    In the block of one pivot set with f free entries, pivot entries are 1,
+    the other non-free entries 0, and free entry s holds each element
+    q^(f-1-s) times in turn, tiled: the last free entry varies fastest."""
+    _subspace_count(l, m, gf)
+    q = gf.q
+    blocks: list[list] = [[] for _ in range(l * m)]
+    for pivots in combinations(range(m), l):
+        free = [i * m + j for i in range(l) for j in range(pivots[i] + 1, m) if j not in pivots]
+        size = q ** len(free)
+        block = [_repeated(q, (0,), size, size)] * (l * m)
+        for i, j in enumerate(pivots):
+            block[i * m + j] = _repeated(q, (1,), size, size)
+        for s, at in enumerate(free):
+            block[at] = _repeated(q, range(q), q ** (len(free) - 1 - s), size)
+        for out, x in zip(blocks, block):
+            out.append(x)
+    join = b"".join if q <= 256 else lambda xs: tuple(chain.from_iterable(xs))
+    return [join(xs) for xs in blocks]
 
 
 def pluecker_indices(l: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -84,22 +122,28 @@ def pluecker(w: MatrixGF) -> tuple[int, ...]:
     return coords
 
 
-@lru_cache(maxsize=8)  # bound: see enumerate_subspaces
+# run_acceptance fills 4 entries and the construct benchmark 2; a CLI call
+# or a criterion builds a code and then compares its cell, and the
+# comparison reuses the cached code and its entry vectors
+@lru_cache(maxsize=8)
 def build_grassmann_code(l: int, m: int, gf: GF) -> LinearCode:
     """The code whose generator columns are the Pluecker vectors of all
     l-subspaces of GF(q)^m, rows indexed by l-subsets in lexicographic order."""
-    return _grassmann_code(l, m, gf, enumerate_subspaces(l, m, gf))
+    n, k = _subspace_count(l, m, gf), comb(m, l)
+    what = f"evaluating {k} Pluecker coordinates at each of the {n} {l}-subspaces of GF({gf.q})^{m}"
+    limits.ensure("points", k * n, what)
+    return _grassmann_code(l, m, gf, n, subspace_entries(l, m, gf))
 
 
-def _grassmann_code(l: int, m: int, gf: GF, subspaces: Sequence[MatrixGF]) -> LinearCode:
-    """build_grassmann_code on the given representatives, column j from
-    subspaces[j]: all maximal minors of the batch at once."""
+def _grassmann_code(l: int, m: int, gf: GF, n: int, entries: Sequence[Sequence[int]]) -> LinearCode:
+    """build_grassmann_code on n representatives given by their entry
+    vectors, entries[i * m + j] holding entry (i, j) of each, column c from
+    representative c: all maximal minors of the batch at once.  The code
+    keeps the vectors in its cache under "subspaces"."""
     indices = pluecker_indices(l, m)
-    # entry (i, j) of every representative, one vector per position
-    flat = list(zip(*(w._flat for w in subspaces)))
-    entries = [flat[i * m : (i + 1) * m] for i in range(l)]
     lead = tuple(range(1, l + 1))
-    rows = batch_minors(gf, entries, len(subspaces), [(lead, cols) for cols in indices])
+    by_row = [entries[i * m : (i + 1) * m] for i in range(l)]
+    rows = batch_minors(gf, by_row, n, [(lead, cols) for cols in indices])
     for j, column in enumerate(zip(*rows)):
         if not any(column):
             raise ValueError(f"representative {j} must have full row rank")
@@ -107,17 +151,24 @@ def _grassmann_code(l: int, m: int, gf: GF, subspaces: Sequence[MatrixGF]) -> Li
     if 1 <= l <= m - l:
         p = CodeParams(gf.q, l, m - l)
     code = LinearCode._of(gf, rows, params=p, label=f"grassmann[q={gf.q},l={l},m={m}]")
-    # column of the coordinate subspace of each l-subset, keyed by the subset
+    # the nonzero entries of each representative, counted in 32-bit lanes
+    total = 0
+    for v in entries:
+        lanes = bytearray(4 * n)
+        lanes[::4] = v.translate(_NONZERO) if type(v) is bytes else bytes(map(bool, v))
+        total += int.from_bytes(lanes, "little")
+    nonzero = struct.unpack(f"<{n}I", total.to_bytes(4 * n, "little"))
+    # column of the coordinate subspace of each l-subset, keyed by the subset:
+    # the representatives with exactly l nonzero entries
     coordinate = {
-        tuple(x % m + 1 for x in compress(count(), w._flat)): j
-        for j, w in enumerate(subspaces)
-        if w._flat.count(0) == l * (m - 1)
+        tuple(x % m + 1 for x, v in enumerate(entries) if v[j]): j for j, c in enumerate(nonzero) if c == l
     }
     what = f"Pluecker generator of ({l}, {m})"
     missing = [s for s in indices if s not in coordinate]
     if missing:
         raise AssertionError(f"{what} is not certified full rank: no coordinate subspace {missing[0]}")
     _certify_rank(code, [coordinate[s] for s in indices], what)
+    code._cache["subspaces"] = entries
     return code
 
 
@@ -152,28 +203,31 @@ def cell_restriction_compare(l: int, m: int, gf: GF) -> CellReport:
         raise ValueError(f"need 1 <= l <= m - l, got l={l}, m={m}")
     p = CodeParams(gf.q, l, m - l)
     affine = build(p)
-    subspaces = enumerate_subspaces(l, m, gf)
     grass = build_grassmann_code(l, m, gf)
-    # the complement block's flat positions, weighted as in its point index
-    block = [i * m + j for i in range(l) for j in range(l, m)]
-    weights = [gf.q**t for t in range(len(block))]
+    entries = grass._cache["subspaces"]
     # row 0 holds the coordinate on columns 1..l: 1 exactly on the cell
-    cell_cols = {
-        j: sum(w._flat[c] * x for c, x in zip(block, weights))
-        for j, w in enumerate(subspaces)
-        if grass.generator[0][j] == 1
-    }
-    if len(cell_cols) != p.npoints:
+    cell = [j for j, x in enumerate(grass.generator[0]) if x == 1]
+    if len(cell) != p.npoints:
         raise VerificationError(
-            f"cell of ({l}, {m}) over GF({gf.q}) has {len(cell_cols)} columns, "
+            f"cell of ({l}, {m}) over GF({gf.q}) has {len(cell)} columns, "
             f"expected {p.npoints}"
         )
-    if sorted(cell_cols.values()) != list(range(p.npoints)):
+    on_cell = itemgetter(*cell)
+    # each cell column's point index: its complement block read base q,
+    # entry (1, l + 1) least significant
+    q, index = gf.q, [0] * len(cell)
+    for i in reversed(range(l)):
+        for j in reversed(range(l, m)):
+            index = [a * q + x for a, x in zip(index, on_cell(entries[i * m + j]))]
+    if sorted(index) != list(range(p.npoints)):
         raise VerificationError("cell columns do not biject onto the affine domain")
     # restricted Grassmann rows, columns in point index order
-    order = sorted(cell_cols, key=cell_cols.get)
-    restricted = [tuple(row[j] for j in order) for row in grass.generator]
-    minus_one = gf.neg(1)
+    order = [0] * p.npoints
+    for j, x in zip(cell, index):
+        order[x] = j
+    in_order = itemgetter(*order)
+    restricted = [in_order(row) for row in grass.generator]
+    minus_one, negated = gf.neg(1), [gf.neg(x) for x in range(q)]
     by_row = {row: i for i, row in enumerate(affine.generator)}
     indices = pluecker_indices(l, m)
     basis = minor_basis(p)
@@ -183,7 +237,7 @@ def cell_restriction_compare(l: int, m: int, gf: GF) -> CellReport:
         i = by_row.get(row)
         sign = 1
         if i is None:
-            i = by_row.get(tuple(gf.mul(minus_one, x) for x in row))
+            i = by_row.get(tuple(map(negated.__getitem__, row)))
             sign = minus_one
         if i is None:
             raise VerificationError(f"restricted row {alpha} matches no affine row")
@@ -191,4 +245,4 @@ def cell_restriction_compare(l: int, m: int, gf: GF) -> CellReport:
             raise VerificationError(f"affine row {basis[i]} matched twice")
         used.add(i)
         matches.append(CellMatch(alpha, basis[i], sign))
-    return CellReport(l, m, gf.q, len(cell_cols), tuple(matches))
+    return CellReport(l, m, gf.q, len(cell), tuple(matches))

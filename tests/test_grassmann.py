@@ -5,6 +5,7 @@ independent re-verification of reported cell matches."""
 import pytest
 
 import agcodes.grassmann as grassmann_module
+import agcodes.matrices as matrices_module
 from agcodes.code import min_distance, point_matrix
 from agcodes.fields import field_for_order
 from agcodes.grassmann import (
@@ -14,7 +15,9 @@ from agcodes.grassmann import (
     enumerate_subspaces,
     pluecker,
     pluecker_indices,
+    subspace_entries,
 )
+from agcodes.limits import CapExceeded
 from agcodes.matrices import MatrixGF
 from agcodes.params import CodeParams, gaussian_binomial
 
@@ -58,19 +61,29 @@ def test_pluecker_needs_full_rank():
         pluecker(MatrixGF.from_rows(gf2, [(1, 0), (1, 0)]))
 
 
-@pytest.mark.parametrize("l,m,q", [(2, 4, 2), (2, 5, 3), (3, 6, 2), (0, 3, 2), (3, 3, 3)])
+@pytest.mark.parametrize(
+    "l,m,q",
+    [(2, 4, 2), (2, 5, 3), (3, 6, 2), (0, 3, 2), (3, 3, 3), (1, 3, 16), (1, 3, 17), (1, 2, 257)],
+)
 def test_build_matches_per_subspace_pluecker(l, m, q):
-    """The batched generator against pluecker(w), one subspace at a time."""
+    """The batched generator against pluecker(w), one subspace at a time, and
+    the entry vectors made by repetition against the enumerated
+    representatives.  batch_minors leaves bytes above q = 16, the vectors
+    above q = 256."""
     gf = field_for_order(q)
-    columns = [pluecker(w) for w in enumerate_subspaces(l, m, gf)]
+    subspaces = enumerate_subspaces(l, m, gf)
+    columns = [pluecker(w) for w in subspaces]
     assert build_grassmann_code(l, m, gf).generator == tuple(zip(*columns))
+    entries = subspace_entries(l, m, gf)
+    assert [tuple(v) for v in entries] == list(zip(*(w._flat for w in subspaces)))
+    assert all(type(v) is (bytes if q <= 256 else tuple) for v in entries)
 
 
 def test_build_needs_full_rank():
-    bad = MatrixGF.from_rows(gf3, [(1, 0, 2), (2, 0, 1)])
-    good = MatrixGF.from_rows(gf3, [(1, 0, 2), (0, 1, 1)])
+    good, bad = (1, 0, 2, 0, 1, 1), (1, 0, 2, 2, 0, 1)  # rows of 2 x 3 representatives
+    entries = [bytes(pair) for pair in zip(good, bad)]
     with pytest.raises(ValueError, match="representative 1"):
-        _grassmann_code(2, 3, gf3, [good, bad])
+        _grassmann_code(2, 3, gf3, 2, entries)
 
 
 @pytest.mark.parametrize("l,m,q", [(2, 4, 2), (2, 5, 3), (3, 6, 2), (0, 3, 2), (3, 3, 3)])
@@ -82,14 +95,17 @@ def test_rank_certificate_agrees_with_elimination(l, m, q):
 
 
 def test_build_refuses_a_missing_coordinate_subspace():
-    subspaces = enumerate_subspaces(2, 4, gf2)
-    unit = MatrixGF.from_rows(gf2, [(1, 0, 0, 0), (0, 0, 1, 0)])
-    kept = [w for w in subspaces if w != unit]
-    assert len(kept) == len(subspaces) - 1
+    entries = subspace_entries(2, 4, gf2)
+    unit = (1, 0, 0, 0, 0, 0, 1, 0)
+    columns = list(zip(*entries))
+    j = columns.index(unit)
+    kept = [v[:j] + v[j + 1 :] for v in entries]
+    assert len(kept[0]) == len(columns) - 1 == 34
     # the 34 columns left still span everything, but nothing certifies it
-    assert MatrixGF.from_rows(gf2, [pluecker(w) for w in kept]).rank() == 6
+    reps = [MatrixGF.from_rows(gf2, [c[:4], c[4:]]) for c in zip(*kept)]
+    assert MatrixGF.from_rows(gf2, [pluecker(w) for w in reps]).rank() == 6
     with pytest.raises(AssertionError, match=r"no coordinate subspace \(1, 3\)"):
-        _grassmann_code(2, 4, gf2, kept)
+        _grassmann_code(2, 4, gf2, 34, kept)
 
 
 def test_build_refuses_a_generator_without_the_certificate(monkeypatch):
@@ -108,18 +124,71 @@ def test_build_refuses_a_generator_without_the_certificate(monkeypatch):
 
 
 def test_build_and_subspaces_are_cached_and_reused(monkeypatch):
-    subspaces = enumerate_subspaces(2, 5, gf2)
-    assert type(subspaces) is tuple
-    assert enumerate_subspaces(2, 5, gf2) is subspaces
+    """The code keeps the entry vectors it was built from, and the cell
+    comparison reads them there: neither the vectors nor the code is made
+    again."""
     code = build_grassmann_code(2, 5, gf2)
     assert build_grassmann_code(2, 5, gf2) is code
+    assert code._cache["subspaces"] == subspace_entries(2, 5, gf2)
 
     def rebuilt(*args):
-        raise AssertionError("the cell comparison rebuilt the Grassmann code")
+        raise AssertionError("the cell comparison rebuilt the Grassmann code or its vectors")
 
     monkeypatch.setattr(grassmann_module, "_grassmann_code", rebuilt)
-    monkeypatch.setattr(grassmann_module, "enumerate_rref", rebuilt)
+    monkeypatch.setattr(grassmann_module, "subspace_entries", rebuilt)
     assert len(cell_restriction_compare(2, 5, gf2).matches) == code.k
+
+
+def test_build_and_comparison_make_no_matrix_per_subspace(monkeypatch):
+    """Neither the Grassmann build nor the cell comparison enumerates
+    representatives or makes a MatrixGF for one."""
+    made = []
+    real_of, real_init = MatrixGF._of.__func__, MatrixGF.__init__
+
+    def counted_of(cls, *args):
+        made.append(args)
+        return real_of(cls, *args)
+
+    def counted_init(self, *args):
+        made.append(args)
+        real_init(self, *args)
+
+    def enumerated(*args):
+        raise AssertionError("enumerated the representatives")
+
+    gf = field_for_order(3)
+    grassmann_module.build(CodeParams(3, 2, 3))  # the affine side, built before counting
+    monkeypatch.setattr(MatrixGF, "_of", classmethod(counted_of))
+    monkeypatch.setattr(MatrixGF, "__init__", counted_init)
+    monkeypatch.setattr(grassmann_module, "enumerate_rref", enumerated)
+    monkeypatch.setattr(matrices_module, "enumerate_rref", enumerated)
+    build_grassmann_code.cache_clear()
+    code = build_grassmann_code(2, 5, gf)
+    report = cell_restriction_compare(2, 5, gf)
+    assert (code.n, report.cell_size, len(report.matches)) == (1210, 729, 10)
+    assert made == []
+
+
+def test_build_refuses_k_times_n_evaluations_over_the_points_cap(monkeypatch):
+    """(2, 4, 2) has n = 35 subspaces, passing a cap of 40, and k = 6
+    Pluecker coordinates: its 210 evaluations are refused before any vector
+    is made.  The vectors alone refuse 35 subspaces over a cap of 34."""
+    monkeypatch.setenv("AGCODES_POINTS_CAP", "40")
+
+    def no_vectors(*args):
+        raise AssertionError("made a vector past the cap")
+
+    monkeypatch.setattr(grassmann_module, "subspace_entries", no_vectors)
+    monkeypatch.setattr(grassmann_module, "_repeated", no_vectors)
+    refusal = (
+        r"^evaluating 6 Pluecker coordinates at each of the 35 2-subspaces of GF\(2\)\^4 "
+        r"needs 210 points, above the cap 40 "
+    )
+    with pytest.raises(CapExceeded, match=refusal):
+        build_grassmann_code.__wrapped__(2, 4, gf2)  # past the cache
+    monkeypatch.setenv("AGCODES_POINTS_CAP", "34")
+    with pytest.raises(CapExceeded, match=r"^enumerating 2-subspaces of GF\(2\)\^4 needs 35 points"):
+        subspace_entries(2, 4, gf2)  # the real one, imported above
 
 
 def test_small_codes():
