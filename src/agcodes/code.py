@@ -451,9 +451,10 @@ def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
     (weight counts, min weight, hits).
 
     Mode "dist" counts weights, "min" only tracks the least, and "words"
-    keeps the index of each message at the least weight, in index order.  Both routes return the same triple: the coset
-    engine where the generator certifies it and k > δ + 1, the packed scan
-    otherwise (a first-order code is the one coset RM_q(1, δ)).
+    keeps the index of each message at the least weight, in index order.
+    Both routes return the same triple: the coset engine where the generator
+    certifies it and k > δ + 1, the packed scan otherwise (a first-order
+    code is the one coset RM_q(1, δ)).
     """
     q, n, k = code.gf.q, code.n, code.k
     limits.ensure_power("messages", q, k, f"scanning {code!r}")

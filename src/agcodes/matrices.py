@@ -25,7 +25,7 @@ submatrix in between.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -298,22 +298,37 @@ def _all_minors(m: MatrixGF, order: int) -> dict[tuple[tuple[int, ...], tuple[in
     """Every minor of m of order at most `order`, the empty one included,
     keyed by (row labels, column labels) as MatrixGF.minor takes them.  Each
     minor is the expansion along its first row of minors one order lower
-    already in the table."""
+    already in the table, in the order and with the terms _minors_plan lists."""
     add, sub, mul = m.gf.add, m.gf.sub, m.gf.mul
-    flat, n = m._flat, m.ncols
+    flat = m._flat
     table = {((), ()): 1}
-    for k in range(1, min(order, m.nrows, n) + 1):
-        col_sets = list(combinations(range(1, n + 1), k))
-        for rows in combinations(range(1, m.nrows + 1), k):
-            rest, row = rows[1:], flat[(rows[0] - 1) * n : rows[0] * n]
-            for cols in col_sets:
-                v = 0
-                for s, j in enumerate(cols):
-                    if row[j - 1]:
-                        t = mul(row[j - 1], table[rest, cols[:s] + cols[s + 1 :]])
-                        v = sub(v, t) if s % 2 else add(v, t)
-                table[rows, cols] = v
+    for key, terms in _minors_plan(m.nrows, m.ncols, min(order, m.nrows, m.ncols)):
+        v = 0
+        for odd, at, rest in terms:
+            if flat[at]:
+                t = mul(flat[at], table[rest])
+                v = sub(v, t) if odd else add(v, t)
+        table[key] = v
     return table
+
+
+@lru_cache(maxsize=None)
+def _minors_plan(nrows: int, ncols: int, order: int) -> tuple:
+    """The index work of _all_minors, which depends on the shape only: per
+    minor of order 1..order, rows before columns lexicographically, its key
+    and per column of its first row the sign parity, the entry's position in
+    the flat row-major tuple and the key of the complementary minor."""
+    plan = []
+    for k in range(1, order + 1):
+        col_sets = list(combinations(range(1, ncols + 1), k))
+        for rows in combinations(range(1, nrows + 1), k):
+            rest, first = rows[1:], (rows[0] - 1) * ncols - 1  # plus a 1-based column
+            for cols in col_sets:
+                terms = tuple(
+                    (s % 2, first + j, (rest, cols[:s] + cols[s + 1 :])) for s, j in enumerate(cols)
+                )
+                plan.append(((rows, cols), terms))
+    return tuple(plan)
 
 
 def _check_labels(labels: tuple[int, ...], bound: int, kind: str) -> None:

@@ -20,8 +20,12 @@ taken from the constant block N (multilinearity in columns), expand those
 columns out (generalized Laplace, sign (-1)^(sum of local row and column
 positions)), and open the remaining product minor over column subsets of V
 (Cauchy-Binet).  Every minor of V and N is read from a table of all of
-them, computed once.  Row translations, basis changes of the column space,
-and the translation expansion of det(X + B) are all instances of it.
+them, computed once per call.  Which minors are read, with which sign and
+into which basis position, depends on the shape only, not on the field: it
+is planned once per (l, lp, rows, shift rows, columns) and memoized, as the
+tables' own first-row expansion is per matrix shape and order, so a call
+does only field arithmetic.  Row translations, basis changes of the column
+space, and the translation expansion of det(X + B) are all instances of it.
 """
 
 from __future__ import annotations
@@ -314,31 +318,45 @@ def det_product_expansion(
 def _expansion(p: CodeParams, terms: Iterable, mix: dict, shift: dict) -> MinorCombination:
     """The sum of c * det(X[rows, :] @ V[:, cols] + N[shift_rows, cols]) over
     the terms (rows, shift_rows, cols, c), reading the minors of V and N from
-    their matrices._all_minors tables mix and shift."""
+    their matrices._all_minors tables mix and shift at the keys that
+    _expansion_plan lists; only the field arithmetic is done here."""
     gf = p.field()
     add, mul = gf.add, gf.mul
-    pos = basis_positions(p)
-    out = [0] * len(pos)
+    out = [0] * dimension_formula(p)
     for rows, shift_rows, cols, c in terms:
-        local = range(len(rows))
-        for s_cols in _subsets(local):
-            rest = tuple(cols[x] for x in local if x not in s_cols)
-            s_labels = tuple(cols[x] for x in s_cols)
-            pickable = list(combinations(range(1, p.lp + 1), len(rest)))
-            for t_rows in combinations(local, len(s_cols)):
-                w = shift[tuple(shift_rows[t] for t in t_rows), s_labels]
-                if w == 0:
-                    continue
-                w = mul(c, w)
-                if (sum(t_rows) + sum(s_cols)) % 2:
-                    w = gf.neg(w)
-                x_rows = tuple(rows[t] for t in local if t not in t_rows)
-                for picked in pickable:
-                    v = mix[picked, rest]
+        signed = (c, gf.neg(c))
+        for s_key, odd, reads in _expansion_plan(p.l, p.lp, rows, shift_rows, cols):
+            w = shift[s_key]
+            if w:
+                w = mul(signed[odd], w)
+                for m_key, j in reads:
+                    v = mix[m_key]
                     if v:
-                        j = pos[x_rows, picked]
                         out[j] = add(out[j], mul(w, v))
     return MinorCombination._of(p, tuple(out))
+
+
+@lru_cache(maxsize=None)
+def _expansion_plan(l: int, lp: int, rows: tuple, shift_rows: tuple, cols: tuple) -> tuple:
+    """The index work of one _expansion term, which depends on the shape
+    only.  Per set S of local columns taken from N and set T of local rows
+    expanded against them: the key of N's minor on T and S, the parity of
+    the Laplace sign, and per column set P of X the key of V's minor on P
+    and the other columns, with the basis position of X's minor on the other
+    rows and P."""
+    pos = basis_positions(CodeParams(2, l, lp))  # the same for every field
+    plan = []
+    local = range(len(rows))
+    for s_cols in _subsets(local):
+        rest = tuple(cols[x] for x in local if x not in s_cols)
+        s_labels = tuple(cols[x] for x in s_cols)
+        pickable = list(combinations(range(1, lp + 1), len(rest)))
+        for t_rows in combinations(local, len(s_cols)):
+            x_rows = tuple(rows[t] for t in local if t not in t_rows)
+            reads = tuple(((picked, rest), pos[x_rows, picked]) for picked in pickable)
+            s_key = (tuple(shift_rows[t] for t in t_rows), s_labels)
+            plan.append((s_key, (sum(t_rows) + sum(s_cols)) % 2, reads))
+    return tuple(plan)
 
 
 def _subsets(r: range) -> Iterator[tuple[int, ...]]:

@@ -9,12 +9,13 @@ from itertools import product
 import pytest
 
 from agcodes.fields import field_for_order
-from agcodes.group import AffineMap, act_on_poly
-from agcodes.matrices import MatrixGF
+from agcodes.group import AffineMap, act_on_poly, apply_point
+from agcodes.matrices import MatrixGF, _minors_plan
 from agcodes.minors import (
     EMPTY_MINOR,
     MinorCombination,
     MinorIndex,
+    _expansion_plan,
     _specializations,
     absorb_translation,
     basis_positions,
@@ -223,20 +224,63 @@ def test_row_vanishing_locus_sorted():
 
 
 def test_det_product_expansion_pointwise():
+    """Over prime and extension fields, l < lp shapes included, with row
+    sets of every size from 1 to l in turn."""
     rng = random.Random(29)
-    for p in (P223, CodeParams(3, 2, 2), CodeParams(2, 1, 3)):
+    cases = (
+        (P223, 15),
+        (CodeParams(3, 2, 2), 15),
+        (CodeParams(2, 1, 3), 15),
+        (CodeParams(4, 2, 3), 4),
+        (CodeParams(9, 1, 2), 6),
+        (CodeParams(9, 2, 2), 2),
+    )
+    for p, trials in cases:
         gf = p.field()
-        for _ in range(15):
-            size = rng.randint(1, p.l)
-            rows = tuple(
-                sorted(rng.sample(range(1, p.l + 1), size))
-            )
+        pts = list(all_points(p))
+        for t in range(trials):
+            size = 1 + t % p.l
+            rows = tuple(sorted(rng.sample(range(1, p.l + 1), size)))
             col_mix = MatrixGF(gf, p.lp, size, tuple(rng.randrange(p.q) for _ in range(p.lp * size)))
             shift = MatrixGF(gf, size, size, tuple(rng.randrange(p.q) for _ in range(size * size)))
             f = det_product_expansion(p, rows, col_mix, shift)
-            for pt in all_points(p):
+            for pt in pts:
                 direct = (pt.submatrix(rows, tuple(range(1, p.lp + 1))) @ col_mix + shift).det()
                 assert f.evaluate(pt) == direct
+
+
+def test_expansion_plans_are_keyed_by_shape():
+    """The index work of _expansion and _all_minors is planned per shape, not
+    per field: expanding one shape over GF(2), GF(3) and GF(4) makes no new
+    plan after the first field, and every result equals the pointwise
+    oracle."""
+    rng = random.Random(41)
+    _expansion_plan.cache_clear()  # so that no earlier test has planned for GF(3) or GF(4)
+    _minors_plan.cache_clear()
+    misses = []
+    for q in (2, 3, 4):
+        p = CodeParams(q, 2, 3)
+        gf = p.field()
+
+        def matrix(nrows, ncols):
+            return MatrixGF(gf, nrows, ncols, tuple(rng.randrange(q) for _ in range(nrows * ncols)))
+
+        f = MinorCombination(p, (1,) * dimension_formula(p))  # every basis minor is a term
+        while True:
+            a = matrix(3, 3)
+            if a.det():
+                break
+        phi = AffineMap(p, matrix(2, 3), a)
+        acted = act_on_poly(phi, f)
+        # all rows, and one row of two
+        cases = (((1, 2), matrix(3, 2), matrix(2, 2)), ((2,), matrix(3, 1), matrix(1, 1)))
+        expanded = [(rows, m, s, det_product_expansion(p, rows, m, s)) for rows, m, s in cases]
+        for pt in all_points(p):
+            assert acted.evaluate(pt) == f.evaluate(apply_point(phi, pt))
+            for rows, m, s, g in expanded:
+                assert g.evaluate(pt) == (pt.submatrix(rows, (1, 2, 3)) @ m + s).det()
+        misses.append((_expansion_plan.cache_info().misses, _minors_plan.cache_info().misses))
+    assert all(misses[0]) and misses[0] == misses[1] == misses[2]
 
 
 def test_det_product_expansion_validation():
