@@ -47,7 +47,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from itertools import compress, islice
 from operator import add, itemgetter, methodcaller, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import limits
 from .matrices import MatrixGF, batch_minors
@@ -254,11 +254,25 @@ def _codeword_weight(code: LinearCode, message: tuple[int, ...]) -> int:
     if len(message) != code.k:
         raise ValueError(f"message length must be {code.k}, got {len(message)}")
     lanes = _lanes(code)
-    word = lanes.zero
-    for r, c in enumerate(message):
-        if c:
-            word = lanes.add(word, lanes.row(c, r))
-    return lanes.nonzero(word ^ lanes.zero)
+    return lanes.nonzero(lanes.word(enumerate(message)) ^ lanes.zero)
+
+
+def _span_weight(
+    code: LinearCode, base: Sequence[int], directions: Sequence[Sequence[tuple[int, int]]]
+) -> int:
+    """The sum of weight(code.encode(base + Σ_x v_x * T_x)) over every v in
+    GF(q)^len(directions), where directions[x] lists T_x's nonzero
+    coefficients as (row, c), in one table walk: base's stored word, one
+    word per direction and nonzero scalar, all q^len words made from these
+    by the doubling that makes the scans' table, and one count of nonzero
+    lanes per word.  The table holds q^len words of n lanes."""
+    lanes = _lanes(code)
+    zero, mul, q = lanes.zero, code.gf.mul, code.gf.q
+    steps = (
+        [lanes.word((r, mul(a, c)) for r, c in d) - zero for a in range(1, q)] for d in directions
+    )
+    words = lanes.spread(lanes.word(enumerate(base)), steps)
+    return sum(map(lanes.nonzero, map(zero.__xor__, words)))
 
 
 # -- exhaustive message scans --
@@ -343,11 +357,8 @@ class _Lanes:
         ):
             low += 1
         self.low = low
-        table = [self.zero]
-        for t in range(low):
-            steps = [self.row(c * p ** (t % e), t // e) for c in range(1, p)]
-            table += [self.add(x, v) for v in steps for x in table]
-        self.table = table
+        digits = ([self.row(c * p ** (t % e), t // e) for c in range(1, p)] for t in range(low))
+        self.table = self.spread(self.zero, digits)
 
     def row(self, a: int, r: int) -> int:
         """Generator row r times the element a, packed without bias."""
@@ -358,6 +369,25 @@ class _Lanes:
             entries = map(times_a.__getitem__, reversed(self.generator[r]))
             self._rows[key] = int("".join(entries), 2)
         return self._rows[key]
+
+    def word(self, terms: Iterable[tuple[int, int]]) -> int:
+        """The stored word of the message with coefficient c at row r for
+        each (r, c) in terms."""
+        out = self.zero
+        for r, c in terms:
+            if c:
+                out = self.add(out, self.row(c, r))
+        return out
+
+    def spread(self, start: int, digits: Iterable[list[int]]) -> list[int]:
+        """The stored word start plus every sum of at most one step from
+        each list of steps (unbiased packed words).  With m - 1 steps in
+        every list, entry sum_t c_t * m^t adds step c_t - 1 of list t for
+        each c_t > 0, so the first list's choice varies fastest."""
+        table = [start]
+        for steps in digits:
+            table += [self.add(x, v) for v in steps for x in table]
+        return table
 
     def add(self, u: int, v: int) -> int:
         """u + v for a stored word u and an unbiased packed word v."""

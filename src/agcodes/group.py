@@ -26,7 +26,13 @@ from itertools import combinations, product
 from . import limits
 from .code import point_index, points
 from .matrices import MatrixGF, _all_minors, enumerate_gl, enumerate_rref
-from .minors import MinorCombination, MinorIndex, _expansion, det_product_expansion, leading_maximal_minor
+from .minors import (
+    MinorCombination,
+    _expansion,
+    basis_positions,
+    det_product_expansion,
+    leading_maximal_minor,
+)
 from .params import CodeParams, group_order_formula, min_weight_count_formula
 
 __all__ = [
@@ -255,15 +261,16 @@ def min_weight_witness(
         raise ValueError("the minimum weight family needs l >= 1")
     gf = p.field()
     full = tuple(range(1, l + 1))
-    s = next((c for c in combinations(range(1, lp + 1), l) if f.coeff(MinorIndex(full, c))), None)
+    pos, coeffs = basis_positions(p), f.coeffs
+    s = next((c for c in combinations(range(1, lp + 1), l) if coeffs[pos[full, c]]), None)
     if s is None:
         return None
-    scalar = f.coeff(MinorIndex(full, s))
+    scalar = coeffs[pos[full, s]]
     inv = gf.inv(scalar)
 
     def read(rows: tuple[int, ...], cols: tuple[int, ...], sign: int) -> int:
         """(-1)^sign * coeff(rows, cols) / scalar."""
-        x = gf.mul(f.coeff(MinorIndex(rows, cols)), inv)
+        x = gf.mul(coeffs[pos[rows, cols]], inv)
         return gf.neg(x) if sign % 2 else x
 
     mix = [0] * (lp * l)

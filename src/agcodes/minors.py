@@ -26,6 +26,8 @@ is planned once per (l, lp, rows, shift rows, columns) and memoized, as the
 tables' own first-row expansion is per matrix shape and order, so a call
 does only field arithmetic.  Row translations, basis changes of the column
 space, and the translation expansion of det(X + B) are all instances of it.
+Substituting a row or column is planned the same way, once per (l, lp,
+line, direction).
 """
 
 from __future__ import annotations
@@ -206,44 +208,76 @@ def _shift_past(labels: tuple[int, ...], removed: int) -> tuple[int, ...]:
     return tuple(x if x < removed else x - 1 for x in labels)
 
 
-def _specializations(
-    f: MinorCombination, line: int, is_row: bool, vectors: Iterable[tuple[int, ...]]
-) -> Iterator[MinorCombination]:
-    """f with row (or column) `line` substituted by each vector in turn.
-
-    Worked out once from f: the target shape, the coefficients of minors
-    that avoid the line (same minor, later labels shifted down), and the
-    signed Laplace terms (vector index, target position, +-c) of each
-    nonzero minor that uses it.  Each vector then only adds its terms.
-    """
-    p = f.params
-    target = CodeParams(p.q, p.l - 1, p.lp) if is_row else CodeParams(p.q, p.l, p.lp - 1)
-    pos = basis_positions(target)
-    gf = p.field()
-    add, mul = gf.add, gf.mul
+@lru_cache(maxsize=None)
+def _specialization_plan(l: int, lp: int, line: int, is_row: bool) -> tuple[tuple, tuple]:
+    """The index work of substituting row (or column) `line`, which depends
+    on the shape only: each minor that avoids the line as (source position,
+    target position of the same minor with later labels shifted down), and
+    the Laplace terms along the line of each minor that uses it as (source
+    position, vector index, target position, sign parity)."""
+    source = minor_basis(CodeParams(2, l, lp))  # the same for every field
+    pos = basis_positions(CodeParams(2, l - 1, lp) if is_row else CodeParams(2, l, lp - 1))
 
     def at(along: tuple[int, ...], across: tuple[int, ...]) -> int:
-        return pos[MinorIndex(along, across) if is_row else MinorIndex(across, along)]
+        return pos[(along, across) if is_row else (across, along)]
 
-    base = [0] * len(pos)
-    terms = []
-    for mi, c in f.terms():
+    kept, used = [], []
+    for s, (rows, cols) in enumerate(source):
         # labels along the substituted line's direction, and across it
-        along, across = (mi.rows, mi.cols) if is_row else (mi.cols, mi.rows)
+        along, across = (rows, cols) if is_row else (cols, rows)
         if line not in along:
-            # kept minors land on distinct targets, so they are copied, not added
-            base[at(_shift_past(along, line), across)] = c
+            kept.append((s, at(_shift_past(along, line), across)))
             continue
         u = along.index(line) + 1
         rest = _shift_past(tuple(x for x in along if x != line), line)
         for t, x in enumerate(across, start=1):
             others = tuple(y for y in across if y != x)
-            terms.append((x - 1, at(rest, others), gf.neg(c) if (u + t) % 2 else c))
+            used.append((s, x - 1, at(rest, others), (u + t) % 2))
+    return tuple(kept), tuple(used)
+
+
+def _specialization_terms(
+    f: MinorCombination, line: int, is_row: bool
+) -> tuple[CodeParams, list[int], list[list[tuple[int, int]]]]:
+    """f with row (or column) `line` substituted by a vector v, as
+    (target shape, base, directions): the specialization at v is base plus
+    v[x] * T_x summed over x, where directions[x] lists T_x's nonzero
+    coefficients as (target position, c).  Read off f's coefficients through
+    the plan made once per shape."""
+    p = f.params
+    target = CodeParams(p.q, p.l - 1, p.lp) if is_row else CodeParams(p.q, p.l, p.lp - 1)
+    kept, used = _specialization_plan(p.l, p.lp, line, is_row)
+    coeffs, neg = f.coeffs, p.field().neg
+    base = [0] * dimension_formula(target)
+    # kept minors land on distinct targets, so they are copied, not added
+    for s, t in kept:
+        base[t] = coeffs[s]
+    directions: list[list[tuple[int, int]]] = [[] for _ in range(p.lp if is_row else p.l)]
+    for s, x, t, odd in used:
+        if coeffs[s]:
+            directions[x].append((t, neg(coeffs[s]) if odd else coeffs[s]))
+    return target, base, directions
+
+
+def _specializations(
+    f: MinorCombination, line: int, is_row: bool, vectors: Iterable[tuple[int, ...]]
+) -> Iterator[MinorCombination]:
+    """f with row (or column) `line` substituted by each vector in turn.
+
+    The index work is planned once per shape (_specialization_plan) and
+    read off f once (_specialization_terms); each vector then only adds its
+    signed Laplace terms to the coefficients of the minors that avoid the
+    line.
+    """
+    target, base, directions = _specialization_terms(f, line, is_row)
+    gf = f.params.field()
+    add, mul = gf.add, gf.mul
     for v in vectors:
         out = base.copy()
-        for x, t, c in terms:
-            if v[x]:
-                out[t] = add(out[t], mul(c, v[x]))
+        for a, terms in zip(v, directions):
+            if a:
+                for t, c in terms:
+                    out[t] = add(out[t], mul(c, a))
         yield MinorCombination._of(target, tuple(out))
 
 

@@ -18,6 +18,7 @@ from typing import Callable
 
 from .code import (
     _codeword_weight,
+    _span_weight,
     build,
     ensure_scannable,
     evaluate_vector,
@@ -47,7 +48,7 @@ from .group import (
 from .matrices import MatrixGF, cauchy_binet, enumerate_matrices
 from .minors import (
     MinorCombination,
-    _specializations,
+    _specialization_terms,
     absorb_translation,
     det_translation_expand,
     minor_basis,
@@ -398,14 +399,15 @@ def _random_map(rng: random.Random, p: CodeParams) -> AffineMap:
 
 
 def _specialized_weight(f: MinorCombination, line: int, is_row: bool) -> int:
-    """Total weight of f specialized along one row (or column) to every vector."""
-    p = f.params
-    if is_row:
-        code, length = build(CodeParams(p.q, p.l - 1, p.lp)), p.lp
-    else:
-        code, length = build(CodeParams(p.q, p.l, p.lp - 1)), p.l
-    parts = _specializations(f, line, is_row, product(range(p.q), repeat=length))
-    return sum(_codeword_weight(code, g.coeffs) for g in parts if not g.is_zero)
+    """Total weight of f specialized along one row (or column) to every vector.
+
+    The specialization at v is base + Σ_x v_x * T_x, affine in v, so its
+    codeword is too: every vector's weight comes from one table walk over
+    the words of base and of each T_x (code._span_weight).  A zero
+    specialization weighs 0.
+    """
+    target, base, directions = _specialization_terms(f, line, is_row)
+    return _span_weight(build(target), base, directions)
 
 
 def suite_substitution_pointwise(p: CodeParams, rng: random.Random, trials: int) -> str:

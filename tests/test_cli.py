@@ -10,10 +10,9 @@ import sys
 import pytest
 
 import agcodes
-from agcodes import cli, code, grassmann, matrices, verify
+from agcodes import cli, code, grassmann, matrices, minors, verify
 from agcodes.cli import main
 from agcodes.code import build
-from agcodes.minors import MinorCombination
 
 
 def run(capsys, *argv):
@@ -224,12 +223,10 @@ def test_autocheck_rejects_l_zero_before_a_suite_runs(capsys, monkeypatch):
 
 
 def test_autocheck_and_criterion_6_share_suites(capsys, monkeypatch):
-    # a broken specialization inside verify must fail the weight
-    # partition suite in both callers, with a detail naming the parameters
-    def broken(f, line, is_row, vectors):
-        return (MinorCombination.zero(f.params) for _ in vectors)
-
-    monkeypatch.setattr(verify, "_specializations", broken)
+    # a broken specialization plan, which every specialization reads, must
+    # fail the weight partition suite in both callers, with a detail naming
+    # the parameters: a plan with no terms makes every specialization zero
+    monkeypatch.setattr(minors, "_specialization_plan", lambda l, lp, line, is_row: ((), ()))
     code, out, err = run(capsys, "autocheck", "--q", "2", "--l", "2", "--lp", "2", "--trials", "20")
     assert code == 1
     lines = out.splitlines()

@@ -4,10 +4,12 @@ expansion identities, and the unchecked internal results against the
 checking constructor."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from agcodes.code import build, evaluate_vector, points, weight
 from agcodes.fields import field_for_order
 from agcodes.group import AffineMap, act_on_poly, apply_point
 from agcodes.matrices import MatrixGF, _minors_plan
@@ -16,6 +18,7 @@ from agcodes.minors import (
     MinorCombination,
     MinorIndex,
     _expansion_plan,
+    _specialization_plan,
     _specializations,
     absorb_translation,
     basis_positions,
@@ -28,6 +31,7 @@ from agcodes.minors import (
     specialize_row,
 )
 from agcodes.params import CodeParams, dimension_formula
+from agcodes.verify import _specialized_weight
 
 gf2 = field_for_order(2)
 gf3 = field_for_order(3)
@@ -193,6 +197,37 @@ def test_specializations_one_pass_matches_single_vectors(p):
                         assert g.evaluate(pt) == f.evaluate(insert(pt, line, v))
 
 
+@pytest.mark.parametrize(
+    "p",
+    [P223, CodeParams(3, 2, 3), CodeParams(4, 2, 2), CodeParams(5, 2, 2), CodeParams(9, 1, 2)],
+)
+def test_specialized_weight_matches_encoded_specializations(p):
+    # the weight-partition suite's one table walk per line weighs what
+    # encoding each specialization weighs, and each of those weights counts
+    # the points of f's support whose line is that vector (fields 2, 3, 2^2,
+    # 5 and 3^2, odd p on both sides of the line, and (9,1,2)'s rows land
+    # on l - 1 = 0)
+    rng = random.Random(43)
+    fs = [rand_combination(rng, p) for _ in range(3)]
+    fs += [MinorCombination.zero(p), leading_maximal_minor(p)]
+    pts = points(p)
+    sides = [(True, p.l, p.lp, MatrixGF.row)]
+    if p.lp > p.l:
+        sides.append((False, p.lp, p.l, MatrixGF.col))
+    for f in fs:
+        word = evaluate_vector(f)
+        for is_row, nlines, length, read in sides:
+            vectors = list(product(range(p.q), repeat=length))
+            for line in range(1, nlines + 1):
+                support = Counter(read(pt, line) for pt, x in zip(pts, word) if x)
+                encoded = [
+                    weight(build(g.params).encode(g.coeffs))
+                    for g in _specializations(f, line, is_row, vectors)
+                ]
+                assert encoded == [support[v] for v in vectors]
+                assert _specialized_weight(f, line, is_row) == sum(encoded) == weight(word)
+
+
 def test_specialize_col_needs_wide_shape():
     with pytest.raises(ValueError):
         specialize_col(leading_maximal_minor(P222), 1, (0, 0))
@@ -250,13 +285,14 @@ def test_det_product_expansion_pointwise():
 
 
 def test_expansion_plans_are_keyed_by_shape():
-    """The index work of _expansion and _all_minors is planned per shape, not
-    per field: expanding one shape over GF(2), GF(3) and GF(4) makes no new
-    plan after the first field, and every result equals the pointwise
-    oracle."""
+    """The index work of _expansion, _all_minors and the row and column
+    substitutions is planned per shape, not per field: expanding and
+    specializing one shape over GF(2), GF(3) and GF(4) makes no new plan
+    after the first field, and every result equals the pointwise oracle."""
     rng = random.Random(41)
     _expansion_plan.cache_clear()  # so that no earlier test has planned for GF(3) or GF(4)
     _minors_plan.cache_clear()
+    _specialization_plan.cache_clear()
     misses = []
     for q in (2, 3, 4):
         p = CodeParams(q, 2, 3)
@@ -279,7 +315,20 @@ def test_expansion_plans_are_keyed_by_shape():
             assert acted.evaluate(pt) == f.evaluate(apply_point(phi, pt))
             for rows, m, s, g in expanded:
                 assert g.evaluate(pt) == (pt.submatrix(rows, (1, 2, 3)) @ m + s).det()
-        misses.append((_expansion_plan.cache_info().misses, _minors_plan.cache_info().misses))
+        # every row and every column
+        sides = ((2, 3, specialize_row, insert_row), (3, 2, specialize_col, insert_col))
+        for nlines, length, single, insert in sides:
+            for line in range(1, nlines + 1):
+                v = tuple(rng.randrange(q) for _ in range(length))
+                g = single(f, line, v)
+                for pt in all_points(g.params):
+                    assert g.evaluate(pt) == f.evaluate(insert(pt, line, v))
+        misses.append(
+            tuple(
+                plan.cache_info().misses
+                for plan in (_expansion_plan, _minors_plan, _specialization_plan)
+            )
+        )
     assert all(misses[0]) and misses[0] == misses[1] == misses[2]
 
 
