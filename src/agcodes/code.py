@@ -254,25 +254,32 @@ def _codeword_weight(code: LinearCode, message: tuple[int, ...]) -> int:
     if len(message) != code.k:
         raise ValueError(f"message length must be {code.k}, got {len(message)}")
     lanes = _lanes(code)
-    return lanes.nonzero(lanes.word(enumerate(message)) ^ lanes.zero)
+    return lanes.support(lanes.word(enumerate(message)) ^ lanes.zero).bit_count()
 
 
 def _span_weight(
     code: LinearCode, base: Sequence[int], directions: Sequence[Sequence[tuple[int, int]]]
 ) -> int:
     """The sum of weight(code.encode(base + Σ_x v_x * T_x)) over every v in
-    GF(q)^len(directions), where directions[x] lists T_x's nonzero
-    coefficients as (row, c), in one table walk: base's stored word, one
-    word per direction and nonzero scalar, all q^len words made from these
-    by the doubling that makes the scans' table, and one count of nonzero
-    lanes per word.  The table holds q^len words of n lanes."""
+    GF(q)^m, m = len(directions), where directions[x] lists T_x's
+    coefficients as (row, c), counted per position without making any of
+    the q^m words.
+
+    At a position where every T_x's codeword is zero, the value is base's
+    for every v: nonzero for all q^m vectors where base's is.  Where some
+    T_x's is nonzero, the value is a nonconstant affine function of v, zero
+    on a hyperplane of q^(m-1) vectors and nonzero on the other
+    q^m - q^(m-1).  So the sum is q^m * |supp(base) minus U| +
+    (q^m - q^(m-1)) * |U|, with U the union of the T_x's supports: the same
+    number as weighing every word, read off m + 1 packed words."""
     lanes = _lanes(code)
-    zero, mul, q = lanes.zero, code.gf.mul, code.gf.q
-    steps = (
-        [lanes.word((r, mul(a, c)) for r, c in d) - zero for a in range(1, q)] for d in directions
-    )
-    words = lanes.spread(lanes.word(enumerate(base)), steps)
-    return sum(map(lanes.nonzero, map(zero.__xor__, words)))
+    zero, support = lanes.zero, lanes.support
+    moving = 0
+    for d in directions:
+        moving |= support(lanes.word(d) ^ zero)
+    fixed = support(lanes.word(enumerate(base)) ^ zero) & ~moving
+    count = code.gf.q ** len(directions)
+    return count * fixed.bit_count() + (count - count // code.gf.q) * moving.bit_count()
 
 
 # -- exhaustive message scans --
@@ -357,8 +364,11 @@ class _Lanes:
         ):
             low += 1
         self.low = low
-        digits = ([self.row(c * p ** (t % e), t // e) for c in range(1, p)] for t in range(low))
-        self.table = self.spread(self.zero, digits)
+        table = [self.zero]
+        for t in range(low):
+            steps = [self.row(c * p ** (t % e), t // e) for c in range(1, p)]
+            table += [self.add(x, v) for v in steps for x in table]
+        self.table = table
 
     def row(self, a: int, r: int) -> int:
         """Generator row r times the element a, packed without bias."""
@@ -378,16 +388,6 @@ class _Lanes:
             if c:
                 out = self.add(out, self.row(c, r))
         return out
-
-    def spread(self, start: int, digits: Iterable[list[int]]) -> list[int]:
-        """The stored word start plus every sum of at most one step from
-        each list of steps (unbiased packed words).  With m - 1 steps in
-        every list, entry sum_t c_t * m^t adds step c_t - 1 of list t for
-        each c_t > 0, so the first list's choice varies fastest."""
-        table = [start]
-        for steps in digits:
-            table += [self.add(x, v) for v in steps for x in table]
-        return table
 
     def add(self, u: int, v: int) -> int:
         """u + v for a stored word u and an unbiased packed word v."""
@@ -426,11 +426,12 @@ class _Lanes:
             out.append((index, self.add(self.table[j], high)))
         return out
 
-    def nonzero(self, diff: int) -> int:
-        """The number of nonzero lanes of a XOR of two stored words."""
+    def support(self, diff: int) -> int:
+        """One bit set in each nonzero lane of a XOR of two stored words,
+        the lane's top bit, and no other."""
         if self.width > 1:
-            diff = (diff + self.fill) & self.high
-        return diff.bit_count()
+            return (diff + self.fill) & self.high
+        return diff
 
     def weights(self, negated: int, count: int):
         """Weights of the words table[:count] + w, given -w stored."""

@@ -477,10 +477,12 @@ def cauchy_binet(pairs: Sequence[tuple[MatrixGF, MatrixGF]]) -> list[tuple[int, 
 
     The pairs share one field and one shape: a is r x s, b is s x r, r <= s.
     Returns, in order, (det(a @ b) by elimination, sum over all r-subsets I
-    of columns of det(a[:, I]) * det(b[I, :]), the minors of each side
-    batched as in batch_minors and the products summed on the same vectors).
-    The two are equal; returning both keeps the check independent of
-    itself.
+    of columns of det(a[:, I]) * det(b[I, :])).  Both sides are formed on
+    vectors across the batch (see _Vectors): the left side's r x r product
+    entries as sums of entry products, each product's determinant then taken
+    by elimination (_det) pair by pair; the right side's minors as in
+    batch_minors, their products summed.  The two are equal; returning both
+    keeps the check independent of itself.
     """
     if not pairs:
         return []
@@ -490,11 +492,17 @@ def cauchy_binet(pairs: Sequence[tuple[MatrixGF, MatrixGF]]) -> list[tuple[int, 
     if r > s:
         raise ValueError(f"need r <= s, got r={r}, s={s}")
     lead, subsets = tuple(range(1, r + 1)), list(combinations(range(1, s + 1), r))
-    flat_a, flat_b = (list(zip(*(m._flat for m in side))) for side in zip(*pairs))
+    vec = _Vectors(gf, len(pairs))
+    flat_a, flat_b = (list(map(vec.box, zip(*(m._flat for m in side)))) for side in zip(*pairs))
     a_rows = [flat_a[i * s : (i + 1) * s] for i in range(r)]
     b_rows = [flat_b[i * r : (i + 1) * r] for i in range(s)]
-    vec = _Vectors(gf, len(pairs))
+    # entry (i, j) of every a @ b, then each a @ b's rows read off them
+    entries = [
+        [reduce(vec.add, (vec.mul(a_rows[i][t], b_rows[t][j]) for t in range(s))) for j in range(r)]
+        for i in range(r)
+    ]
+    lhs = [_det(gf, [[x[k] for x in row] for row in entries]) for k in range(len(pairs))]
     a_minors = _minor_vectors(vec, a_rows, [(lead, c) for c in subsets])
     b_minors = _minor_vectors(vec, b_rows, [(c, lead) for c in subsets])
     rhs = reduce(vec.add, map(vec.mul, a_minors, b_minors))
-    return [((a @ b).det(), v) for (a, b), v in zip(pairs, rhs)]
+    return list(zip(lhs, rhs))

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .matrices import MatrixGF, _all_minors
@@ -259,26 +259,17 @@ def _specialization_terms(
     return target, base, directions
 
 
-def _specializations(
-    f: MinorCombination, line: int, is_row: bool, vectors: Iterable[tuple[int, ...]]
-) -> Iterator[MinorCombination]:
-    """f with row (or column) `line` substituted by each vector in turn.
-
-    The index work is planned once per shape (_specialization_plan) and
-    read off f once (_specialization_terms); each vector then only adds its
-    signed Laplace terms to the coefficients of the minors that avoid the
-    line.
-    """
-    target, base, directions = _specialization_terms(f, line, is_row)
+def _specialized(f: MinorCombination, line: int, is_row: bool, v: tuple[int, ...]) -> MinorCombination:
+    """f with row (or column) `line` substituted by v: base plus v[x] * T_x
+    summed over x (_specialization_terms)."""
+    target, out, directions = _specialization_terms(f, line, is_row)
     gf = f.params.field()
     add, mul = gf.add, gf.mul
-    for v in vectors:
-        out = base.copy()
-        for a, terms in zip(v, directions):
-            if a:
-                for t, c in terms:
-                    out[t] = add(out[t], mul(c, a))
-        yield MinorCombination._of(target, tuple(out))
+    for a, terms in zip(v, directions):
+        if a:
+            for t, c in terms:
+                out[t] = add(out[t], mul(c, a))
+    return MinorCombination._of(target, tuple(out))
 
 
 def specialize_row(f: MinorCombination, i: int, a: tuple[int, ...]) -> MinorCombination:
@@ -295,7 +286,7 @@ def specialize_row(f: MinorCombination, i: int, a: tuple[int, ...]) -> MinorComb
         raise ValueError(f"need a vector of length {p.lp}, got {len(a)}")
     if any(not 0 <= x < p.q for x in a):
         raise ValueError("vector entries must be element indices")
-    return next(_specializations(f, i, True, [a]))
+    return _specialized(f, i, True, a)
 
 
 def specialize_col(f: MinorCombination, j: int, b: tuple[int, ...]) -> MinorCombination:
@@ -309,21 +300,72 @@ def specialize_col(f: MinorCombination, j: int, b: tuple[int, ...]) -> MinorComb
         raise ValueError(f"need a vector of length {p.l}, got {len(b)}")
     if any(not 0 <= x < p.q for x in b):
         raise ValueError("vector entries must be element indices")
-    return next(_specializations(f, j, False, [b]))
+    return _specialized(f, j, False, b)
 
 
 def row_vanishing_locus(f: MinorCombination, i: int) -> list[tuple[int, ...]]:
-    """All vectors a with specialize_row(f, i, a) identically zero.
+    """All vectors a with specialize_row(f, i, a) identically zero, sorted.
 
     Zero is tested on coefficients, which is the same as vanishing at every
-    point because the minors are linearly independent functions.  The sweep
-    runs in lexicographic vector order, so the result is sorted.
+    point because the minors are linearly independent functions.  The
+    specialization at a is base + Σ_x a_x * T_x (_specialization_terms), so
+    the locus is the solution set of the linear system Σ_x a_x * T_x = -base,
+    one equation per minor of the (l-1) x lp shape.  It is solved once by
+    elimination: an inconsistent system has no solution, and otherwise the
+    solutions are one particular solution plus every combination of a basis
+    of the null space, listed by repetition (one basis vector times each
+    scalar added to every vector so far) and sorted.
     """
     p = f.params
     if not 1 <= i <= p.l:
         raise ValueError(f"row {i} outside 1..{p.l}")
-    vectors = list(product(range(p.q), repeat=p.lp))
-    return list(compress(vectors, (g.is_zero for g in _specializations(f, i, True, vectors))))
+    gf, m = p.field(), p.lp
+    add, sub, mul, neg = gf.add, gf.sub, gf.mul, gf.neg
+    _, base, directions = _specialization_terms(f, i, True)
+    # equation t is [T_0[t], ..., T_(m-1)[t] | -base[t]]
+    eqs = [[0] * m + [neg(b)] for b in base]
+    for x, terms in enumerate(directions):
+        for t, c in terms:
+            eqs[t][x] = c  # each (t, x) is planned at most once
+    # each equation is reduced by the pivot rows before it and, unless that
+    # leaves no unknown, becomes one, scaled to 1 at its first unknown
+    pivots: list[tuple[int, list[int]]] = []
+    for e in eqs:
+        for x, top in pivots:
+            c = e[x]
+            if c:
+                e = [sub(y, mul(c, z)) for y, z in zip(e, top)]
+        x = next((x for x in range(m) if e[x]), None)
+        if x is None:
+            if e[m]:
+                return []  # the equation reads 0 = -base[t] != 0
+            continue
+        inv = gf.inv(e[x])
+        pivots.append((x, [mul(inv, y) for y in e]))
+    # a pivot row is zero at every earlier pivot, so solving the last first
+    # reads only unknowns already set
+    pivots.reverse()
+
+    def solve(v: list[int], rhs: bool) -> tuple[int, ...]:
+        """v with its pivot unknowns solved from its free ones, against
+        -base, or against zero for a null vector."""
+        for x, top in pivots:
+            s = top[m] if rhs else 0
+            for y in range(m):
+                if y != x and top[y] and v[y]:
+                    s = sub(s, mul(top[y], v[y]))
+            v[x] = s
+        return tuple(v)
+
+    locus = [solve([0] * m, True)]
+    bound = {x for x, _ in pivots}
+    for y in range(m):
+        if y not in bound:
+            null = solve([int(y == x) for x in range(m)], False)
+            steps = [[mul(c, z) for z in null] for c in range(1, p.q)]
+            locus += [tuple(map(add, v, step)) for step in steps for v in locus]
+    locus.sort()
+    return locus
 
 
 def det_product_expansion(

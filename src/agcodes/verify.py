@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice, product
 from math import comb
 from typing import Callable
@@ -373,8 +374,23 @@ def check_automorphism_suite() -> CheckResult:
 MAX_TRIALS = 10_000
 
 
+def _draws(rng: random.Random, q: int, count: int) -> list[int]:
+    """count draws of rng.randrange(q), from the same stream and leaving
+    rng in the same state: randrange's rejection rule, q.bit_length() bits
+    a try (rng.getrandbits), tried again while the value is q or more, but
+    without randrange's argument handling per draw."""
+    bits, k = rng.getrandbits, q.bit_length()
+    out = []
+    for _ in range(count):
+        x = bits(k)
+        while x >= q:
+            x = bits(k)
+        out.append(x)
+    return out
+
+
 def _random_matrix(rng: random.Random, gf, nrows: int, ncols: int) -> MatrixGF:
-    return MatrixGF(gf, nrows, ncols, tuple(rng.randrange(gf.q) for _ in range(nrows * ncols)))
+    return MatrixGF._of(gf, nrows, ncols, tuple(_draws(rng, gf.q, nrows * ncols)))
 
 
 def _random_invertible(rng: random.Random, gf, n: int) -> MatrixGF:
@@ -387,9 +403,9 @@ def _random_invertible(rng: random.Random, gf, n: int) -> MatrixGF:
 def _random_combination(rng: random.Random, p: CodeParams) -> MinorCombination:
     k = dimension_formula(p)
     while True:
-        coeffs = tuple(rng.randrange(p.q) for _ in range(k))
+        coeffs = tuple(_draws(rng, p.q, k))
         if any(coeffs):
-            return MinorCombination(p, coeffs)
+            return MinorCombination._of(p, coeffs)
 
 
 def _random_map(rng: random.Random, p: CodeParams) -> AffineMap:
@@ -402,9 +418,9 @@ def _specialized_weight(f: MinorCombination, line: int, is_row: bool) -> int:
     """Total weight of f specialized along one row (or column) to every vector.
 
     The specialization at v is base + Σ_x v_x * T_x, affine in v, so its
-    codeword is too: every vector's weight comes from one table walk over
-    the words of base and of each T_x (code._span_weight).  A zero
-    specialization weighs 0.
+    codeword is too, and the sum over every v is counted position by
+    position from the packed words of base and of each T_x
+    (code._span_weight), without making the q^len words.
     """
     target, base, directions = _specialization_terms(f, line, is_row)
     return _span_weight(build(target), base, directions)
@@ -454,21 +470,26 @@ def suite_locus_affine(p: CodeParams, rng: random.Random, trials: int) -> str:
     """Row vanishing loci obey the translation and basis change laws and are
     affinely closed."""
     gf = p.field()
+    add, mul = gf.add, gf.mul
+    identity = MatrixGF.identity(gf, p.lp)
     for _ in range(trials):
         f = _random_combination(rng, p)
         i = rng.randint(1, p.l)
         locus = row_vanishing_locus(f, i)
         case = f"f = {f.coeffs}, row {i}"
         u = _random_matrix(rng, gf, p.l, p.lp)
-        phi = AffineMap(p, u, MatrixGF.identity(gf, p.lp))
+        # a pure translation: the identity is its own inverse, no reduction
+        phi = AffineMap._known_inverse(p, u, identity, identity)
         translated = row_vanishing_locus(act_on_poly(phi, f), i)
         ui = u.row(i)
-        shifted = sorted(tuple(gf.add(x, y) for x, y in zip(v, ui)) for v in translated)
+        shifted = sorted(tuple(map(add, v, ui)) for v in translated)
         assert shifted == locus, f"{p}: locus translation law fails for {case}, u = {u.tolists()}"
         a_lin = _random_invertible(rng, gf, p.lp)
         phi_lin = AffineMap(p, MatrixGF.zeros(gf, p.l, p.lp), a_lin)
         mixed = row_vanishing_locus(act_on_poly(phi_lin, f), i)
-        pushed = sorted(tuple((MatrixGF(gf, 1, p.lp, v) @ a_lin).row(1)) for v in locus)
+        # each v @ a_lin, entry j the dot product of v with column j
+        cols = [a_lin.col(j) for j in range(1, p.lp + 1)]
+        pushed = sorted(tuple(reduce(add, map(mul, v, c)) for c in cols) for v in locus)
         assert sorted(mixed) == pushed, (
             f"{p}: locus basis change law fails for {case}, A = {a_lin.tolists()}"
         )
@@ -565,6 +586,7 @@ def check_algebra_identities() -> CheckResult:
         top = [mi.order == 2 for mi in minor_basis(p22)]
         lower = [i for i, t in enumerate(top) if not t]
         gf2 = field_for_order(2)
+        candidates = [(cand, det_translation_expand(cand)) for cand in enumerate_matrices(gf2, 2, 2)]
         count = 0
         for bits in range(2 ** len(lower)):
             coeffs = [0] * dimension_formula(p22)
@@ -579,10 +601,8 @@ def check_algebra_identities() -> CheckResult:
                 assert f.evaluate(pt) == direct, "absorbed split disagrees pointwise"
             matches = [
                 cand
-                for cand in enumerate_matrices(gf2, 2, 2)
-                if all(
-                    mi.order <= 0 for mi in (f - det_translation_expand(cand)).support()
-                )
+                for cand, expanded in candidates
+                if all(mi.order <= 0 for mi in (f - expanded).support())
             ]
             assert matches == [a], "absorbed translation is not the unique one"
             count += 1

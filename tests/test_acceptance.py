@@ -3,7 +3,8 @@ pass/fail line (visible under pytest -s) and asserting the exact outcome.
 Tolerances are what the checks themselves enforce: every numeric comparison
 is exact, the stated time budgets are asserted inside the checks.  The
 random draws of criterion 6 and autocheck are pinned by the state their
-generators end in, so a faster check cannot draw fewer or other cases.
+generators end in, so a faster check cannot draw fewer or other cases, and
+the suites' own draw equals randrange on the same stream.
 Criterion 4's codewords from its per-point minor table are checked against
 MinorCombination.evaluate at every point.  Criterion 5's generator
 certificate must fail when the generators do not generate or one product is
@@ -276,6 +277,18 @@ def test_drawn_cases_are_pinned(monkeypatch):
     )
     assert criterion_6 == [CRITERION_6_STATE]
     assert autocheck == [AUTOCHECK_222_STATE]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 17, 25, 256])
+def test_draws_follow_randrange_on_the_same_stream(q):
+    # the suites draw entries and coefficients through verify._draws; it
+    # must give what randrange(q) gives from an identically seeded
+    # generator and leave it in the same state, or the pinned cases change
+    # under another interpreter's randrange
+    ours, theirs = random.Random(q), random.Random(q)
+    for count in (0, 1, 4, 9, 100):
+        assert verify._draws(ours, q, count) == [theirs.randrange(q) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize(

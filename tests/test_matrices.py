@@ -333,8 +333,11 @@ def test_cauchy_binet():
         cauchy_binet([(rand_matrix(rng, gf2, 2, 3), rand_matrix(rng, gf2, 2, 3))])
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 17, 25])
 def test_batched_cauchy_binet_matches_the_minor_by_minor_sum(q):
+    # both sides against a product and determinant per pair and a minor by
+    # minor sum, r = 0 (the empty product, det 1) included; 17 and 25 take
+    # the tuple vectors with no byte table
     gf = field_for_order(q)
     rng = random.Random(60 + q)
     for r in range(4):

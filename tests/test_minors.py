@@ -19,7 +19,6 @@ from agcodes.minors import (
     MinorIndex,
     _expansion_plan,
     _specialization_plan,
-    _specializations,
     absorb_translation,
     basis_positions,
     det_product_expansion,
@@ -175,9 +174,9 @@ def test_specialize_col_oracle(p):
     "p", [P223, CodeParams(3, 2, 2), CodeParams(4, 2, 2), CodeParams(9, 1, 2)]
 )
 def test_specializations_one_pass_matches_single_vectors(p):
-    # one pass over every vector of a line gives, in order, what the
-    # single-vector calls give, and each result evaluates like f with the
-    # vector put in (fields 2, 3, 2^2 and 3^2)
+    # the specialization at every vector of every line, one call each, has
+    # the smaller shape and evaluates like f with the vector put in (fields
+    # 2, 3, 2^2 and 3^2, the zero and leading minors included)
     rng = random.Random(37)
     fs = [rand_combination(rng, p) for _ in range(4)]
     fs += [MinorCombination.zero(p), leading_maximal_minor(p)]
@@ -187,11 +186,9 @@ def test_specializations_one_pass_matches_single_vectors(p):
     for f in fs:
         for is_row, nlines, length, single, insert in sides:
             small = CodeParams(p.q, p.l - 1, p.lp) if is_row else CodeParams(p.q, p.l, p.lp - 1)
-            vectors = list(product(range(p.q), repeat=length))
             for line in range(1, nlines + 1):
-                out = list(_specializations(f, line, is_row, vectors))
-                assert out == [single(f, line, v) for v in vectors]
-                for v, g in zip(vectors, out):
+                for v in product(range(p.q), repeat=length):
+                    g = single(f, line, v)
                     assert g.params == small
                     for pt in all_points(small):
                         assert g.evaluate(pt) == f.evaluate(insert(pt, line, v))
@@ -202,8 +199,8 @@ def test_specializations_one_pass_matches_single_vectors(p):
     [P223, CodeParams(3, 2, 3), CodeParams(4, 2, 2), CodeParams(5, 2, 2), CodeParams(9, 1, 2)],
 )
 def test_specialized_weight_matches_encoded_specializations(p):
-    # the weight-partition suite's one table walk per line weighs what
-    # encoding each specialization weighs, and each of those weights counts
+    # the weight-partition suite's count from one packed word per
+    # direction and the base weighs what encoding each specialization weighs, and each of those weights counts
     # the points of f's support whose line is that vector (fields 2, 3, 2^2,
     # 5 and 3^2, odd p on both sides of the line, and (9,1,2)'s rows land
     # on l - 1 = 0)
@@ -211,19 +208,19 @@ def test_specialized_weight_matches_encoded_specializations(p):
     fs = [rand_combination(rng, p) for _ in range(3)]
     fs += [MinorCombination.zero(p), leading_maximal_minor(p)]
     pts = points(p)
-    sides = [(True, p.l, p.lp, MatrixGF.row)]
+    sides = [(True, p.l, p.lp, MatrixGF.row, specialize_row)]
     if p.lp > p.l:
-        sides.append((False, p.lp, p.l, MatrixGF.col))
+        sides.append((False, p.lp, p.l, MatrixGF.col, specialize_col))
     for f in fs:
         word = evaluate_vector(f)
-        for is_row, nlines, length, read in sides:
+        for is_row, nlines, length, read, single in sides:
             vectors = list(product(range(p.q), repeat=length))
             for line in range(1, nlines + 1):
                 support = Counter(read(pt, line) for pt, x in zip(pts, word) if x)
-                encoded = [
-                    weight(build(g.params).encode(g.coeffs))
-                    for g in _specializations(f, line, is_row, vectors)
-                ]
+                encoded = []
+                for v in vectors:
+                    g = single(f, line, v)
+                    encoded.append(weight(build(g.params).encode(g.coeffs)))
                 assert encoded == [support[v] for v in vectors]
                 assert _specialized_weight(f, line, is_row) == sum(encoded) == weight(word)
 
@@ -248,6 +245,54 @@ def test_row_vanishing_locus_examples():
     assert len(row_vanishing_locus(MinorCombination.zero(P222), 1)) == 4
     with pytest.raises(ValueError):
         row_vanishing_locus(det, 3)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        P222,
+        P223,
+        CodeParams(3, 2, 3),
+        CodeParams(4, 2, 2),
+        CodeParams(5, 2, 2),
+        CodeParams(9, 1, 2),
+        CodeParams(3, 1, 4),
+    ],
+)
+def test_row_vanishing_locus_matches_the_codeword_oracle(p):
+    # the solved locus of row i is the set of vectors v at which f's
+    # codeword is zero at every point whose row i is v, read off the
+    # codeword, not the plan: random f, random f moved by a random map
+    # (affine loci of every size), the zero combination (the whole space),
+    # a nonzero constant (an inconsistent system, the empty locus) and the
+    # leading maximal minor
+    rng = random.Random(47)
+    gf = p.field()
+
+    def matrix(nrows, ncols):
+        return MatrixGF(gf, nrows, ncols, tuple(rng.randrange(p.q) for _ in range(nrows * ncols)))
+
+    lead = leading_maximal_minor(p)
+    fs = [rand_combination(rng, p) for _ in range(3)]
+    for _ in range(3):
+        while True:
+            a = matrix(p.lp, p.lp)
+            if a.det():
+                break
+        fs.append(act_on_poly(AffineMap(p, matrix(p.l, p.lp), a), lead))
+    fs += [MinorCombination.zero(p), MinorCombination.constant(p, p.q - 1), lead]
+    pts = points(p)
+    everything = list(product(range(p.q), repeat=p.lp))
+    sizes = set()
+    for f in fs:
+        word = evaluate_vector(f)
+        for i in range(1, p.l + 1):
+            nonzero = {pt.row(i) for pt, x in zip(pts, word) if x}
+            expected = [v for v in everything if v not in nonzero]
+            locus = row_vanishing_locus(f, i)
+            assert locus == expected
+            sizes.add(len(locus))
+    assert {0, p.q**p.lp} <= sizes
 
 
 def test_row_vanishing_locus_sorted():
