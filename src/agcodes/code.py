@@ -315,7 +315,8 @@ class _Lanes:
     against the negated word of the block's high part.
 
     A positive `width` asks for lanes of at least that many bits and no
-    table (low = 0): the coset engine's words, whose lanes later hold counts.
+    table (low = 0): the coset engine's words, 8 bits wide when the element
+    patterns fit, from which it makes its count lanes.
     """
 
     def __init__(self, code: LinearCode, width: int = 0):
@@ -337,12 +338,9 @@ class _Lanes:
                 x //= p
             return out
 
-        every = ((1 << (width * n)) - 1) // ((1 << width) - 1)  # 1 in each lane
+        every, self.fill, self.high = _signs(n, width)
         self.zero = pattern(0, bias) * every
         self.guard = sum(1 << (sub * j + sub - 1) for j in range(e)) * every
-        # (x + fill) & high has a lane's top bit set where x's lane is nonzero
-        self.fill = ((1 << (width - 1)) - 1) * every
-        self.high = (1 << (width - 1)) * every
         # lane pattern -> element; a 1-bit lane is unpacked as an ASCII digit
         decode = {pattern(x, bias) + (ord("0") if width == 1 else 0): x for x in range(q)}
         if width <= 8:
@@ -462,6 +460,34 @@ class _Lanes:
         return out
 
 
+def _every(count: int, width: int) -> int:
+    """1 in each of `count` lanes of `width` bits, 1 or a multiple of 8;
+    made from bytes, as a division would take time quadratic in the size."""
+    if width == 1:
+        return (1 << count) - 1
+    return int.from_bytes(b"\1".ljust(width // 8, b"\0") * count, "little")
+
+
+def _signs(count: int, width: int) -> tuple[int, int, int]:
+    """(every, fill, high): 1, 2^(w-1) - 1 and 2^(w-1) in each of `count`
+    lanes of w = `width` bits.  (x + fill) & high has a lane's top bit set
+    where x's lane is nonzero, if no lane of x has its top bit set."""
+    every = _every(count, width)
+    return every, ((1 << (width - 1)) - 1) * every, (1 << (width - 1)) * every
+
+
+def _widen(x: int, count: int, width: int, wider: int) -> int:
+    """The `count` lanes of x, of 8 or 16 bits, each in the low bytes of a
+    lane of `wider` bits: one strided copy per byte of a lane, on
+    little-endian bytes."""
+    step, wide = width // 8, wider // 8
+    lanes = x.to_bytes(count * step, "little")
+    out = bytearray(count * wide)
+    for j in range(step):
+        out[j::wide] = lanes[j::step]
+    return int.from_bytes(out, "little")
+
+
 def _lane_view(x: int, count: int, width: int) -> memoryview:
     """The first `count` lanes of x, of 16 or 32 bits each, lowest first."""
     # native byte order, so the cast reads each lane whole; big-endian order
@@ -554,44 +580,55 @@ class _Cosets:
     g + L·x = c.  So the word g + L·x + b has weight n - B_c[L] for b = -c,
     and for b = 0 weight S[L], the sum of B_c[L] over c != 0.
 
-    A lane holds a count of at most n, in 16 bits, or 32 once n >= 2^15, so
-    that a lane compared against a bound in packed form keeps its top bit
-    free.  A batch of cosets sits side by side in the same ints, one block
-    of n lanes each, and no stage moves a count out of its block.
+    Lanes are only as wide as their counts.  The coset words and the A_c
+    take 8 bits when the element patterns fit (see _Lanes).  After stage t a
+    lane holds at most q^(t+1), so stage t runs in the narrowest of 8, 16 or
+    32 bits that holds that, and no narrower than the stage before: q = 2
+    runs 7 stages in 8 bits, q = 3 runs 5, q = 4 or 5 run 3.  A widening
+    copies each lane's bytes into the low bytes of a wider lane
+    (_widen).  The B_c come out in lanes of 16 bits, or 32 once n >= 2^15,
+    so that a count of at most n compared against a bound in packed form
+    keeps its top bit free.  A batch of cosets sits side by side in the
+    same ints, one block of n lanes each, and no stage moves a count out of
+    its block.
     """
 
-    def __init__(self, code: LinearCode, delta: int, words: _Lanes, blocks: int):
+    def __init__(self, code: LinearCode, delta: int, words: _Lanes, width: int, blocks: int):
         gf = code.gf
         q = gf.q
         self.gf, self.n, self.k, self.delta = gf, code.n, code.k, delta
         self.words, self.blocks = words, blocks  # cosets per full batch
+        self.width = width  # of the B_c's lanes
         sub, mul = gf.sub, gf.mul
         # the pieces of a stage are A_c's lanes of digit t = v, at c * q + v
         self.plan = [[[sub(c, mul(b, v)) * q + v for v in range(q)] for b in range(q)] for c in range(1, q)]
+        self.widths, w = [], words.width  # stage t's lane width
+        for t in range(delta):
+            w = max(w, next(x for x in (8, 16, 32) if q ** (t + 1) < 1 << x))
+            self.widths.append(w)
         self._shape: tuple = (0, None)  # the last batch's, the only one kept
 
     def shape(self, blocks: int) -> tuple:
-        """(every, fill, high, constants, stages) of a batch of that many
-        cosets: 1, 2^(w-1) - 1 and 2^(w-1) in each lane, each constant word
-        c != 0, and per stage its shift, the mask of the lanes whose digit t
-        is 0 and their point count."""
+        """(every, fill, high, start, stages) of a batch of that many cosets:
+        1, 2^(w-1) - 1 and 2^(w-1) in each lane of the final width w; start
+        = (fill, high, constants) at the words' width, with each constant
+        word c != 0; and per stage its width, shift, the mask of the lanes
+        whose digit t is 0 and their point count, at that width."""
         if self._shape[0] != blocks:
-            words, n, q = self.words, self.n, self.gf.q
-            width, size = words.width, self.n * words.width // 8
-
-            def tile(x: int) -> int:
-                return int.from_bytes(x.to_bytes(size, "little") * blocks, "little")
-
-            every = tile(((1 << (width * n)) - 1) // ((1 << width) - 1))
+            words, q, lanes = self.words, self.gf.q, blocks * self.n
             stages = []
-            for t in range(self.delta):
+            for t, width in enumerate(self.widths):
                 shift = width * q**t
-                mask = tile(((1 << shift) - 1) * (((1 << (width * n)) - 1) // ((1 << (shift * q)) - 1)))
-                stages.append((shift, mask, q**t * (every & mask)))
+                # digit t is 0 on the first q^t lanes of each q^(t+1)
+                run = b"\xff" * (shift // 8)
+                mask = int.from_bytes(run.ljust(len(run) * q, b"\0") * (lanes // q ** (t + 1)), "little")
+                stages.append((width, shift, mask, q**t * (_every(lanes, width) & mask)))
+            size = self.n * words.width // 8
             # row 0 is all ones, so c times it is the constant word c
-            constants = [tile(words.add(words.zero, words.row(c, 0))) for c in range(1, q)]
-            half = 1 << (width - 1)
-            self._shape = (blocks, (every, (half - 1) * every, half * every, constants, stages))
+            one = (words.add(words.zero, words.row(c, 0)).to_bytes(size, "little") for c in range(1, q))
+            constants = [int.from_bytes(x * blocks, "little") for x in one]
+            start = (*_signs(lanes, words.width)[1:], constants)
+            self._shape = (blocks, (*_signs(lanes, self.width), start, stages))
         return self._shape[1]
 
     def batches(self):
@@ -626,13 +663,15 @@ class _Cosets:
 
     def transform(self, gs: tuple[int, ...]) -> list[int]:
         """The B_c of the cosets of the stored words gs, side by side."""
-        q, plan, width = self.gf.q, self.plan, self.words.width
-        _, fill, high, constants, stages = self.shape(len(gs))
+        q, plan, width, lanes = self.gf.q, self.plan, self.words.width, len(gs) * self.n
+        (fill, high, constants), stages = self.shape(len(gs))[3:]
         size = self.n * width // 8
         g = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in gs), "little")
         # A_c: 1 in the lanes where g - c is zero
         a = [(((g ^ c) + fill) & high ^ high) >> (width - 1) for c in constants]
-        for shift, mask, count in stages:
+        for wider, shift, mask, count in stages:
+            if wider > width:
+                a, width = [_widen(x, lanes, width, wider) for x in a], wider
             pieces = [0] * q  # A_0's pieces go here; v = 0 is never read
             for x in a:
                 pieces += [(x >> (v * shift)) & mask for v in range(q)]
@@ -643,11 +682,13 @@ class _Cosets:
                 reduce(or_, [reduce(add, map(get, row)) << (b * shift) for b, row in enumerate(rows)])
                 for rows in plan
             ]
+        if self.width > width:
+            a = [_widen(x, lanes, width, self.width) for x in a]
         return a
 
     def lanes(self, x: int, blocks: int) -> memoryview:
         """The lanes of x, a batch of that many cosets, in order."""
-        return _lane_view(x, blocks * self.n, self.words.width)
+        return _lane_view(x, blocks * self.n, self.width)
 
     def weights(self, b: list[int], s: int) -> list[int]:
         """The weight of the word b + q·L of a single coset, for every index."""
@@ -682,7 +723,7 @@ class _Cosets:
         if reach >= self.n:
             return True
         every, _, high = self.shape(blocks)[:3]
-        half = 1 << (self.words.width - 1)
+        half = 1 << (self.width - 1)
         low, up = (half - self.n + reach) * every, (half - 1 - reach) * every
         return (s + up) & high != high or any((x + low) & high for x in b)
 
@@ -691,7 +732,7 @@ class _Cosets:
         n, q, blocks = self.n, self.gf.q, len(hs)
         span = q * n  # words per coset
         every, fill, high = self.shape(blocks)[:3]
-        step = self.words.width // 8
+        step = self.width // 8
         found = []
         for low, x, v in [(0, s, weight)] + [(self.gf.neg(c), x, n - weight) for c, x in zip(range(1, q), b)]:
             same = ((x ^ v * every) + fill) & high ^ high
@@ -710,11 +751,13 @@ def _cosets(code: LinearCode) -> _Cosets | None:
     of the point index).
 
     A batch holds as many cosets as fit _TABLE_BYTES, and at least one.  One
-    coset takes (q^2 + 3q + 2δ + 4)·n lanes of 2 or 4 bytes.  _scan runs the
-    engine only when k >= δ + 2, so n·q^2 <= q^k, which the messages cap
-    bounds: one coset's ints are at most a few times q^k lanes.  At the
-    default caps the largest is (19,2,2)'s, 430·19^4 lanes of 4 bytes,
-    about 224 MB; a transform's temporaries can more than double that."""
+    coset takes at most (q^2 + 3q + 2δ + 4)·n lanes, charged at the final
+    width of 2 or 4 bytes: the stages before a widening run in narrower
+    lanes (see _Cosets), so this stays an upper bound on the ints it counts.
+    _scan runs the engine only when k >= δ + 2, so n·q^2 <= q^k, which the
+    messages cap bounds: one coset's ints are at most a few times q^k lanes.
+    At the default caps the largest is (19,2,2)'s, 430·19^4 lanes charged
+    at 4 bytes, about 224 MB; a transform's temporaries can exceed that."""
     if "cosets" not in code._cache:
         code._cache["cosets"] = None
         q, n, k, gen = code.gf.q, code.n, code.k, code.generator
@@ -723,11 +766,12 @@ def _cosets(code: LinearCode) -> _Cosets | None:
             return None
         if any(gen[1 + t] != tuple(digit) for t, digit in enumerate(_digits(q, delta))):
             return None
-        words = _Lanes(code, 16 if n < 2**15 else 32)
+        words = _Lanes(code, 8)
+        width = max(words.width, 16 if n < 2**15 else 32)
         # the ints of a batch: q^2 pieces, q - 1 A_c, q - 1 B_c, S, a
-        # temporary, and its shape's 3 + (q - 1) + 2δ
-        blocks = max(1, _TABLE_BYTES // ((q * q + 3 * q + 2 * delta + 4) * n * words.width // 8))
-        code._cache["cosets"] = _Cosets(code, delta, words, blocks)
+        # temporary, and its shape's 5 + (q - 1) + 2δ
+        blocks = max(1, _TABLE_BYTES // ((q * q + 3 * q + 2 * delta + 4) * n * width // 8))
+        code._cache["cosets"] = _Cosets(code, delta, words, width, blocks)
     return code._cache["cosets"]
 
 

@@ -393,11 +393,15 @@ def _random_matrix(rng: random.Random, gf, nrows: int, ncols: int) -> MatrixGF:
     return MatrixGF._of(gf, nrows, ncols, tuple(_draws(rng, gf.q, nrows * ncols)))
 
 
-def _random_invertible(rng: random.Random, gf, n: int) -> MatrixGF:
+def _random_invertible(rng: random.Random, gf, n: int) -> tuple[MatrixGF, MatrixGF]:
+    """A random invertible n x n matrix and its inverse: matrices are drawn
+    until one inverts, one row reduction each."""
     while True:
         m = _random_matrix(rng, gf, n, n)
-        if m.det() != 0:
-            return m
+        try:
+            return m, m.inverse()
+        except ValueError:  # singular
+            continue
 
 
 def _random_combination(rng: random.Random, p: CodeParams) -> MinorCombination:
@@ -411,7 +415,7 @@ def _random_combination(rng: random.Random, p: CodeParams) -> MinorCombination:
 def _random_map(rng: random.Random, p: CodeParams) -> AffineMap:
     gf = p.field()
     u = _random_matrix(rng, gf, p.l, p.lp)
-    return AffineMap(p, u, _random_invertible(rng, gf, p.lp))
+    return AffineMap._known_inverse(p, u, *_random_invertible(rng, gf, p.lp))
 
 
 def _specialized_weight(f: MinorCombination, line: int, is_row: bool) -> int:
@@ -484,8 +488,8 @@ def suite_locus_affine(p: CodeParams, rng: random.Random, trials: int) -> str:
         ui = u.row(i)
         shifted = sorted(tuple(map(add, v, ui)) for v in translated)
         assert shifted == locus, f"{p}: locus translation law fails for {case}, u = {u.tolists()}"
-        a_lin = _random_invertible(rng, gf, p.lp)
-        phi_lin = AffineMap(p, MatrixGF.zeros(gf, p.l, p.lp), a_lin)
+        a_lin, a_inv = _random_invertible(rng, gf, p.lp)
+        phi_lin = AffineMap._known_inverse(p, MatrixGF.zeros(gf, p.l, p.lp), a_lin, a_inv)
         mixed = row_vanishing_locus(act_on_poly(phi_lin, f), i)
         # each v @ a_lin, entry j the dot product of v with column j
         cols = [a_lin.col(j) for j in range(1, p.lp + 1)]

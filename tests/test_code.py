@@ -195,6 +195,16 @@ def _random_affine(q, delta, extra, seed):
     return LinearCode(field_for_order(q), rows)
 
 
+def _powers(q, k):
+    """Rows x^0, ..., x^(k-1) at the q points of GF(q): row 0 all ones and
+    row 1 the point digit, so the engine accepts it with δ = 1."""
+    gf = field_for_order(q)
+    rows = [(1,) * q]
+    for _ in range(k - 1):
+        rows.append(tuple(map(gf.mul, rows[-1], range(q))))
+    return LinearCode(gf, rows)
+
+
 def _altered(shape, change):
     """The generator of build(shape) after change(rows), a list of rows."""
     code = build(CodeParams(*shape))
@@ -218,9 +228,11 @@ def _drop_last_point(rows, gf):
 
 # Every q <= 9 on small affine shapes, a Grassmann code, random generators
 # that come from no affine code, and fields whose elements need 8-, 16- and
-# 32-bit lanes (GF(128), GF(25), GF(131), GF(256), GF(729)).  The altered
-# affine generators span codes the coset engine must refuse: their digit
-# rows are not the point coordinates in order, or n is not a power of q.
+# 32-bit lanes (GF(128), GF(25), GF(131), GF(256), GF(729)).  powers(25,3)
+# and powers(27,3) run the coset engine on elements that need 16-bit lanes.
+# The altered affine generators span codes the coset engine must refuse:
+# their digit rows are not the point coordinates in order, or n is not a
+# power of q.
 DIFFERENTIAL = {
     **{f"affine({q},1,2)": lambda q=q: build(CodeParams(q, 1, 2)) for q in (2, 3, 4, 5, 7, 8, 9)},
     "affine(2,2,3)": lambda: build(CodeParams(2, 2, 3)),
@@ -231,6 +243,8 @@ DIFFERENTIAL = {
     "random-affine-gf3": lambda: _random_affine(3, 2, 3, 3),
     "random-affine-gf4": lambda: _random_affine(4, 2, 2, 4),
     "random-affine-gf9": lambda: _random_affine(9, 1, 2, 9),
+    "powers(25,3)": lambda: _powers(25, 3),
+    "powers(27,3)": lambda: _powers(27, 3),
     "grassmann(2,4,3)": lambda: build_grassmann_code(2, 4, field_for_order(3)),
     "random-gf8": lambda: _random_code(8, 3, 7, 8),
     "random-gf9": lambda: _random_code(9, 3, 7, 9),
@@ -346,14 +360,18 @@ def test_route_is_picked_from_the_generator(case, route, monkeypatch):
     assert called == [route] * 3
 
 
-ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID] + [(2, 3, 3), (3, 2, 3), (7, 2, 2), (8, 2, 2)]
+# n = 2^15 puts the engine's counts in 32-bit lanes, past two widenings
+LARGE = {"random-affine-gf2-n32768": lambda: _random_affine(2, 15, 1, 15)}
+ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID] + [(2, 3, 3), (3, 2, 3), (7, 2, 2), (8, 2, 2), *LARGE]
 
 
-@pytest.mark.parametrize("shape", ROUTE_GRID, ids=lambda s: ",".join(map(str, s)))
+@pytest.mark.parametrize(
+    "shape", ROUTE_GRID, ids=lambda s: s if isinstance(s, str) else ",".join(map(str, s))
+)
 def test_scan_routes_agree(shape):
     """The packed scan and the coset engine return the same triple, mode by
     mode, each on a code of its own."""
-    code = build(CodeParams(*shape))
+    code = LARGE[shape]() if isinstance(shape, str) else build(CodeParams(*shape))
     for mode in ("min", "dist", "words"):
         packed = code_module._packed_scan(LinearCode(code.gf, code.generator), mode)
         cosets = code_module._coset_scan(LinearCode(code.gf, code.generator), mode)
