@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from functools import lru_cache, reduce
-from itertools import compress, islice
-from operator import add, itemgetter, methodcaller, or_
+from functools import lru_cache, partial, reduce
+from itertools import chain, compress, islice, repeat
+from operator import and_, itemgetter, lshift, methodcaller, or_, rshift
 from typing import Iterable, Sequence
 
 from . import limits
@@ -315,8 +315,8 @@ class _Lanes:
     against the negated word of the block's high part.
 
     A positive `width` asks for lanes of at least that many bits and no
-    table (low = 0): the coset engine's words, 8 bits wide when the element
-    patterns fit, from which it makes its count lanes.
+    table (low = 0): the coset engine's words, 1 bit wide for q = 2 and 8
+    bits when the element patterns fit, from which it makes its bit planes.
     """
 
     def __init__(self, code: LinearCode, width: int = 0):
@@ -476,18 +476,6 @@ def _signs(count: int, width: int) -> tuple[int, int, int]:
     return every, ((1 << (width - 1)) - 1) * every, (1 << (width - 1)) * every
 
 
-def _widen(x: int, count: int, width: int, wider: int) -> int:
-    """The `count` lanes of x, of 8 or 16 bits, each in the low bytes of a
-    lane of `wider` bits: one strided copy per byte of a lane, on
-    little-endian bytes."""
-    step, wide = width // 8, wider // 8
-    lanes = x.to_bytes(count * step, "little")
-    out = bytearray(count * wide)
-    for j in range(step):
-        out[j::wide] = lanes[j::step]
-    return int.from_bytes(out, "little")
-
-
 def _lane_view(x: int, count: int, width: int) -> memoryview:
     """The first `count` lanes of x, of 16 or 32 bits each, lowest first."""
     # native byte order, so the cast reads each lane whole; big-endian order
@@ -572,75 +560,67 @@ class _Cosets:
     fast Hadamard transform that MacWilliams and Sloane (The Theory of
     Error-Correcting Codes, 1977, ch. 14) apply to the cosets of RM(1, m).
 
-    For a coset word g, A_c holds [g(x) = c] in one lane per point x, one
-    int per c != 0; A_0 is the lanes' point count minus their sum.  Stage t
-    replaces digit t of the lane index, the coordinate x_t, by a
-    coefficient L_t: B_c[..L_t..] = Σ_v A_{c - L_t·v}[..v..], through the
-    field tables.  After the δ stages lane L of B_c counts the points where
-    g + L·x = c.  So the word g + L·x + b has weight n - B_c[L] for b = -c,
-    and for b = 0 weight S[L], the sum of B_c[L] over c != 0.
+    For a coset word g, A_c counts [g(x) = c] at each point x, for c != 0;
+    A_0 is the point count minus their sum.  Stage t replaces digit t of the
+    point index, the coordinate x_t, by a coefficient L_t:
+    B_c[..L_t..] = Σ_v A_{c - L_t·v}[..v..], through the field tables.
+    After the δ stages B_c[L] counts the points where g + L·x = c.  So the
+    word g + L·x + b has weight n - B_c[L] for b = -c, and for b = 0 weight
+    S[L], the sum of B_c[L] over c != 0.
 
-    Lanes are only as wide as their counts.  The coset words and the A_c
-    take 8 bits when the element patterns fit (see _Lanes).  After stage t a
-    lane holds at most q^(t+1), so stage t runs in the narrowest of 8, 16 or
-    32 bits that holds that, and no narrower than the stage before: q = 2
-    runs 7 stages in 8 bits, q = 3 runs 5, q = 4 or 5 run 3.  A widening
-    copies each lane's bytes into the low bytes of a wider lane
-    (_widen).  The B_c come out in lanes of 16 bits, or 32 once n >= 2^15,
-    so that a count of at most n compared against a bound in packed form
-    keeps its top bit free.  A batch of cosets sits side by side in the
-    same ints, one block of n lanes each, and no stage moves a count out of
-    its block.
+    Counts are bit-sliced (Boothby and Bradshaw, arXiv:0901.1413): a count
+    array is a list of planes, least significant first, and plane j is an
+    int with bit i set where count i has bit j set.  A batch of cosets sits
+    side by side, n bits of each plane per coset, and no stage moves a count
+    out of its coset.  Each A_c starts as one plane, the points where g = c.
+    Stage t takes A_0 = q^t - Σ_c A_c by a ripple subtractor (_minus).  For
+    each B_c and each v it then moves the counts of A_{c - b·v} at digit
+    t = v to digit b, for every b at once, by one shift and mask per plane
+    (_moved), and adds the q moved arrays with ripple adders (_add): AND, OR
+    and XOR on ints of one bit per count.  A count after stage t is at most
+    q^(t+1), so its array has at most bits(q^(t+1)) planes.  The counts are
+    read the same way: a walk down the planes splits the counts by value
+    (_levels), for a tally, a least or greatest count and where it is.
     """
 
-    def __init__(self, code: LinearCode, delta: int, words: _Lanes, width: int, blocks: int):
+    def __init__(self, code: LinearCode, delta: int, words: _Lanes, blocks: int):
         gf = code.gf
         q = gf.q
         self.gf, self.n, self.k, self.delta = gf, code.n, code.k, delta
         self.words, self.blocks = words, blocks  # cosets per full batch
-        self.width = width  # of the B_c's lanes
         sub, mul = gf.sub, gf.mul
-        # the pieces of a stage are A_c's lanes of digit t = v, at c * q + v
-        self.plan = [[[sub(c, mul(b, v)) * q + v for v in range(q)] for b in range(q)] for c in range(1, q)]
-        self.widths, w = [], words.width  # stage t's lane width
-        for t in range(delta):
-            w = max(w, next(x for x in (8, 16, 32) if q ** (t + 1) < 1 << x))
-            self.widths.append(w)
-        self._shape: tuple = (0, None)  # the last batch's, the only one kept
+        # B_c at digit b is the sum over v of A_{c - b·v} at digit v: route
+        # (c, v) lists, for each b, that array and the shift b - v in digits
+        self.routes = [[[(sub(c, mul(b, v)), b - v) for b in range(q)] for v in range(q)] for c in range(1, q)]
+        # per stage, the counts of one coset whose digit t is 0: the first
+        # q^t of each q^(t+1)
+        runs = [q**t for t in range(delta)]
+        self.masks = [int(("0" * (run * q - run) + "1" * run) * (self.n // (run * q)), 2) for run in runs]
+        self._shapes: dict[int, tuple] = {}
 
     def shape(self, blocks: int) -> tuple:
-        """(every, fill, high, start, stages) of a batch of that many cosets:
-        1, 2^(w-1) - 1 and 2^(w-1) in each lane of the final width w; start
-        = (fill, high, constants) at the words' width, with each constant
-        word c != 0; and per stage its width, shift, the mask of the lanes
-        whose digit t is 0 and their point count, at that width."""
-        if self._shape[0] != blocks:
-            words, q, lanes = self.words, self.gf.q, blocks * self.n
-            stages = []
-            for t, width in enumerate(self.widths):
-                shift = width * q**t
-                # digit t is 0 on the first q^t lanes of each q^(t+1)
-                run = b"\xff" * (shift // 8)
-                mask = int.from_bytes(run.ljust(len(run) * q, b"\0") * (lanes // q ** (t + 1)), "little")
-                stages.append((width, shift, mask, q**t * (_every(lanes, width) & mask)))
-            size = self.n * words.width // 8
+        """(every, constants, stages) of a batch of that many cosets: every
+        has a bit per count; each constant word c != 0 at the words' width,
+        side by side (for q > 2); and per stage the mask of the counts whose
+        digit t is 0."""
+        if blocks not in self._shapes:
+            words, q, n = self.words, self.gf.q, self.n
+            stages = [_tiled(mask, n, blocks) for mask in self.masks]
             # row 0 is all ones, so c times it is the constant word c
-            one = (words.add(words.zero, words.row(c, 0)).to_bytes(size, "little") for c in range(1, q))
-            constants = [int.from_bytes(x * blocks, "little") for x in one]
-            start = (*_signs(lanes, words.width)[1:], constants)
-            self._shape = (blocks, (*_signs(lanes, self.width), start, stages))
-        return self._shape[1]
+            one = (words.add(words.zero, words.row(c, 0)) for c in range(1, q))
+            constants = [_tiled(x, n * words.width, blocks) for x in one] if q > 2 else []
+            self._shapes[blocks] = ((1 << blocks * n) - 1, constants, stages)
+        return self._shapes[blocks]
 
     def batches(self):
-        """(hs, B, S) for the higher part 0 alone, then for batches of the
-        higher parts whose top coefficient is 1, in index order."""
-        batch = [(0, self.words.zero)]
-        higher = self._higher()
-        while batch:
+        """(hs, B, S) for batches of the higher parts 0, which gives
+        RM_q(1, δ) itself, then those whose top coefficient is 1, in index
+        order."""
+        higher = chain([(0, self.words.zero)], self._higher())
+        while batch := list(islice(higher, self.blocks)):
             hs, gs = zip(*batch)
             b = self.transform(gs)
-            yield hs, b, b[0] if self.gf.q == 2 else sum(b)
-            batch = list(islice(higher, self.blocks))
+            yield hs, b, reduce(_add, b)
 
     def _higher(self):
         """(h, g) for every higher part h whose top coefficient is 1, in
@@ -661,88 +641,156 @@ class _Cosets:
                         break
                     digits[t] = 0
 
-    def transform(self, gs: tuple[int, ...]) -> list[int]:
-        """The B_c of the cosets of the stored words gs, side by side."""
-        q, plan, width, lanes = self.gf.q, self.plan, self.words.width, len(gs) * self.n
-        (fill, high, constants), stages = self.shape(len(gs))[3:]
-        size = self.n * width // 8
-        g = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in gs), "little")
-        # A_c: 1 in the lanes where g - c is zero
-        a = [(((g ^ c) + fill) & high ^ high) >> (width - 1) for c in constants]
-        for wider, shift, mask, count in stages:
-            if wider > width:
-                a, width = [_widen(x, lanes, width, wider) for x in a], wider
-            pieces = [0] * q  # A_0's pieces go here; v = 0 is never read
-            for x in a:
-                pieces += [(x >> (v * shift)) & mask for v in range(q)]
-            for v in range(1, q):
-                pieces[v] = count - reduce(add, pieces[v + q :: q])
-            get = pieces.__getitem__
-            a = [
-                reduce(or_, [reduce(add, map(get, row)) << (b * shift) for b, row in enumerate(rows)])
-                for rows in plan
-            ]
-        if self.width > width:
-            a = [_widen(x, lanes, width, self.width) for x in a]
-        return a
-
-    def lanes(self, x: int, blocks: int) -> memoryview:
-        """The lanes of x, a batch of that many cosets, in order."""
-        return _lane_view(x, blocks * self.n, self.width)
-
-    def weights(self, b: list[int], s: int) -> list[int]:
-        """The weight of the word b + q·L of a single coset, for every index."""
-        n, q, neg = self.n, self.gf.q, self.gf.neg
-        out = [0] * (q * n)
-        out[0::q] = self.lanes(s, 1)
-        for c, x in zip(range(1, q), b):
-            out[neg(c) :: q] = [n - v for v in self.lanes(x, 1)]
+    def indicators(self, gs: tuple[int, ...]) -> list[list[int]]:
+        """A_c of the cosets of the stored words gs, one plane each."""
+        width, lanes = self.words.width, len(gs) * self.n
+        every, constants = self.shape(len(gs))[:2]
+        g = _joined(gs, self.n * width)
+        if not constants:  # q = 2, one bit per point: A_1 is g
+            return [[g]]
+        fill, high = _signs(lanes, width)[1:]
+        step = width // 8
+        out = []
+        for c in constants:
+            # a lane's top bit is set where it differs from c; one byte per
+            # lane holds it, and shift-OR gathers each 8 lanes' into a byte
+            tops = (((g ^ c) + fill) & high).to_bytes(lanes * step, "little")[step - 1 :: step]
+            x = int.from_bytes(tops, "little") >> 7
+            x |= x >> 7
+            x |= x >> 14
+            x |= x >> 28
+            out.append([every ^ int.from_bytes(x.to_bytes(len(tops), "little")[::8], "little")])
         return out
 
-    def tally(self, into: Counter, x: int, blocks: int) -> None:
-        """Add to `into` how many lanes of x hold each value.  While few
-        values are known, each is counted in packed form, in a few ops; a
-        Counter takes the lanes with other values, if any are left."""
-        every, fill, high = self.shape(blocks)[:3]
-        lanes = left = blocks * self.n
-        known = list(into) if len(into) <= 32 else []
-        for v in known:
-            same = lanes - (((x ^ v * every) + fill) & high).bit_count()
-            into[v] += same
-            left -= same
-            if not left:
-                return
-        for v, c in Counter(self.lanes(x, blocks)).items():
-            if v not in known:
-                into[v] += c
+    def transform(self, gs: tuple[int, ...]) -> list[list[int]]:
+        """The B_c, c = 1..q-1, of the cosets of the stored words gs, side
+        by side, as plane lists."""
+        q = self.gf.q
+        every, _, stages = self.shape(len(gs))
+        a = self.indicators(gs)
+        for t, mask in enumerate(stages):
+            run = q**t  # the bits between digits t = v and v + 1, and the most a count holds
+            masks = [mask] + [mask << b * run for b in range(1, q)]  # digit t = b
+            # A_0 first, then every array padded to the planes of run
+            a = [_minus(run, reduce(_add, a), every), *a]
+            a = [x + [0] * (len(a[0]) - len(x)) for x in a]
+            a = [reduce(_add, (_moved(a, route, run, masks) for route in routes)) for routes in self.routes]
+        return a
 
-    def reaches(self, b: list[int], s: int, reach: int, blocks: int) -> bool:
-        """Whether a word of the batch has weight at most reach >= -1: a
-        lane of some B_c of at least n - reach, or a lane of S of at most
-        reach."""
-        if reach >= self.n:
-            return True
-        every, _, high = self.shape(blocks)[:3]
-        half = 1 << (self.width - 1)
-        low, up = (half - self.n + reach) * every, (half - 1 - reach) * every
-        return (s + up) & high != high or any((x + low) & high for x in b)
+    def weights(self, b: list[list[int]], s: list[int], live: int) -> Counter:
+        """How many words of a batch have each weight, over the counts in
+        live: S's count v is a word of weight v, B_c's one of weight n - v."""
+        n = self.n
+        got = _tally(s, live)
+        minus = got if self.gf.q == 2 else sum((_tally(x, live) for x in b), Counter())
+        for v, c in list(minus.items()):
+            got[n - v] += c
+        return got
 
-    def find(self, hs: tuple[int, ...], b: list[int], s: int, weight: int) -> list[int]:
-        """The message indices of the batch's words of that weight, in order."""
-        n, q, blocks = self.n, self.gf.q, len(hs)
-        span = q * n  # words per coset
-        every, fill, high = self.shape(blocks)[:3]
-        step = self.width // 8
-        found = []
-        for low, x, v in [(0, s, weight)] + [(self.gf.neg(c), x, n - weight) for c, x in zip(range(1, q), b)]:
-            same = ((x ^ v * every) + fill) & high ^ high
-            # a lane's top bit is the top bit of its last byte
-            tops = same.to_bytes(blocks * n * step, "little")[step - 1 :: step]
-            at = tops.find(128)
-            while at >= 0:
-                found.append(hs[at // n] * span + low + q * (at % n))
-                at = tops.find(128, at + 1)
-        return sorted(found)
+
+def _joined(xs: Sequence[int], bits: int) -> int:
+    """The ints xs, each of at most `bits` bits, side by side, the first lowest."""
+    if bits % 8:
+        return int("".join(format(x, f"0{bits}b") for x in reversed(xs)), 2)
+    return int.from_bytes(b"".join(x.to_bytes(bits // 8, "little") for x in xs), "little")
+
+
+def _tiled(x: int, bits: int, count: int) -> int:
+    """count copies of x, an int of at most `bits` bits, side by side."""
+    if bits % 8:
+        return int(format(x, f"0{bits}b") * count, 2)
+    return int.from_bytes(x.to_bytes(bits // 8, "little") * count, "little")
+
+
+def _moved(arrays: list[list[int]], route: list[tuple[int, int]], run: int, masks: list[int]) -> list[int]:
+    """The planes of route (c, v) of a stage: for each digit b, the counts of
+    arrays[i] at digit v moved d = b - v digits of `run` bits, (i, d) =
+    route[b], and ORed together."""
+    parts = []
+    for (i, d), mask in zip(route, masks):
+        planes: Iterable[int] = arrays[i]
+        if d > 0:
+            planes = map(lshift, planes, repeat(d * run))
+        elif d < 0:
+            planes = map(rshift, planes, repeat(-d * run))
+        parts.append(map(and_, planes, repeat(mask)))
+    return list(reduce(partial(map, or_), parts))
+
+
+def _add(x: list[int], y: list[int]) -> list[int]:
+    """The planes of x + y, for plane lists x and y: a ripple adder."""
+    if len(x) < len(y):
+        x, y = y, x
+    a, b = x[0], y[0]
+    out, carry = [a ^ b], a & b
+    for a, b in zip(x[1:], y[1:]):
+        t = a ^ b
+        out.append(t ^ carry)
+        carry = (a & b) | (t & carry)
+    for j in range(len(y), len(x)):
+        if not carry:
+            return out + x[j:]
+        a = x[j]
+        out.append(a ^ carry)
+        carry &= a
+    if carry:
+        out.append(carry)
+    return out
+
+
+def _minus(k: int, x: list[int], mask: int) -> list[int]:
+    """The planes of k - x, for counts x <= k in the lanes of mask, k >= 1:
+    k + 1 + ~x modulo 2^m, m the planes of k, ~x taken in mask."""
+    out, carry = [], 0
+    for j in range(k.bit_length()):
+        y = x[j] ^ mask if j < len(x) else mask
+        if (k + 1) >> j & 1:  # y + 1 + carry
+            out.append(y ^ carry ^ mask)
+            carry |= y
+        else:
+            out.append(y ^ carry)
+            carry &= y
+    return out
+
+
+def _levels(planes: list[int], live: int, descending: bool = False):
+    """(value, lanes) for each value held by a count in the lanes of live,
+    ascending (or descending), lanes the mask of the counts that hold it: a
+    walk down the planes from the top, which splits a set of lanes where a
+    plane has both bits, 2 ops per plane on the way."""
+    stack = [(len(planes), live, 0)]
+    while stack:
+        j, lanes, value = stack.pop()
+        while j:
+            j -= 1
+            one = lanes & planes[j]
+            if not one:
+                continue
+            zero = lanes ^ one
+            if not zero:
+                value |= 1 << j
+            elif descending:
+                stack.append((j, zero, value))
+                lanes, value = one, value | 1 << j
+            else:
+                stack.append((j, one, value | 1 << j))
+                lanes = zero
+        yield value, lanes
+
+
+def _tally(planes: list[int], live: int) -> Counter:
+    """How many counts in the lanes of live hold each value."""
+    return Counter({v: lanes.bit_count() for v, lanes in _levels(planes, live)})
+
+
+def _positions(x: int) -> list[int]:
+    """The positions of the bits set in x, lowest first."""
+    bits = format(x, "b")[::-1]
+    out, at = [], bits.find("1")
+    while at >= 0:
+        out.append(at)
+        at = bits.find("1", at + 1)
+    return out
 
 
 def _cosets(code: LinearCode) -> _Cosets | None:
@@ -750,14 +798,11 @@ def _cosets(code: LinearCode) -> _Cosets | None:
     not certify the first-order rows (n = q^δ, row 0 all 1, row 1 + t digit t
     of the point index).
 
-    A batch holds as many cosets as fit _TABLE_BYTES, and at least one.  One
-    coset takes at most (q^2 + 3q + 2δ + 4)·n lanes, charged at the final
-    width of 2 or 4 bytes: the stages before a widening run in narrower
-    lanes (see _Cosets), so this stays an upper bound on the ints it counts.
-    _scan runs the engine only when k >= δ + 2, so n·q^2 <= q^k, which the
-    messages cap bounds: one coset's ints are at most a few times q^k lanes.
-    At the default caps the largest is (19,2,2)'s, 430·19^4 lanes charged
-    at 4 bytes, about 224 MB; a transform's temporaries can exceed that."""
+    A batch holds as many cosets as fit _TABLE_BYTES at _charge's bytes
+    each, and at least one.  _scan runs the engine only when k >= δ + 2, so
+    n·q^2 <= q^k, which the messages cap bounds, and a coset's charge is
+    about (2q + 1)·bits(n) planes of n bits.  At the default caps the
+    largest is (19,2,2)'s, 786 planes of 19^4 bits, about 14 MB."""
     if "cosets" not in code._cache:
         code._cache["cosets"] = None
         q, n, k, gen = code.gf.q, code.n, code.k, code.generator
@@ -766,13 +811,26 @@ def _cosets(code: LinearCode) -> _Cosets | None:
             return None
         if any(gen[1 + t] != tuple(digit) for t, digit in enumerate(_digits(q, delta))):
             return None
-        words = _Lanes(code, 8)
-        width = max(words.width, 16 if n < 2**15 else 32)
-        # the ints of a batch: q^2 pieces, q - 1 A_c, q - 1 B_c, S, a
-        # temporary, and its shape's 5 + (q - 1) + 2δ
-        blocks = max(1, _TABLE_BYTES // ((q * q + 3 * q + 2 * delta + 4) * n * width // 8))
-        code._cache["cosets"] = _Cosets(code, delta, words, width, blocks)
+        words = _Lanes(code, 1 if q == 2 else 8)
+        blocks = max(1, _TABLE_BYTES // _charge(q, delta, words.width))
+        code._cache["cosets"] = _Cosets(code, delta, words, blocks)
     return code._cache["cosets"]
+
+
+def _charge(q: int, delta: int, width: int) -> int:
+    """Bytes one coset of a batch holds at the transform's widest stage, the
+    last, for stored words of that width: n bits of each plane, in ints of
+    30 bits per 4 bytes."""
+    n = q**delta
+    wide, top = (q ** (delta - 1)).bit_length(), n.bit_length()
+    planes = (
+        width * (q if q > 2 else 1)  # the coset's word, and the constant words
+        + delta + 1  # the batch's stage masks, and its every
+        + (q + 1) * wide  # A_0..A_{q-1} and the array being moved
+        + q * top  # q - 2 B_c made, a running sum and the next one
+        + 2 * q + 8  # the stage's masks and the temporaries of a step
+    )
+    return planes * -(-2 * n // 15)
 
 
 def _top_is_one(j: int, q: int) -> bool:
@@ -786,49 +844,47 @@ def _coset_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
     """The triple of _scan, one transform per coset.  Only g = 0 and the
     higher parts with top coefficient 1 are transformed: every word of such
     a coset has top coefficient 1, and the nonzero words of g = 0 fall into
-    classes of q - 1 multiples.  "dist" counts lanes; "min" and "words"
-    unpack only the batches whose lanes, compared against the least weight
-    in packed form, reach it."""
+    classes of q - 1 multiples.  "dist" tallies every batch; "min" and
+    "words" walk each count array to its least weight, and "words" lists
+    the counts there when that weight is the least so far."""
     engine = _cosets(code)
     if engine is None:
         raise ValueError(f"{code!r} is not certified for the coset engine")
-    n, q = code.n, code.gf.q
+    n, q, neg = code.n, code.gf.q, code.gf.neg
     counts: Counter = Counter()
-    plus: Counter = Counter()  # S lanes, weight v
-    minus = plus if q == 2 else Counter()  # B_c lanes, weight n - v
     best, hits = n + 1, []
-    for hs, b, s in engine.batches():
-        blocks = len(hs)
-        if hs == (0,):  # RM_q(1, δ) itself, without its zero word
-            ws = engine.weights(b, s)[1:]
-            if mode == "dist":
-                counts.update({w: c // (q - 1) for w, c in Counter(ws).items()})
-                continue
-            least = min(ws)
-            found = [j for j, w in enumerate(ws, 1) if w == least and _top_is_one(j, q)]
-        elif mode == "dist":
-            engine.tally(plus, s, blocks)
-            for x in b if q > 2 else ():
-                engine.tally(minus, x, blocks)
+    for hs, bc, s in engine.batches():
+        every = engine.shape(len(hs))[0]
+        first = hs[0] == 0  # the batch starts with coset 0, RM_q(1, δ)
+        if mode == "dist":
+            if first:  # without its zero word, one word per q - 1 multiples
+                own = (1 << n) - 1
+                rm = engine.weights(bc, s, own) - Counter({0: 1})
+                counts.update({w: c // (q - 1) for w, c in rm.items()})
+                every ^= own
+            if every:
+                counts.update(engine.weights(bc, s, every))
             continue
-        elif engine.reaches(b, s, best - 1, blocks):
-            most = max(max(engine.lanes(x, blocks)) for x in b)
-            least = min(min(engine.lanes(s, blocks)), n - most)
-            found = engine.find(hs, b, s, least) if mode == "words" else []
-        elif mode == "words" and engine.reaches(b, s, best, blocks):
-            least, found = best, engine.find(hs, b, s, best)
-        else:
-            continue
+        # (weight, lanes, b) of each array's least weight: S's least count,
+        # the zero word (count 0 of coset 0) left out, and each B_c's greatest
+        v, lanes = next(_levels(s, every ^ 1 if first else every))
+        ends = [(v, lanes, 0)]
+        for c, x in zip(range(1, q), bc):
+            v, lanes = next(_levels(x, every, descending=True))
+            ends.append((n - v, lanes, neg(c)))
+        least = min(end[0] for end in ends)
         if mode == "min" or least > best:
             best = min(best, least)
             continue
         if least < best:
             best, hits = least, []
-        hits += found
-    for v, c in plus.items():
-        counts[v] += c
-    for v, c in minus.items():
-        counts[n - v] += c
+        # count `at` is the word g + L·x + b of coset at // n, L = at % n
+        found = [
+            (hs[at // n] * n + at % n) * q + b for w, lanes, b in ends if w == least for at in _positions(lanes)
+        ]
+        # coset 0's words stand for their multiples: only those with top
+        # coefficient 1 count, as in every other coset
+        hits += sorted(j for j in found if j >= q * n or _top_is_one(j, q))
     return counts, best, hits
 
 
@@ -860,7 +916,9 @@ def min_weight_codewords(code: LinearCode) -> list[bytes] | list[tuple[int, ...]
     hits = _scan(code, "words")[2]
     q, k, n = code.gf.q, code.k, code.n
     limits.ensure("points", len(hits) * (q - 1) * n, f"listing the minimum weight words of {code!r}")
-    lanes = _lanes(code)
+    # the packed scan's lanes when it ran; after the coset engine, lanes
+    # made for this call alone, so that their table is not kept in the cache
+    lanes = code._cache.get("lanes") or _Lanes(code)
     times = lanes.times()
     # each hit stands for its multiples c * hit, whose coefficients, top
     # first, are the hit's times c: sorting those puts them in index order

@@ -189,22 +189,21 @@ class MatrixGF:
         n = self.nrows
         return _det(self.gf, [list(self._flat[i * n : (i + 1) * n]) for i in range(n)])
 
-    def _rref_transform(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
-        """Row reduce [self | I]; returns (rref rows, transform rows, pivot cols 0-based)."""
+    def _eliminate(self, work: list[list[int]]) -> Iterator[int | None]:
+        """Gauss-Jordan elimination of `work`, self's rows with columns
+        appended, in place: over self's columns in turn, yields each column
+        once it holds a pivot, or None where it has none, and stops once
+        every row holds one."""
         gf = self.gf
         sub, mul, inv = gf.sub, gf.mul, gf.inv
-        m, n = self.nrows, self.ncols
-        work = [
-            list(self._flat[i * n : (i + 1) * n]) + [1 if t == i else 0 for t in range(m)]
-            for i in range(m)
-        ]
-        pivots: list[int] = []
+        m = self.nrows
         r = 0
-        for c in range(n):
+        for c in range(self.ncols):
             if r == m:
-                break
+                return
             piv = next((x for x in range(r, m) if work[x][c]), None)
             if piv is None:
+                yield None
                 continue
             work[r], work[piv] = work[piv], work[r]
             pinv = inv(work[r][c])
@@ -214,11 +213,23 @@ class MatrixGF:
                     f = work[x][c]
                     rr = work[r]
                     work[x] = [sub(a, mul(f, b)) for a, b in zip(work[x], rr)]
-            pivots.append(c)
+            yield c
             r += 1
-        rref = [row[:n] for row in work]
-        trans = [row[n:] for row in work]
-        return rref, trans, pivots
+
+    def _with_identity(self) -> list[list[int]]:
+        """The rows of [self | I]."""
+        m, n = self.nrows, self.ncols
+        return [
+            list(self._flat[i * n : (i + 1) * n]) + [1 if t == i else 0 for t in range(m)]
+            for i in range(m)
+        ]
+
+    def _rref_transform(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
+        """Row reduce [self | I]; returns (rref rows, transform rows, pivot cols 0-based)."""
+        n = self.ncols
+        work = self._with_identity()
+        pivots = [c for c in self._eliminate(work) if c is not None]
+        return [row[:n] for row in work], [row[n:] for row in work], pivots
 
     def rank(self) -> int:
         return len(self._rref_transform()[2])
@@ -228,12 +239,14 @@ class MatrixGF:
         return MatrixGF.from_rows(self.gf, self._rref_transform()[0]) if self.nrows else self
 
     def inverse(self) -> MatrixGF:
+        """The inverse; a singular matrix raises ValueError at its first
+        column without a pivot, before the rest is reduced."""
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
-        rref, trans, pivots = self._rref_transform()
-        if len(pivots) != self.nrows:
+        work = self._with_identity()
+        if None in self._eliminate(work):
             raise ValueError("matrix is singular")
-        return MatrixGF.from_rows(self.gf, trans)
+        return MatrixGF.from_rows(self.gf, [row[self.ncols :] for row in work])
 
     # -- plumbing --
 

@@ -7,9 +7,10 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -289,7 +290,8 @@ def _public_scans(code, blocks=None):
 def test_packed_scan_matches_encode_oracle(case, monkeypatch):
     """The public scans, then each route by name: the packed scan always,
     the coset engine wherever it accepts the generator, in batches of its
-    own size and of one coset."""
+    own size and of one, two and three cosets, so that planes hold several
+    cosets and the last batch is often partial."""
     oracle = _encode_every_message(case)
     code = DIFFERENTIAL[case]()
     assert _public_scans(code) == oracle
@@ -298,7 +300,8 @@ def test_packed_scan_matches_encode_oracle(case, monkeypatch):
     if code_module._cosets(LinearCode(code.gf, code.generator)) is not None:
         monkeypatch.setattr(code_module, "_scan", code_module._coset_scan)
         assert _public_scans(code) == oracle
-        assert _public_scans(code, blocks=1) == oracle
+        for blocks in (1, 2, 3):
+            assert _public_scans(code, blocks=blocks) == oracle, blocks
 
 
 REFUSED = (
@@ -360,7 +363,7 @@ def test_route_is_picked_from_the_generator(case, route, monkeypatch):
     assert called == [route] * 3
 
 
-# n = 2^15 puts the engine's counts in 32-bit lanes, past two widenings
+# n = 2^15: fifteen stages, to counts that may need 16 planes
 LARGE = {"random-affine-gf2-n32768": lambda: _random_affine(2, 15, 1, 15)}
 ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID] + [(2, 3, 3), (3, 2, 3), (7, 2, 2), (8, 2, 2), *LARGE]
 
@@ -376,6 +379,46 @@ def test_scan_routes_agree(shape):
         packed = code_module._packed_scan(LinearCode(code.gf, code.generator), mode)
         cosets = code_module._coset_scan(LinearCode(code.gf, code.generator), mode)
         assert packed == cosets, mode
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3), (4, 2, 3), (9, 2, 2)], ids=lambda s: ",".join(map(str, s)))
+def test_coset_charge_bounds_a_batch_transform(shape):
+    """_cosets sizes a batch by _charge, the bytes one coset holds at the
+    transform's widest stage: a full batch of higher cosets, its words made
+    and its shape built inside the trace, allocates no more than the charge
+    and at least half of it."""
+    code = build(CodeParams(*shape))
+    engine = code_module._cosets(LinearCode(code.gf, code.generator))
+    # the rows the words and constants are made from, cached once per code
+    engine.shape(1)
+    next(engine._higher())
+    engine._shapes.clear()
+    higher = engine._higher()
+    tracemalloc.start()
+    try:
+        hs, gs = zip(*islice(higher, engine.blocks))
+        engine.transform(gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charge = len(gs) * code_module._charge(code.gf.q, engine.delta, engine.words.width)
+    assert peak <= charge <= 2 * peak, (peak, charge)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 2), (4, 2, 2)], ids=lambda s: ",".join(map(str, s)))
+def test_coset_listing_builds_no_packed_table(shape, monkeypatch):
+    """After the coset engine, min_weight_codewords packs its hits with
+    lanes made for that call alone, so no packed-scan table is left in the
+    code's cache; the words equal the packed route's, byte for byte."""
+    code = build(CodeParams(*shape))
+    fresh = LinearCode(code.gf, code.generator)
+    words = min_weight_codewords(fresh)
+    assert code_module._cosets(fresh) is not None
+    assert "lanes" not in fresh._cache
+    monkeypatch.setattr(code_module, "_scan", code_module._packed_scan)
+    packed = LinearCode(code.gf, code.generator)
+    assert min_weight_codewords(packed) == words
+    assert "lanes" in packed._cache
 
 
 # (257,1,1) has 16-bit lanes and 257^2 messages, too many to encode one

@@ -316,7 +316,7 @@ def test_witness_reads_off_with_one_expansion(monkeypatch):
     for module, name in [(group, "det_product_expansion"), (group, "act_on_poly"), (group, "compose")]:
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     monkeypatch.setattr(minors, "row_vanishing_locus", counting(minors.row_vanishing_locus))
-    monkeypatch.setattr(MatrixGF, "_rref_transform", counting(MatrixGF._rref_transform))
+    monkeypatch.setattr(MatrixGF, "_eliminate", counting(MatrixGF._eliminate))
     found = sum(min_weight_witness(f) is not None for f in fs)
     assert calls == ["det_product_expansion"] * top
     assert 16 <= found < top < len(fs)
