@@ -43,10 +43,11 @@ independent of the closed form it confirms.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, islice, repeat
-from operator import and_, itemgetter, lshift, methodcaller, or_, rshift
+from operator import and_, lshift, methodcaller, or_, rshift
 from typing import Iterable, Sequence
 
 from . import limits
@@ -408,20 +409,20 @@ class _Lanes:
             t += 1
         return out
 
-    def stored(self, indices: list[int]) -> list[tuple[int, int]]:
-        """(index, stored word) for messages whose top nonzero coefficient
-        is 1: a table word plus the word of the high part, which messages
-        next to each other in the list often share."""
-        q, out, last, high = self.gf.q, [], None, 0
+    def stored(self, indices: list[int]) -> list[int]:
+        """The stored words of messages whose top nonzero coefficient is 1,
+        for their indices in ascending order: a table word plus the word of
+        the high part, which messages next to each other often share.  The
+        top row r, where q^r <= index < q^(r+1), only moves forward."""
+        q, add, table, out = self.gf.q, self.add, self.table, []
+        r, size, last, high = 0, 1, None, 0
         for index in indices:
-            r = 0
-            while q ** (r + 1) <= index:
-                r += 1
-            step = min(q**r, len(self.table))
-            h, j = divmod(index - q**r, step)
+            while q * size <= index:
+                r, size = r + 1, q * size
+            h, j = divmod(index - size, min(size, len(table)))
             if (r, h) != last:
                 last, high = (r, h), self.base(1, r, h) - self.zero
-            out.append((index, self.add(self.table[j], high)))
+            out.append(add(table[j], high))
         return out
 
     def support(self, diff: int) -> int:
@@ -448,16 +449,12 @@ class _Lanes:
         return self.box(map(self.decode.__getitem__, _lane_view(word, n, width)))
 
     def times(self) -> list:
-        """times[c](v) is c * v, entry by entry, for a vector v of elements;
-        times[1] returns v itself, which is immutable."""
+        """times[c](v) is c * v, entry by entry, for a vector v of elements."""
         gf, q = self.gf, self.gf.q
         if self.box is tuple:
-            out = [lambda v, c=c: tuple(gf.mul(c, x) for x in v) for c in range(q)]
-        else:
-            tables = (bytes(gf.mul(c, x) for x in range(q)).ljust(256, b"\0") for c in range(q))
-            out = [methodcaller("translate", table) for table in tables]
-        out[1] = lambda v: v
-        return out
+            return [lambda v, c=c: tuple(gf.mul(c, x) for x in v) for c in range(q)]
+        tables = (bytes(gf.mul(c, x) for x in range(q)).ljust(256, b"\0") for c in range(q))
+        return [methodcaller("translate", table) for table in tables]
 
 
 def _every(count: int, width: int) -> int:
@@ -910,22 +907,40 @@ def min_weight_codewords(code: LinearCode) -> list[bytes] | list[tuple[int, ...]
     holds the element index of every position: `bytes` when q <= 256,
     a tuple of ints above that.
 
-    The scan's hits are counted against the points cap, (q - 1)·n entries
-    each, before any word is stored or unpacked.  The list is made on every
-    call and kept nowhere else, so it is freed with the caller's reference."""
+    The scan's hits, the messages m with top coefficient 1, come in index
+    order, so for q = 2 their words are the list.  For q > 2 the hits with
+    top row r are the run in [q^r, 2·q^r), and their multiples c·m fill
+    [c·q^r, (c+1)·q^r): per top row, the run's own words, then for each
+    c = 2..q-1 the words c·m, ordered by the r + 1 digits of c·m, top
+    first, which are the hit's digits times c.
+
+    The hits are counted against the points cap, (q - 1)·n entries each,
+    before any word is stored or unpacked.  The list is made on every call
+    and kept nowhere else, so it is freed with the caller's reference."""
     hits = _scan(code, "words")[2]
-    q, k, n = code.gf.q, code.k, code.n
+    q, n = code.gf.q, code.n
     limits.ensure("points", len(hits) * (q - 1) * n, f"listing the minimum weight words of {code!r}")
     # the packed scan's lanes when it ran; after the coset engine, lanes
     # made for this call alone, so that their table is not kept in the cache
     lanes = code._cache.get("lanes") or _Lanes(code)
-    times = lanes.times()
-    # each hit stands for its multiples c * hit, whose coefficients, top
-    # first, are the hit's times c: sorting those puts them in index order
-    multiples = []
-    for index, packed in lanes.stored(hits):
-        top_first = lanes.box(index // q**i % q for i in reversed(range(k)))
-        word = lanes.unpack(packed)
-        multiples += [(times[c](top_first), c, word) for c in range(1, q)]
-    multiples.sort(key=itemgetter(0))
-    return [times[c](word) for _, c, word in multiples]
+    words = list(map(lanes.unpack, lanes.stored(hits)))
+    if q == 2:
+        return words
+    times, out = lanes.times(), []
+    start, r = 0, 0
+    while start < len(hits):
+        end = bisect_left(hits, q ** (r + 1), start)
+        run = words[start:end]
+        # each hit's r + 1 base-q digits, one column per digit from the
+        # lowest, read back as a key per hit, top digit first
+        rest, columns = hits[start:end], []
+        for _ in range(r + 1):
+            columns.append([x % q for x in rest])
+            rest = [x // q for x in rest]
+        digits = list(map(lanes.box, zip(*reversed(columns))))
+        out += run
+        for c in range(2, q):
+            keys = list(map(times[c], digits))
+            out += [times[c](run[i]) for i in sorted(range(len(run)), key=keys.__getitem__)]
+        start, r = end, r + 1
+    return out

@@ -6,6 +6,7 @@ engine's certification, weight accounting oracles, and the resource caps."""
 import hashlib
 import json
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -231,13 +232,16 @@ def _drop_last_point(rows, gf):
 # that come from no affine code, and fields whose elements need 8-, 16- and
 # 32-bit lanes (GF(128), GF(25), GF(131), GF(256), GF(729)).  powers(25,3)
 # and powers(27,3) run the coset engine on elements that need 16-bit lanes.
-# The altered affine generators span codes the coset engine must refuse:
-# their digit rows are not the point coordinates in order, or n is not a
-# power of q.
+# (4,2,2) and (7,1,3) are the benchmark's GF(4) and GF(7) codes: minimum
+# words of scalars 2..q-1, in one top row and in three.  The altered affine
+# generators span codes the coset engine must refuse: their digit rows are
+# not the point coordinates in order, or n is not a power of q.
 DIFFERENTIAL = {
     **{f"affine({q},1,2)": lambda q=q: build(CodeParams(q, 1, 2)) for q in (2, 3, 4, 5, 7, 8, 9)},
     "affine(2,2,3)": lambda: build(CodeParams(2, 2, 3)),
     "affine(3,2,2)": lambda: build(CodeParams(3, 2, 2)),
+    "affine(4,2,2)": lambda: build(CodeParams(4, 2, 2)),
+    "affine(7,1,3)": lambda: build(CodeParams(7, 1, 3)),
     "affine(2,2,2)-swapped": lambda: _altered((2, 2, 2), _swap_digit_rows),
     "affine(3,2,2)-scaled": lambda: _altered((3, 2, 2), _scale_digit_row),
     "affine(2,2,2)-punctured": lambda: _altered((2, 2, 2), _drop_last_point),
@@ -419,6 +423,23 @@ def test_coset_listing_builds_no_packed_table(shape, monkeypatch):
     packed = LinearCode(code.gf, code.generator)
     assert min_weight_codewords(packed) == words
     assert "lanes" in packed._cache
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 5)], ids=lambda s: ",".join(map(str, s)))
+def test_listing_peak_stays_near_the_words(shape):
+    """min_weight_codewords on a fresh code, its scan included, allocates
+    at most twice the bytes of the words it returns: no copy of the words,
+    and no key per multiple, outlives its step."""
+    code = build(CodeParams(*shape))
+    fresh = LinearCode(code.gf, code.generator)
+    tracemalloc.start()
+    try:
+        words = min_weight_codewords(fresh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(map(sys.getsizeof, words))
+    assert peak <= 2 * size, (peak, size)
 
 
 # (257,1,1) has 16-bit lanes and 257^2 messages, too many to encode one
