@@ -7,24 +7,30 @@ coordinate permutation on codewords, and symbolically on minor combinations
 by substitution: act_on_poly(phi, f) is the exact coefficient vector of
 f(X A^(-1) + u), computed by the expansion engine from one table of the
 minors of A^(-1) and one of u, never by interpolation.
-generating_set(p) lists elementary translations and linear maps that
-generate the whole group, so a property closed under composition can be
-certified on them instead of on every element.
+The coordinate permutation acts on point indices, not matrices: row i of
+P A^(-1) + u is (row i of P) A^(-1) + u_i, so one table per row i maps a
+row index to the image row's index, and a point's image index is the sum of
+the l table entries at its row digits.  generating_set(p) lists elementary
+translations and linear maps that generate the whole group, so a property
+closed under composition can be certified on them instead of on every
+element.
 
 The orbit of the leading maximal minor under this action is the full set of
 minimum weight codewords; generate_min_weight_polys walks a bijective
 parametrization of it (scalar, canonical column space representative,
 translation block) and min_weight_witness inverts it, reading the
-parameters off f's order-l and order l-1 coefficients and confirming them
-with one expansion.
+parameters off f's order-l and order l-1 coefficients, at positions and
+signs planned once per shape and pivot set, and confirming them with one
+expansion.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
+from operator import mul as int_mul
 
 from . import limits
-from .code import point_index, points
 from .matrices import MatrixGF, _all_minors, enumerate_gl, enumerate_rref
 from .minors import (
     MinorCombination,
@@ -135,9 +141,36 @@ def permutation(phi: AffineMap) -> tuple[int, ...]:
     """The coordinate permutation of phi: position j holds the index of phi(P_j).
 
     Applying it to the codeword of f (new[j] = old[perm[j]]) yields the
-    codeword of act_on_poly(phi, f).
+    codeword of act_on_poly(phi, f).  Row i of phi(P) depends on row i of P
+    alone, so the index of phi(P) is the sum over i of a table entry at
+    P's i-th row digit (see _row_tables); no MatrixGF is made per point.
     """
-    return tuple(point_index(apply_point(phi, pt)) for pt in points(phi.params))
+    p = phi.params
+    limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
+    # point index sum_i r_i q^(lp i), row digit r_0 fastest
+    out = [0]
+    for table in _row_tables(phi):
+        out = [y + x for y in table for x in out]
+    return tuple(out)
+
+
+def _row_tables(phi: AffineMap) -> list[list[int]]:
+    """Per row i of the domain, entry r holds q^(lp i) times the row index of
+    r A^(-1) + u_i, for the q^lp rows r in index order (entry j of a row is
+    its base-q digit j).  Each table grows from u_i one digit j at a time by
+    adding every multiple of row j of A^(-1)."""
+    p = phi.params
+    gf, q, lp = p.field(), p.q, p.lp
+    add, mul = gf.add, gf.mul
+    steps = [[tuple(mul(c, x) for x in row) for c in range(q)] for row in phi.a_inv.rows()]
+    tables = []
+    for i in range(1, p.l + 1):
+        images = [phi.u.row(i)]
+        for step in steps:
+            images = [tuple(map(add, v, s)) for s in step for v in images]
+        weights = [q ** (lp * (i - 1) + j) for j in range(lp)]
+        tables.append([sum(map(int_mul, v, weights)) for v in images])
+    return tables
 
 
 def apply_permutation(vector: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -150,11 +183,11 @@ def enumerate_group(p: CodeParams):
     lexicographic entry order."""
     limits.ensure("group", group_order_formula(p), f"enumerating the affine group of {p}")
     gf = p.field()
-    linear = list(enumerate_gl(p.lp, gf))
+    linear = [(a, a.inverse()) for a in enumerate_gl(p.lp, gf)]
     for flat in product(range(p.q), repeat=p.delta):
         u = MatrixGF._of(gf, p.l, p.lp, flat)
-        for a in linear:
-            yield AffineMap(p, u, a)
+        for a, a_inv in linear:
+            yield AffineMap._known_inverse(p, u, a, a_inv)
 
 
 def generating_set(p: CodeParams) -> list[AffineMap]:
@@ -253,41 +286,63 @@ def min_weight_witness(
     coefficient; entry (j, i) of M off S is the coordinate on S with its
     i-th label swapped for j; entry (i, j) of m is the coefficient on the
     rows and columns that drop i from 1..l and the j-th label from S; all
-    up to sign and the scalar.  One expansion confirms the read-off.
+    up to sign and the scalar.  Which coefficient lands where, with which
+    sign, depends on (l, lp) and S only and is read from _witness_plan.
+    One expansion confirms the read-off.
     """
     p = f.params
     l, lp = p.l, p.lp
     if l == 0:
         raise ValueError("the minimum weight family needs l >= 1")
-    gf = p.field()
-    full = tuple(range(1, l + 1))
-    pos, coeffs = basis_positions(p), f.coeffs
-    s = next((c for c in combinations(range(1, lp + 1), l) if coeffs[pos[full, c]]), None)
-    if s is None:
+    coeffs = f.coeffs
+    for top, ones, reads in _witness_plan(l, lp):
+        scalar = coeffs[top]
+        if scalar:
+            break
+    else:
         return None
-    scalar = coeffs[pos[full, s]]
-    inv = gf.inv(scalar)
-
-    def read(rows: tuple[int, ...], cols: tuple[int, ...], sign: int) -> int:
-        """(-1)^sign * coeff(rows, cols) / scalar."""
-        x = gf.mul(coeffs[pos[rows, cols]], inv)
-        return gf.neg(x) if sign % 2 else x
-
-    mix = [0] * (lp * l)
-    for i, si in enumerate(s, 1):
-        mix[(si - 1) * l + i - 1] = 1
-        rest = tuple(x for x in s if x != si)
-        for j in range(1, lp + 1):
-            if j not in s:
-                swapped = tuple(sorted(rest + (j,)))
-                mix[(j - 1) * l + i - 1] = read(full, swapped, swapped.index(j) + 1 + i)
-    col_mix = MatrixGF._of(gf, lp, l, tuple(mix))
-    flat = [
-        read(tuple(x for x in full if x != i), tuple(x for x in s if x != sj), i + j)
-        for i in full
-        for j, sj in enumerate(s, 1)
-    ]
-    shift = MatrixGF._of(gf, l, l, tuple(flat))
-    if det_product_expansion(p, full, col_mix, shift).scale(scalar) != f:
+    gf = p.field()
+    mul, inv = gf.mul, gf.inv(scalar)
+    signed = (inv, gf.neg(inv))
+    out = [0] * (lp * l + l * l)
+    for t in ones:
+        out[t] = 1
+    for t, s, odd in reads:
+        out[t] = mul(coeffs[s], signed[odd])
+    col_mix = MatrixGF._of(gf, lp, l, tuple(out[: lp * l]))
+    shift = MatrixGF._of(gf, l, l, tuple(out[lp * l :]))
+    g = det_product_expansion(p, tuple(range(1, l + 1)), col_mix, shift)
+    if scalar != 1:
+        g = g.scale(scalar)
+    if g.coeffs != coeffs:
         return None
     return scalar, col_mix, shift
+
+
+@lru_cache(maxsize=None)
+def _witness_plan(l: int, lp: int) -> tuple:
+    """The index work of min_weight_witness, which depends on the shape
+    only.  Per pivot set S in basis order: the position of the order-l
+    coefficient on S; the flat indices of M's identity entries on S; and
+    every other entry of M (flat indices 0..lp*l-1) and of m (lp*l onward)
+    as (flat index, coefficient position, sign parity)."""
+    pos = basis_positions(CodeParams(2, l, lp))  # the same for every field
+    full = tuple(range(1, l + 1))
+    plan = []
+    for s in combinations(range(1, lp + 1), l):
+        ones, reads = [], []
+        for i, si in enumerate(s, 1):
+            ones.append((si - 1) * l + i - 1)
+            rest = tuple(x for x in s if x != si)
+            for j in range(1, lp + 1):
+                if j not in s:
+                    swapped = tuple(sorted(rest + (j,)))
+                    odd = (swapped.index(j) + 1 + i) % 2
+                    reads.append(((j - 1) * l + i - 1, pos[full, swapped], odd))
+        for i in full:
+            rows = tuple(x for x in full if x != i)
+            for j, sj in enumerate(s, 1):
+                cols = tuple(x for x in s if x != sj)
+                reads.append((lp * l + (i - 1) * l + j - 1, pos[rows, cols], (i + j) % 2))
+        plan.append((pos[full, s], tuple(ones), tuple(reads)))
+    return tuple(plan)

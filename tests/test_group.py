@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from agcodes import group, minors, verify
-from agcodes.code import build, evaluate_vector, points, weight
+from agcodes.code import build, evaluate_vector, point_index, points, weight
 from agcodes.fields import field_for_order
 from agcodes.group import (
     AffineMap,
@@ -193,6 +193,34 @@ def test_permutation_properties():
             assert combined == tuple(permutation(phi)[t] for t in permutation(psi))
 
 
+@pytest.mark.parametrize(
+    "p",
+    [P222, CodeParams(3, 1, 2), P223, CodeParams(4, 1, 3)]
+    + [CodeParams(9, 2, 2), CodeParams(2, 3, 3), CodeParams(2, 0, 2)],
+    ids=lambda p: f"{p.q},{p.l},{p.lp}",
+)
+def test_permutation_matches_apply_point(p):
+    """The row-table permutation is the MatrixGF route point by point, on
+    random maps, every generator and the identity."""
+    rng = random.Random(p.q * 100 + p.l * 10 + p.lp)
+    maps = [rand_map(rng, p) for _ in range(3)] + generating_set(p) + [AffineMap.identity(p)]
+    for phi in maps:
+        expected = tuple(point_index(apply_point(phi, pt)) for pt in points(p))
+        assert permutation(phi) == expected, phi
+
+
+def test_permutation_refuses_over_the_points_cap(monkeypatch):
+    """The cap is checked by permutation itself, before any row table."""
+    p = CodeParams(7, 1, 2)
+    phi = rand_map(random.Random(31), p)
+    tables = []
+    monkeypatch.setattr(group, "_row_tables", lambda phi: tables.append(phi) or [])
+    monkeypatch.setenv("AGCODES_POINTS_CAP", str(p.npoints - 1))
+    with pytest.raises(CapExceeded, match="AGCODES_POINTS_CAP"):
+        permutation(phi)
+    assert tables == []
+
+
 def test_enumerate_group(monkeypatch):
     p = CodeParams(2, 1, 2)
     group = list(enumerate_group(p))
@@ -350,8 +378,10 @@ def test_witness_refutations():
 
 def test_witness_decides_membership_exhaustively():
     """Every nonzero message; l < lp over odd q and q = 9 is where a sign
-    slip in M turns members into refutations."""
-    for p in (P222, CodeParams(3, 1, 3), CodeParams(5, 1, 2), CodeParams(9, 1, 2)):
+    slip in M turns members into refutations, l = 2 over GF(3) is where a
+    sign slip in m does, and GF(4) adds l = 2 over an extension field."""
+    shapes = (P222, CodeParams(3, 1, 3), CodeParams(5, 1, 2), CodeParams(9, 1, 2))
+    for p in shapes + (CodeParams(3, 2, 2), CodeParams(4, 2, 2)):
         code, d = build(p), min_distance_formula(p)
         for coeffs in product(range(p.q), repeat=dimension_formula(p)):
             if any(coeffs):
