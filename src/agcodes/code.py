@@ -46,7 +46,7 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from operator import and_, lshift, methodcaller, or_, rshift
 from typing import Iterable, Sequence
 
@@ -240,13 +240,15 @@ def ensure_scannable(p: CodeParams) -> None:
 
 
 def evaluate_vector(f: MinorCombination) -> tuple[int, ...]:
-    """The codeword of f: its values over the point enumeration."""
-    return build(f.params).encode(f.coeffs)
+    """The codeword of f: its values over the point enumeration, from the
+    packed rows of the scans (LinearCode.encode gives the same entries)."""
+    lanes = _lanes(build(f.params))
+    return tuple(lanes.unpack(lanes.word(enumerate(f.coeffs))))
 
 
 def weight(vector: tuple[int, ...] | bytes) -> int:
     """Hamming weight of a vector of element indices."""
-    return sum(1 for x in vector if x)
+    return len(vector) - vector.count(0)
 
 
 def _codeword_weight(code: LinearCode, message: tuple[int, ...]) -> int:
@@ -318,6 +320,8 @@ class _Lanes:
     A positive `width` asks for lanes of at least that many bits and no
     table (low = 0): the coset engine's words, 1 bit wide for q = 2 and 8
     bits when the element patterns fit, from which it makes its bit planes.
+    Those are the widths a table's lanes have, so the minimum words after
+    the engine are packed with the engine's lanes.
     """
 
     def __init__(self, code: LinearCode, width: int = 0):
@@ -351,7 +355,7 @@ class _Lanes:
             self.decode: bytes | dict[int, int] = bytes(lookup)
         else:
             self.decode = decode
-        self._bits = [format(pattern(x, 0), f"0{width}b") for x in range(q)]
+        self._patterns = [pattern(x, 0) for x in range(q)]
         self._rows: dict[tuple[int, int], int] = {}
         per_word = width * n // 8 + 32
         low = 0
@@ -370,13 +374,23 @@ class _Lanes:
         self.table = table
 
     def row(self, a: int, r: int) -> int:
-        """Generator row r times the element a, packed without bias."""
+        """Generator row r times the element a, packed without bias.  One
+        table maps each element x to the lane pattern of a·x, and the row
+        goes through it at C level: an ASCII translate read in base 2 for
+        1-bit lanes, a byte translate for 8-bit lanes, and a join of each
+        entry's little-endian lane bytes above that."""
         key = (a, r)
         if key not in self._rows:
-            mul, bits = self.gf.mul, self._bits
-            times_a = [bits[mul(a, x)] for x in range(self.gf.q)]
-            entries = map(times_a.__getitem__, reversed(self.generator[r]))
-            self._rows[key] = int("".join(entries), 2)
+            mul, width, row = self.gf.mul, self.width, self.generator[r]
+            times_a = [self._patterns[mul(a, x)] for x in range(self.gf.q)]
+            if width == 1:
+                table = bytes(ord("0") + x for x in times_a).ljust(256, b"0")
+                self._rows[key] = int(bytes(row).translate(table)[::-1], 2)
+            elif width == 8:
+                self._rows[key] = int.from_bytes(bytes(row).translate(bytes(times_a).ljust(256, b"\0")), "little")
+            else:
+                lanes = [x.to_bytes(width // 8, "little") for x in times_a]
+                self._rows[key] = int.from_bytes(b"".join(map(lanes.__getitem__, row)), "little")
         return self._rows[key]
 
     def word(self, terms: Iterable[tuple[int, int]]) -> int:
@@ -396,34 +410,62 @@ class _Lanes:
         t = u + v
         return t - ((t & self.guard) >> (self.sub - 1)) * p
 
-    def base(self, scale: int, r: int, h: int) -> int:
-        """The stored word of scale times the message with coefficient 1 at
-        row r and base-p digits h from digit `low` up, all lower digits 0."""
-        gf, p, e = self.gf, self.gf.p, self.gf.e
-        out = self.add(self.zero, self.row(scale, r))
-        t = self.low
-        while h:
-            h, c = divmod(h, p)
-            if c:
-                out = self.add(out, self.row(gf.mul(scale, c * p ** (t % e)), t // e))
-            t += 1
-        return out
+    def stored(self, indices: list[int]):
+        """walk(indices): the stored words of min_weight_codewords' hits,
+        the step its points cap check comes before."""
+        return self.walk(indices)
 
-    def stored(self, indices: list[int]) -> list[int]:
-        """The stored words of messages whose top nonzero coefficient is 1,
-        for their indices in ascending order: a table word plus the word of
-        the high part, which messages next to each other often share.  The
-        top row r, where q^r <= index < q^(r+1), only moves forward."""
-        q, add, table, out = self.gf.q, self.add, self.table, []
-        r, size, last, high = 0, 1, None, 0
+    def walk(self, indices: Iterable[int], scale: int = 1):
+        """The stored words of scale times the messages whose top nonzero
+        coefficient is 1, for their indices in ascending order, in turn: a
+        table word plus the word of the high part, its base-p digits from
+        digit `low` up, and of the top row r, where q^r <= index < q^(r+1).
+        Both walk forward from the previous index: r only grows, and the
+        high part's word adds only the rows of the digits that changed, c
+        times the digit's place for a digit that rose by c.  For p = 2 those
+        are the bits set in h ^ prev; for odd p, the digits up to the
+        highest one where h and prev differ."""
+        gf, add, table, row = self.gf, self.add, self.table, self.row
+        q, p, e, low, mul = gf.q, gf.p, gf.e, self.low, gf.mul
+        steps: list = [None] * (e * len(self.generator))
+
+        def place(t: int) -> list[int]:
+            """scale·c times the place of digit t from low up, for c < p,
+            made when the walk first reaches the digit."""
+            d = low + t  # base-p digit d of a message is p^(d % e) on row d // e
+            steps[t] = [0, *(row(mul(scale, c * p ** (d % e)), d // e) for c in range(1, p))]
+            return steps[t]
+
+        r, size, prev, minus = 0, 1, 0, gf.neg(scale)
+        word = add(self.zero, row(scale, 0))  # stored word of the top row and prev's digits
+        high = word - self.zero
         for index in indices:
-            while q * size <= index:
-                r, size = r + 1, q * size
-            h, j = divmod(index - size, min(size, len(table)))
-            if (r, h) != last:
-                last, high = (r, h), self.base(1, r, h) - self.zero
-            out.append(add(table[j], high))
-        return out
+            if q * size <= index:  # a later top row: swap its row in
+                last = r
+                while q * size <= index:
+                    r, size = r + 1, q * size
+                word = add(add(word, row(minus, last)), row(scale, r))
+                high = word - self.zero
+            h, j = divmod(index - size, len(table))
+            if h != prev:
+                if p == 2:
+                    x = h ^ prev
+                    while x:
+                        bit = x & -x
+                        t = bit.bit_length() - 1
+                        word ^= (steps[t] or place(t))[1]
+                        x ^= bit
+                else:
+                    a, b, t = h, prev, 0
+                    while a != b:
+                        a, x = divmod(a, p)
+                        b, y = divmod(b, p)
+                        if x != y:
+                            word = add(word, (steps[t] or place(t))[(x - y) % p])
+                        t += 1
+                prev, high = h, word - self.zero
+            # table[0] is the zero word, and word = zero + high
+            yield add(table[j], high) if j else word
 
     def support(self, diff: int) -> int:
         """One bit set in each nonzero lane of a XOR of two stored words,
@@ -511,26 +553,26 @@ def _packed_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
     """The triple of _scan, one lane-packed XOR and popcount per message."""
     q = code.gf.q
     lanes = _lanes(code)
-    minus_one = code.gf.neg(1)
+    table = len(lanes.table)
     counts: Counter = Counter()
     best, hits = code.n + 1, []
-    for r in range(code.k):
-        size = q**r
-        step = min(size, len(lanes.table))
-        for at in range(0, size, step):
-            weights = lanes.weights(lanes.base(minus_one, r, at // step), step)
-            if mode == "dist":
-                counts.update(weights)
-            elif mode == "min":
-                best = min(best, min(weights))
-            else:
-                ws = list(weights)
-                least = min(ws)
-                if least > best:
-                    continue
-                if least < best:
-                    best, hits = least, []
-                hits += compress(range(size + at, size + at + step), map(least.__eq__, ws))
+    # each top row's messages in blocks of the table's size, or in one block
+    starts = [q**r + at for r in range(code.k) for at in range(0, q**r, table)]
+    for start, negated in zip(starts, lanes.walk(starts, code.gf.neg(1))):
+        step = min(start, table)
+        weights = lanes.weights(negated, step)
+        if mode == "dist":
+            counts.update(weights)
+        elif mode == "min":
+            best = min(best, min(weights))
+        else:
+            ws = list(weights)
+            least = min(ws)
+            if least > best:
+                continue
+            if least < best:
+                best, hits = least, []
+            hits += compress(range(start, start + step), map(least.__eq__, ws))
     return counts, best, hits
 
 
@@ -578,6 +620,7 @@ class _Cosets:
     q^(t+1), so its array has at most bits(q^(t+1)) planes.  The counts are
     read the same way: a walk down the planes splits the counts by value
     (_levels), for a tally, a least or greatest count and where it is.
+    The coset words are made in bulk, from a step table (feed).
     """
 
     def __init__(self, code: LinearCode, delta: int, words: _Lanes, blocks: int):
@@ -610,39 +653,80 @@ class _Cosets:
         return self._shapes[blocks]
 
     def batches(self):
-        """(hs, B, S) for batches of the higher parts 0, which gives
-        RM_q(1, δ) itself, then those whose top coefficient is 1, in index
-        order."""
-        higher = chain([(0, self.words.zero)], self._higher())
-        while batch := list(islice(higher, self.blocks)):
-            hs, gs = zip(*batch)
-            b = self.transform(gs)
+        """(hs, B, S) for each batch of feed: the B_c and their sum S."""
+        for hs, g in self.feed():
+            b = self.transform(g, len(hs))
             yield hs, b, reduce(_add, b)
 
-    def _higher(self):
-        """(h, g) for every higher part h whose top coefficient is 1, in
-        index order, g its stored word."""
-        words, p, e = self.words, self.gf.p, self.gf.e
-        first = self.delta + 1
-        # base-p digit t stands for p^(t % e) on row first + t // e
-        steps = [words.row(p ** (t % e), first + t // e) for t in range(e * (self.k - first))]
-        for r in range(self.k - first):
-            g = words.add(words.zero, words.row(1, first + r))
-            digits = [0] * (e * r)
-            for h in range(self.gf.q**r, 2 * self.gf.q**r):
-                yield h, g
-                for t in range(e * r):  # g of h + 1
-                    g = words.add(g, steps[t])
-                    digits[t] += 1
-                    if digits[t] < p:
-                        break
-                    digits[t] = 0
+    def feed(self):
+        """(hs, g) for batches of `blocks` cosets, the last maybe fewer: hs
+        the higher parts 0, which gives RM_q(1, δ) itself, then those whose
+        top coefficient is 1, in index order; g their stored words side by
+        side, the first lowest.
 
-    def indicators(self, gs: tuple[int, ...]) -> list[list[int]]:
-        """A_c of the cosets of the stored words gs, one plane each."""
-        width, lanes = self.words.width, len(gs) * self.n
-        every, constants = self.shape(len(gs))[:2]
-        g = _joined(gs, self.n * width)
+        A step table T holds the words of the span = q^s combinations of
+        the s lowest higher rows side by side, span <= blocks.  Higher parts
+        that agree above those rows have the words T[j] + w, w the word of
+        the common part, so a run of them is one slice of T and one lane
+        add of w tiled: a batch is made from a few such segments."""
+        words, q, p, e = self.words, self.gf.q, self.gf.p, self.gf.e
+        bits, blocks, first = self.n * words.width, self.blocks, self.delta + 1
+        s = 0
+        while first + s < self.k and q ** (s + 1) <= blocks:
+            s += 1
+        span = q**s
+        plus = self._plus(span)
+        table, count = words.zero, 1  # base-p digit t is p^(t % e) on row first + t // e
+        for t in range(e * s):
+            steps = (_tiled(words.row(c * p ** (t % e), first + t // e), bits, count) for c in range(1, p))
+            parts = [table, *(plus(table, v) for v in steps)]
+            table = reduce(or_, (x << c * count * bits for c, x in enumerate(parts)))
+            count *= p
+        # the words of the common parts above the table's rows, in index
+        # order: the messages x·q^(first + s), x in [q^r, 2·q^r) for each r
+        above = (x * q ** (first + s) for r in range(self.k - first - s) for x in range(q**r, 2 * q**r))
+        tops = words.walk(above)
+        hs, g, top = [], 0, 0
+        # runs of consecutive higher parts: 0, then [q^r, 2·q^r) per higher row r
+        for start, end in [(0, 1), *((q**r, 2 * q**r) for r in range(self.k - first))]:
+            while start < end:
+                j = start % span
+                size = min(end - start, span - j, blocks - len(hs))
+                seg = table if size == span else table >> j * bits & (1 << size * bits) - 1
+                if start > j:  # plus the tiled word of the common part start - j
+                    if start // span != top:
+                        top, common = start // span, next(tops) - words.zero
+                    seg = plus(seg, _tiled(common, bits, size))
+                g |= seg << len(hs) * bits
+                hs += range(start, start + size)
+                start += size
+                if len(hs) == blocks:
+                    yield hs, g
+                    hs, g = [], 0
+        if hs:
+            yield hs, g
+
+    def _plus(self, count: int):
+        """u + v for stored words u and unbiased packed words v of at most
+        `count` words side by side: XOR for p = 2, else a lane add with the
+        guard bits tiled."""
+        words = self.words
+        if self.gf.p == 2:
+            return int.__xor__
+        p, shift = self.gf.p, words.sub - 1
+        guard = _tiled(words.guard, self.n * words.width, count)
+
+        def plus(u: int, v: int) -> int:
+            t = u + v
+            return t - ((t & guard) >> shift) * p
+
+        return plus
+
+    def indicators(self, g: int, count: int) -> list[list[int]]:
+        """A_c of the cosets of `count` stored words g side by side, one
+        plane each."""
+        width, lanes = self.words.width, count * self.n
+        every, constants = self.shape(count)[:2]
         if not constants:  # q = 2, one bit per point: A_1 is g
             return [[g]]
         fill, high = _signs(lanes, width)[1:]
@@ -659,12 +743,12 @@ class _Cosets:
             out.append([every ^ int.from_bytes(x.to_bytes(len(tops), "little")[::8], "little")])
         return out
 
-    def transform(self, gs: tuple[int, ...]) -> list[list[int]]:
-        """The B_c, c = 1..q-1, of the cosets of the stored words gs, side
+    def transform(self, g: int, count: int) -> list[list[int]]:
+        """The B_c, c = 1..q-1, of the cosets of `count` stored words g side
         by side, as plane lists."""
         q = self.gf.q
-        every, _, stages = self.shape(len(gs))
-        a = self.indicators(gs)
+        every, _, stages = self.shape(count)
+        a = self.indicators(g, count)
         for t, mask in enumerate(stages):
             run = q**t  # the bits between digits t = v and v + 1, and the most a count holds
             masks = [mask] + [mask << b * run for b in range(1, q)]  # digit t = b
@@ -685,15 +769,10 @@ class _Cosets:
         return got
 
 
-def _joined(xs: Sequence[int], bits: int) -> int:
-    """The ints xs, each of at most `bits` bits, side by side, the first lowest."""
-    if bits % 8:
-        return int("".join(format(x, f"0{bits}b") for x in reversed(xs)), 2)
-    return int.from_bytes(b"".join(x.to_bytes(bits // 8, "little") for x in xs), "little")
-
-
 def _tiled(x: int, bits: int, count: int) -> int:
     """count copies of x, an int of at most `bits` bits, side by side."""
+    if count == 1:
+        return x
     if bits % 8:
         return int(format(x, f"0{bits}b") * count, 2)
     return int.from_bytes(x.to_bytes(bits // 8, "little") * count, "little")
@@ -822,6 +901,7 @@ def _charge(q: int, delta: int, width: int) -> int:
     wide, top = (q ** (delta - 1)).bit_length(), n.bit_length()
     planes = (
         width * (q if q > 2 else 1)  # the coset's word, and the constant words
+        + width * (2 if q % 2 else 1)  # the step table, and its tiled guard for odd p
         + delta + 1  # the batch's stage masks, and its every
         + (q + 1) * wide  # A_0..A_{q-1} and the array being moved
         + q * top  # q - 2 B_c made, a running sum and the next one
@@ -915,14 +995,18 @@ def min_weight_codewords(code: LinearCode) -> list[bytes] | list[tuple[int, ...]
     first, which are the hit's digits times c.
 
     The hits are counted against the points cap, (q - 1)·n entries each,
-    before any word is stored or unpacked.  The list is made on every call
-    and kept nowhere else, so it is freed with the caller's reference."""
+    before any word is stored or unpacked.  They are packed by one forward
+    walk (_Lanes.stored) with the packed scan's lanes and table when that
+    route ran, else with the coset engine's own lanes, with no table.  The
+    list is made on every call and kept nowhere else, so it is freed with
+    the caller's reference."""
     hits = _scan(code, "words")[2]
     q, n = code.gf.q, code.n
     limits.ensure("points", len(hits) * (q - 1) * n, f"listing the minimum weight words of {code!r}")
-    # the packed scan's lanes when it ran; after the coset engine, lanes
-    # made for this call alone, so that their table is not kept in the cache
-    lanes = code._cache.get("lanes") or _Lanes(code)
+    # the packed scan's lanes and table when it ran, else the engine's
+    # words, of the same width and patterns: no table is made for the call
+    engine = None if "lanes" in code._cache else _cosets(code)
+    lanes = engine.words if engine else _lanes(code)
     words = list(map(lanes.unpack, lanes.stored(hits)))
     if q == 2:
         return words

@@ -11,7 +11,7 @@ import time
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 
 import pytest
 
@@ -294,8 +294,9 @@ def _public_scans(code, blocks=None):
 def test_packed_scan_matches_encode_oracle(case, monkeypatch):
     """The public scans, then each route by name: the packed scan always,
     the coset engine wherever it accepts the generator, in batches of its
-    own size and of one, two and three cosets, so that planes hold several
-    cosets and the last batch is often partial."""
+    own size and of one, two, three and five cosets, so that planes hold
+    several cosets, the last batch is often partial, and a batch of five
+    straddles the step tables of q^s = 4 or 3 words."""
     oracle = _encode_every_message(case)
     code = DIFFERENTIAL[case]()
     assert _public_scans(code) == oracle
@@ -304,7 +305,7 @@ def test_packed_scan_matches_encode_oracle(case, monkeypatch):
     if code_module._cosets(LinearCode(code.gf, code.generator)) is not None:
         monkeypatch.setattr(code_module, "_scan", code_module._coset_scan)
         assert _public_scans(code) == oracle
-        for blocks in (1, 2, 3):
+        for blocks in (1, 2, 3, 5):
             assert _public_scans(code, blocks=blocks) == oracle, blocks
 
 
@@ -388,41 +389,81 @@ def test_scan_routes_agree(shape):
 @pytest.mark.parametrize("shape", [(2, 3, 3), (4, 2, 3), (9, 2, 2)], ids=lambda s: ",".join(map(str, s)))
 def test_coset_charge_bounds_a_batch_transform(shape):
     """_cosets sizes a batch by _charge, the bytes one coset holds at the
-    transform's widest stage: a full batch of higher cosets, its words made
-    and its shape built inside the trace, allocates no more than the charge
-    and at least half of it."""
+    transform's widest stage: the first batch of the feed, its step table
+    and words made and its shape built inside the trace, allocates no more
+    than the charge and at least half of it."""
     code = build(CodeParams(*shape))
     engine = code_module._cosets(LinearCode(code.gf, code.generator))
-    # the rows the words and constants are made from, cached once per code
+    # the rows the step table, words and constants are made from, cached
+    # once per code
     engine.shape(1)
-    next(engine._higher())
+    next(engine.feed())
     engine._shapes.clear()
-    higher = engine._higher()
     tracemalloc.start()
     try:
-        hs, gs = zip(*islice(higher, engine.blocks))
-        engine.transform(gs)
+        hs, g = next(engine.feed())
+        engine.transform(g, len(hs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    charge = len(gs) * code_module._charge(code.gf.q, engine.delta, engine.words.width)
+    charge = len(hs) * code_module._charge(code.gf.q, engine.delta, engine.words.width)
     assert peak <= charge <= 2 * peak, (peak, charge)
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 2), (4, 2, 2)], ids=lambda s: ",".join(map(str, s)))
 def test_coset_listing_builds_no_packed_table(shape, monkeypatch):
-    """After the coset engine, min_weight_codewords packs its hits with
-    lanes made for that call alone, so no packed-scan table is left in the
-    code's cache; the words equal the packed route's, byte for byte."""
+    """After the coset engine, min_weight_codewords packs its hits with the
+    engine's own words: no tabled _Lanes is made after the engine, and none
+    is left in the code's cache; the words equal the packed route's, byte
+    for byte."""
     code = build(CodeParams(*shape))
     fresh = LinearCode(code.gf, code.generator)
-    words = min_weight_codewords(fresh)
     assert code_module._cosets(fresh) is not None
+    made = []
+    init = code_module._Lanes.__init__
+
+    def record(self, code, width=0):
+        made.append(width)
+        init(self, code, width)
+
+    monkeypatch.setattr(code_module._Lanes, "__init__", record)
+    words = min_weight_codewords(fresh)
+    assert made == []
     assert "lanes" not in fresh._cache
     monkeypatch.setattr(code_module, "_scan", code_module._packed_scan)
     packed = LinearCode(code.gf, code.generator)
     assert min_weight_codewords(packed) == words
+    assert made == [0]
     assert "lanes" in packed._cache
+
+
+def _row_by_entries(lanes, a, r):
+    """Generator row r times a, packed one entry at a time: each element's
+    base-p digits in sub-lanes of lanes.sub bits, a lane of lanes.width bits
+    per position, position 0 lowest."""
+    gf, out = lanes.gf, 0
+    for i, x in enumerate(lanes.generator[r]):
+        y = gf.mul(a, x)
+        pattern = sum(y // gf.p**j % gf.p << lanes.sub * j for j in range(gf.e))
+        out |= pattern << lanes.width * i
+    return out
+
+
+@pytest.mark.parametrize(
+    "case, width",
+    [((2, 2, 2), 1), ((7, 1, 2), 8), ((25, 1, 1), 16), ("random-gf729", 32)],
+    ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else str(x),
+)
+def test_row_matches_per_entry_packing(case, width):
+    """_Lanes.row packs a row through one element table at C level; it
+    equals the per-entry packing for every element a and every row, at
+    lanes of 1, 8, 16 and 32 bits."""
+    code = DIFFERENTIAL[case]() if isinstance(case, str) else build(CodeParams(*case))
+    lanes = code_module._Lanes(LinearCode(code.gf, code.generator))
+    assert lanes.width == width
+    for r in range(code.k):
+        for a in range(code.gf.q):
+            assert lanes.row(a, r) == _row_by_entries(lanes, a, r), (r, a)
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 5)], ids=lambda s: ",".join(map(str, s)))
@@ -500,12 +541,16 @@ def test_min_weight_codewords():
 
 
 def test_evaluate_vector_matches_direct():
+    # (4,2,2) is q > 2 in 8-bit lanes, (25,1,1) has 16-bit lanes, and
+    # (257,1,1) 16-bit lanes whose words unpack to tuples
     rng = random.Random(41)
-    p = CodeParams(2, 2, 3)
-    for _ in range(15):
-        f = rand_combination(rng, p)
-        vec = evaluate_vector(f)
-        assert vec == tuple(f.evaluate(pt) for pt in points(p))
+    for shape in ((2, 2, 3), (4, 2, 2), (25, 1, 1), (257, 1, 1)):
+        p = CodeParams(*shape)
+        for _ in range(15):
+            f = rand_combination(rng, p)
+            vec = evaluate_vector(f)
+            assert type(vec) is tuple
+            assert vec == tuple(f.evaluate(pt) for pt in points(p)), shape
 
 
 def test_max_minor_weight_oracle():
