@@ -45,7 +45,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import Counter
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress, islice, repeat
 from operator import and_, lshift, methodcaller, or_, rshift
 from typing import Iterable, Sequence
@@ -240,8 +240,9 @@ def ensure_scannable(p: CodeParams) -> None:
 
 
 def evaluate_vector(f: MinorCombination) -> tuple[int, ...]:
-    """The codeword of f: its values over the point enumeration, from the
-    packed rows of the scans (LinearCode.encode gives the same entries)."""
+    """The codeword of f: its values over the point enumeration, one
+    lane-packed sum of the code's packed rows, with no table made
+    (LinearCode.encode gives the same entries)."""
     lanes = _lanes(build(f.params))
     return tuple(lanes.unpack(lanes.word(enumerate(f.coeffs))))
 
@@ -300,40 +301,34 @@ _TABLE_BYTES = 2**20  # and the memory they may take, as may a coset batch
 
 
 class _Lanes:
-    """Lane-packed codewords of one code, and the table its scans read.
+    """Lane-packed codewords of one code, and the table its packed scan reads.
 
-    A codeword is one int with a lane of `width` bits per position.  A lane
-    holds an element as its e base-p digits, each in a sub-lane of `sub`
-    bits.  In characteristic 2 a sum is one XOR.  For odd p each stored
-    digit carries a bias of 2^(sub-1) - p, so a digit sum reaches the
-    sub-lane's top (guard) bit exactly when it is p or more, and subtracting
-    p there reduces it (Boothby and Bradshaw, arXiv:0901.1413).  Every
-    element has one lane pattern, so lane i of u ^ v is zero exactly where
-    u and v agree.
+    A codeword is one int with a lane of `width` bits per position: 1 bit
+    for q = 2, else the narrowest of 8, 16 or 32 bits whose top bit is above
+    the element's pattern.  A lane holds an element as its e base-p digits,
+    each in a sub-lane of `sub` bits.  In characteristic 2 a sum is one XOR.
+    For odd p each stored digit carries a bias of 2^(sub-1) - p, so a digit
+    sum reaches the sub-lane's top (guard) bit exactly when it is p or more,
+    and subtracting p there reduces it (Boothby and Bradshaw,
+    arXiv:0901.1413).  Every element has one lane pattern, so lane i of
+    u ^ v is zero exactly where u and v agree.
 
-    The table holds the words of the messages on the `low` lowest digits, in
-    index order.  A message with high part h and low part j has the word
-    w(h) + table[j], which is zero exactly where table[j] equals -w(h): a
-    block of messages costs one XOR and one count of nonzero lanes each,
-    against the negated word of the block's high part.
-
-    A positive `width` asks for lanes of at least that many bits and no
-    table (low = 0): the coset engine's words, 1 bit wide for q = 2 and 8
-    bits when the element patterns fit, from which it makes its bit planes.
-    Those are the widths a table's lanes have, so the minimum words after
-    the engine are packed with the engine's lanes.
+    The table, made when the packed scan first reads it, holds the words of
+    the messages on the lowest base-p digits, in index order.  A message
+    with high part h and low part j has the word w(h) + table[j], which is
+    zero exactly where table[j] equals -w(h): a block of messages costs one
+    XOR and one count of nonzero lanes each, against the negated word of
+    the block's high part.
     """
 
-    def __init__(self, code: LinearCode, width: int = 0):
+    def __init__(self, code: LinearCode):
         gf = code.gf
         p, e, q, n = gf.p, gf.e, gf.q, code.n
         # no reference back to the code, which caches this object
         self.generator, self.gf, self.n = code.generator, gf, n
         self.box = bytes if q <= 256 else tuple  # holds a vector of elements
         self.sub = sub = 1 if p == 2 else (p - 1).bit_length() + 1
-        tabled = not width
-        need = 1 if q == 2 else next(w for w in (8, 16, 32) if e * sub < w)
-        self.width = width = max(need, width)
+        self.width = width = 1 if q == 2 else next(w for w in (8, 16, 32) if e * sub < w)
         bias = 0 if p == 2 else (1 << (sub - 1)) - p
 
         def pattern(x: int, b: int) -> int:
@@ -345,7 +340,7 @@ class _Lanes:
 
         every, self.fill, self.high = _signs(n, width)
         self.zero = pattern(0, bias) * every
-        self.guard = sum(1 << (sub * j + sub - 1) for j in range(e)) * every
+        self.add = self.adder(1)
         # lane pattern -> element; a 1-bit lane is unpacked as an ASCII digit
         decode = {pattern(x, bias) + (ord("0") if width == 1 else 0): x for x in range(q)}
         if width <= 8:
@@ -357,21 +352,31 @@ class _Lanes:
             self.decode = decode
         self._patterns = [pattern(x, 0) for x in range(q)]
         self._rows: dict[tuple[int, int], int] = {}
-        per_word = width * n // 8 + 32
+
+    @cached_property
+    def table(self) -> list[int]:
+        """combinations(0, low), low the most base-p digits below the top
+        row's whose words fit _TABLE_ENTRIES and _TABLE_BYTES."""
+        p, per_word = self.gf.p, self.width * self.n // 8 + 32
         low = 0
         while (
-            tabled
-            and low < e * (code.k - 1)
+            low < self.gf.e * (len(self.generator) - 1)
             and p ** (low + 1) <= _TABLE_ENTRIES
             and p ** (low + 1) * per_word <= _TABLE_BYTES
         ):
             low += 1
-        self.low = low
-        table = [self.zero]
-        for t in range(low):
+        return self.combinations(0, low)
+
+    def combinations(self, first: int, digits: int) -> list[int]:
+        """The stored words of every message on the base-p digits first to
+        first + digits - 1, in index order.  Base-p digit t of a message is
+        the element p^(t % e) as the coefficient of row t // e."""
+        p, e = self.gf.p, self.gf.e
+        out = [self.zero]
+        for t in range(first, first + digits):
             steps = [self.row(c * p ** (t % e), t // e) for c in range(1, p)]
-            table += [self.add(x, v) for v in steps for x in table]
-        self.table = table
+            out += [self.add(x, v) for v in steps for x in out]
+        return out
 
     def row(self, a: int, r: int) -> int:
         """Generator row r times the element a, packed without bias.  One
@@ -402,13 +407,21 @@ class _Lanes:
                 out = self.add(out, self.row(c, r))
         return out
 
-    def add(self, u: int, v: int) -> int:
-        """u + v for a stored word u and an unbiased packed word v."""
-        p = self.gf.p
+    def adder(self, count: int):
+        """u + v for stored words u and unbiased packed words v of at most
+        `count` words side by side: XOR for p = 2, else a lane add with the
+        guard bits tiled.  add is adder(1)."""
+        p, e, sub = self.gf.p, self.gf.e, self.sub
         if p == 2:
-            return u ^ v
-        t = u + v
-        return t - ((t & self.guard) >> (self.sub - 1)) * p
+            return int.__xor__
+        lane = sum(1 << (sub * j + sub - 1) for j in range(e))
+        guard = _tiled(lane, self.width, self.n * count)
+
+        def add(u: int, v: int) -> int:
+            t = u + v
+            return t - ((t & guard) >> (sub - 1)) * p
+
+        return add
 
     def stored(self, indices: list[int]):
         """walk(indices): the stored words of min_weight_codewords' hits,
@@ -417,36 +430,33 @@ class _Lanes:
 
     def walk(self, indices: Iterable[int], scale: int = 1):
         """The stored words of scale times the messages whose top nonzero
-        coefficient is 1, for their indices in ascending order, in turn: a
-        table word plus the word of the high part, its base-p digits from
-        digit `low` up, and of the top row r, where q^r <= index < q^(r+1).
-        Both walk forward from the previous index: r only grows, and the
-        high part's word adds only the rows of the digits that changed, c
-        times the digit's place for a digit that rose by c.  For p = 2 those
-        are the bits set in h ^ prev; for odd p, the digits up to the
-        highest one where h and prev differ."""
-        gf, add, table, row = self.gf, self.add, self.table, self.row
-        q, p, e, low, mul = gf.q, gf.p, gf.e, self.low, gf.mul
+        coefficient is 1, for their indices in ascending order, in turn: the
+        word of the top row r, where q^r <= index < q^(r+1), plus that of
+        the rest h = index - q^r, its base-p digits from digit 0 up.  Both
+        walk forward from the previous index: r only grows, and the rest's
+        word adds only the rows of the digits that changed, c times the
+        digit's place for a digit that rose by c.  For p = 2 those are the
+        bits set in h ^ prev; for odd p, the digits up to the highest one
+        where h and prev differ."""
+        gf, add, row = self.gf, self.add, self.row
+        q, p, e, mul = gf.q, gf.p, gf.e, gf.mul
         steps: list = [None] * (e * len(self.generator))
 
         def place(t: int) -> list[int]:
-            """scale·c times the place of digit t from low up, for c < p,
-            made when the walk first reaches the digit."""
-            d = low + t  # base-p digit d of a message is p^(d % e) on row d // e
-            steps[t] = [0, *(row(mul(scale, c * p ** (d % e)), d // e) for c in range(1, p))]
+            """scale·c times the place of digit t, p^(t % e) on row t // e,
+            for c < p, made when the walk first reaches the digit."""
+            steps[t] = [0, *(row(mul(scale, c * p ** (t % e)), t // e) for c in range(1, p))]
             return steps[t]
 
         r, size, prev, minus = 0, 1, 0, gf.neg(scale)
         word = add(self.zero, row(scale, 0))  # stored word of the top row and prev's digits
-        high = word - self.zero
         for index in indices:
             if q * size <= index:  # a later top row: swap its row in
                 last = r
                 while q * size <= index:
                     r, size = r + 1, q * size
                 word = add(add(word, row(minus, last)), row(scale, r))
-                high = word - self.zero
-            h, j = divmod(index - size, len(table))
+            h = index - size
             if h != prev:
                 if p == 2:
                     x = h ^ prev
@@ -463,9 +473,8 @@ class _Lanes:
                         if x != y:
                             word = add(word, (steps[t] or place(t))[(x - y) % p])
                         t += 1
-                prev, high = h, word - self.zero
-            # table[0] is the zero word, and word = zero + high
-            yield add(table[j], high) if j else word
+                prev = h
+            yield word
 
     def support(self, diff: int) -> int:
         """One bit set in each nonzero lane of a XOR of two stored words,
@@ -499,19 +508,11 @@ class _Lanes:
         return [methodcaller("translate", table) for table in tables]
 
 
-def _every(count: int, width: int) -> int:
-    """1 in each of `count` lanes of `width` bits, 1 or a multiple of 8;
-    made from bytes, as a division would take time quadratic in the size."""
-    if width == 1:
-        return (1 << count) - 1
-    return int.from_bytes(b"\1".ljust(width // 8, b"\0") * count, "little")
-
-
 def _signs(count: int, width: int) -> tuple[int, int, int]:
     """(every, fill, high): 1, 2^(w-1) - 1 and 2^(w-1) in each of `count`
     lanes of w = `width` bits.  (x + fill) & high has a lane's top bit set
     where x's lane is nonzero, if no lane of x has its top bit set."""
-    every = _every(count, width)
+    every = _tiled(1, width, count)
     return every, ((1 << (width - 1)) - 1) * every, (1 << (width - 1)) * every
 
 
@@ -635,7 +636,7 @@ class _Cosets:
         # per stage, the counts of one coset whose digit t is 0: the first
         # q^t of each q^(t+1)
         runs = [q**t for t in range(delta)]
-        self.masks = [int(("0" * (run * q - run) + "1" * run) * (self.n // (run * q)), 2) for run in runs]
+        self.masks = [_tiled((1 << run) - 1, run * q, self.n // (run * q)) for run in runs]
         self._shapes: dict[int, tuple] = {}
 
     def shape(self, blocks: int) -> tuple:
@@ -665,23 +666,19 @@ class _Cosets:
         side, the first lowest.
 
         A step table T holds the words of the span = q^s combinations of
-        the s lowest higher rows side by side, span <= blocks.  Higher parts
-        that agree above those rows have the words T[j] + w, w the word of
-        the common part, so a run of them is one slice of T and one lane
-        add of w tiled: a batch is made from a few such segments."""
-        words, q, p, e = self.words, self.gf.q, self.gf.p, self.gf.e
+        the s lowest higher rows side by side (_Lanes.combinations), span
+        <= blocks.  Higher parts that agree above those rows have the words
+        T[j] + w, w the word of the common part, so a run of them is one
+        slice of T and one lane add of w tiled: a batch is made from a few
+        such segments."""
+        words, q, e = self.words, self.gf.q, self.gf.e
         bits, blocks, first = self.n * words.width, self.blocks, self.delta + 1
         s = 0
         while first + s < self.k and q ** (s + 1) <= blocks:
             s += 1
         span = q**s
-        plus = self._plus(span)
-        table, count = words.zero, 1  # base-p digit t is p^(t % e) on row first + t // e
-        for t in range(e * s):
-            steps = (_tiled(words.row(c * p ** (t % e), first + t // e), bits, count) for c in range(1, p))
-            parts = [table, *(plus(table, v) for v in steps)]
-            table = reduce(or_, (x << c * count * bits for c, x in enumerate(parts)))
-            count *= p
+        plus = words.adder(span)
+        table = _joined(words.combinations(e * first, e * s), bits)
         # the words of the common parts above the table's rows, in index
         # order: the messages x·q^(first + s), x in [q^r, 2·q^r) for each r
         above = (x * q ** (first + s) for r in range(self.k - first - s) for x in range(q**r, 2 * q**r))
@@ -705,22 +702,6 @@ class _Cosets:
                     hs, g = [], 0
         if hs:
             yield hs, g
-
-    def _plus(self, count: int):
-        """u + v for stored words u and unbiased packed words v of at most
-        `count` words side by side: XOR for p = 2, else a lane add with the
-        guard bits tiled."""
-        words = self.words
-        if self.gf.p == 2:
-            return int.__xor__
-        p, shift = self.gf.p, words.sub - 1
-        guard = _tiled(words.guard, self.n * words.width, count)
-
-        def plus(u: int, v: int) -> int:
-            t = u + v
-            return t - ((t & guard) >> shift) * p
-
-        return plus
 
     def indicators(self, g: int, count: int) -> list[list[int]]:
         """A_c of the cosets of `count` stored words g side by side, one
@@ -770,12 +751,22 @@ class _Cosets:
 
 
 def _tiled(x: int, bits: int, count: int) -> int:
-    """count copies of x, an int of at most `bits` bits, side by side."""
+    """count copies of x, an int of at most `bits` bits, side by side; made
+    from bytes or a binary string, as shifts would take time quadratic in
+    the count."""
     if count == 1:
         return x
     if bits % 8:
         return int(format(x, f"0{bits}b") * count, 2)
     return int.from_bytes(x.to_bytes(bits // 8, "little") * count, "little")
+
+
+def _joined(words: list[int], bits: int) -> int:
+    """words, ints of at most `bits` bits each, side by side, the first
+    lowest; made as _tiled is."""
+    if bits % 8:
+        return int("".join(format(x, f"0{bits}b") for x in reversed(words)), 2)
+    return int.from_bytes(b"".join(x.to_bytes(bits // 8, "little") for x in words), "little")
 
 
 def _moved(arrays: list[list[int]], route: list[tuple[int, int]], run: int, masks: list[int]) -> list[int]:
@@ -887,7 +878,7 @@ def _cosets(code: LinearCode) -> _Cosets | None:
             return None
         if any(gen[1 + t] != tuple(digit) for t, digit in enumerate(_digits(q, delta))):
             return None
-        words = _Lanes(code, 1 if q == 2 else 8)
+        words = _lanes(code)
         blocks = max(1, _TABLE_BYTES // _charge(q, delta, words.width))
         code._cache["cosets"] = _Cosets(code, delta, words, blocks)
     return code._cache["cosets"]
@@ -996,17 +987,13 @@ def min_weight_codewords(code: LinearCode) -> list[bytes] | list[tuple[int, ...]
 
     The hits are counted against the points cap, (q - 1)·n entries each,
     before any word is stored or unpacked.  They are packed by one forward
-    walk (_Lanes.stored) with the packed scan's lanes and table when that
-    route ran, else with the coset engine's own lanes, with no table.  The
-    list is made on every call and kept nowhere else, so it is freed with
-    the caller's reference."""
+    walk (_Lanes.stored) that reads no table, with the code's one lane
+    packing, whichever route scanned.  The list is made on every call and
+    kept nowhere else, so it is freed with the caller's reference."""
     hits = _scan(code, "words")[2]
     q, n = code.gf.q, code.n
     limits.ensure("points", len(hits) * (q - 1) * n, f"listing the minimum weight words of {code!r}")
-    # the packed scan's lanes and table when it ran, else the engine's
-    # words, of the same width and patterns: no table is made for the call
-    engine = None if "lanes" in code._cache else _cosets(code)
-    lanes = engine.words if engine else _lanes(code)
+    lanes = _lanes(code)
     words = list(map(lanes.unpack, lanes.stored(hits)))
     if q == 2:
         return words

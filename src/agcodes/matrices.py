@@ -190,10 +190,10 @@ class MatrixGF:
         return _det(self.gf, [list(self._flat[i * n : (i + 1) * n]) for i in range(n)])
 
     def _eliminate(self, work: list[list[int]]) -> Iterator[int | None]:
-        """Gauss-Jordan elimination of `work`, self's rows with columns
-        appended, in place: over self's columns in turn, yields each column
-        once it holds a pivot, or None where it has none, and stops once
-        every row holds one."""
+        """Gauss-Jordan elimination of `work`, self's rows, perhaps with
+        columns appended, in place: over self's columns in turn, yields each
+        column once it holds a pivot, or None where it has none, and stops
+        once every row holds one."""
         gf = self.gf
         sub, mul, inv = gf.sub, gf.mul, gf.inv
         m = self.nrows
@@ -218,25 +218,18 @@ class MatrixGF:
 
     def _with_identity(self) -> list[list[int]]:
         """The rows of [self | I]."""
-        m, n = self.nrows, self.ncols
-        return [
-            list(self._flat[i * n : (i + 1) * n]) + [1 if t == i else 0 for t in range(m)]
-            for i in range(m)
-        ]
-
-    def _rref_transform(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
-        """Row reduce [self | I]; returns (rref rows, transform rows, pivot cols 0-based)."""
-        n = self.ncols
-        work = self._with_identity()
-        pivots = [c for c in self._eliminate(work) if c is not None]
-        return [row[:n] for row in work], [row[n:] for row in work], pivots
+        m = self.nrows
+        return [[*row, *(1 if t == i else 0 for t in range(m))] for i, row in enumerate(self.rows())]
 
     def rank(self) -> int:
-        return len(self._rref_transform()[2])
+        return sum(c is not None for c in self._eliminate(list(map(list, self.rows()))))
 
     def rref_rows(self) -> MatrixGF:
         """Reduced row echelon form, the canonical representative of the row space."""
-        return MatrixGF.from_rows(self.gf, self._rref_transform()[0]) if self.nrows else self
+        work = list(map(list, self.rows()))
+        for _ in self._eliminate(work):
+            pass
+        return MatrixGF.from_rows(self.gf, work) if self.nrows else self
 
     def inverse(self) -> MatrixGF:
         """The inverse; a singular matrix raises ValueError at its first

@@ -236,6 +236,8 @@ def _drop_last_point(rows, gf):
 # words of scalars 2..q-1, in one top row and in three.  The altered affine
 # generators span codes the coset engine must refuse: their digit rows are
 # not the point coordinates in order, or n is not a power of q.
+# random-affine-gf2 has n = 4: the engine's words of 4 bits are not whole
+# bytes.
 DIFFERENTIAL = {
     **{f"affine({q},1,2)": lambda q=q: build(CodeParams(q, 1, 2)) for q in (2, 3, 4, 5, 7, 8, 9)},
     "affine(2,2,3)": lambda: build(CodeParams(2, 2, 3)),
@@ -245,6 +247,7 @@ DIFFERENTIAL = {
     "affine(2,2,2)-swapped": lambda: _altered((2, 2, 2), _swap_digit_rows),
     "affine(3,2,2)-scaled": lambda: _altered((3, 2, 2), _scale_digit_row),
     "affine(2,2,2)-punctured": lambda: _altered((2, 2, 2), _drop_last_point),
+    "random-affine-gf2": lambda: _random_affine(2, 2, 1, 2),
     "random-affine-gf3": lambda: _random_affine(3, 2, 3, 3),
     "random-affine-gf4": lambda: _random_affine(4, 2, 2, 4),
     "random-affine-gf9": lambda: _random_affine(9, 1, 2, 9),
@@ -412,29 +415,31 @@ def test_coset_charge_bounds_a_batch_transform(shape):
 
 @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 2), (4, 2, 2)], ids=lambda s: ",".join(map(str, s)))
 def test_coset_listing_builds_no_packed_table(shape, monkeypatch):
-    """After the coset engine, min_weight_codewords packs its hits with the
-    engine's own words: no tabled _Lanes is made after the engine, and none
-    is left in the code's cache; the words equal the packed route's, byte
-    for byte."""
+    """A code has one lane packing: the coset engine's words are the code's
+    lanes, and after the engine min_weight_codewords packs its hits with
+    them, making no other _Lanes and not the packed scan's table; the
+    packed route makes it.  The words equal the packed route's, byte for
+    byte."""
     code = build(CodeParams(*shape))
     fresh = LinearCode(code.gf, code.generator)
     assert code_module._cosets(fresh) is not None
     made = []
     init = code_module._Lanes.__init__
 
-    def record(self, code, width=0):
-        made.append(width)
-        init(self, code, width)
+    def record(self, code):
+        made.append(code)
+        init(self, code)
 
     monkeypatch.setattr(code_module._Lanes, "__init__", record)
     words = min_weight_codewords(fresh)
     assert made == []
-    assert "lanes" not in fresh._cache
+    lanes = code_module._lanes(fresh)
+    assert lanes is code_module._cosets(fresh).words
+    assert "table" not in vars(lanes)
     monkeypatch.setattr(code_module, "_scan", code_module._packed_scan)
     packed = LinearCode(code.gf, code.generator)
     assert min_weight_codewords(packed) == words
-    assert made == [0]
-    assert "lanes" in packed._cache
+    assert "table" in vars(code_module._lanes(packed))
 
 
 def _row_by_entries(lanes, a, r):
@@ -464,6 +469,24 @@ def test_row_matches_per_entry_packing(case, width):
     for r in range(code.k):
         for a in range(code.gf.q):
             assert lanes.row(a, r) == _row_by_entries(lanes, a, r), (r, a)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2, 3), (3, 2, 2), (4, 2, 2), (9, 1, 2), (25, 1, 1), (5, 1, 3)], ids=lambda s: ",".join(map(str, s))
+)
+def test_walk_matches_word(shape):
+    """_Lanes.walk gives, at every scale, the stored word of scale times
+    each message whose top coefficient is 1, in ascending index order, as
+    word does row by row; it reads no table."""
+    code = build.__wrapped__(CodeParams(*shape))  # past the cache, which test_caps needs free of (5,1,3)
+    gf, k = code.gf, code.k
+    q = gf.q
+    lanes = code_module._Lanes(LinearCode(gf, code.generator))
+    indices = [i for i in range(1, q**k) if code_module._top_is_one(i, q)]
+    for scale in range(1, q):
+        expected = [lanes.word((r, gf.mul(scale, i // q**r % q)) for r in range(k)) for i in indices]
+        assert list(lanes.walk(indices, scale)) == expected, scale
+    assert "table" not in vars(lanes)
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 5)], ids=lambda s: ",".join(map(str, s)))
