@@ -293,8 +293,10 @@ def _span_weight(
 # number with e*k digits: digit t stands for the element p^(t % e) as the
 # coefficient of row t // e.  Scaling a message by a nonzero scalar keeps its
 # weight, so the scans visit only the messages whose top nonzero coefficient
-# is 1: segment r holds q^r + s for s < q^r, and a scan position numbers the
-# segments' messages in order.  Each one stands for its q-1 multiples.
+# is 1, the indices in [q^r, 2·q^r) for each top row r; each one stands for
+# its q-1 multiples.  A walker (_Lanes.walker) gives the word of any index
+# from the last one it gave, adding the rows of the base-p digits that
+# changed, the top row's digit like any other.
 
 _TABLE_ENTRIES = 2**12  # low-digit words kept per code
 _TABLE_BYTES = 2**20  # and the memory they may take, as may a coset batch
@@ -318,7 +320,7 @@ class _Lanes:
     with high part h and low part j has the word w(h) + table[j], which is
     zero exactly where table[j] equals -w(h): a block of messages costs one
     XOR and one count of nonzero lanes each, against the negated word of
-    the block's high part.
+    the block's high part, which a walker at scale -1 gives.
     """
 
     def __init__(self, code: LinearCode):
@@ -424,57 +426,51 @@ class _Lanes:
         return add
 
     def stored(self, indices: list[int]):
-        """walk(indices): the stored words of min_weight_codewords' hits,
+        """The stored words of min_weight_codewords' hits, by one walker:
         the step its points cap check comes before."""
-        return self.walk(indices)
+        return map(self.walker(), indices)
 
-    def walk(self, indices: Iterable[int], scale: int = 1):
-        """The stored words of scale times the messages whose top nonzero
-        coefficient is 1, for their indices in ascending order, in turn: the
-        word of the top row r, where q^r <= index < q^(r+1), plus that of
-        the rest h = index - q^r, its base-p digits from digit 0 up.  Both
-        walk forward from the previous index: r only grows, and the rest's
-        word adds only the rows of the digits that changed, c times the
-        digit's place for a digit that rose by c.  For p = 2 those are the
-        bits set in h ^ prev; for odd p, the digits up to the highest one
-        where h and prev differ."""
+    def walker(self, scale: int = 1):
+        """A callable that gives the stored word of scale times the message
+        of any index, called on indices in any order.  It keeps the last
+        index and its word, and adds only the rows of the base-p digits that
+        changed, every digit alike, the top row's too: c times the digit's
+        place for a digit that rose by c modulo p.  For p = 2 those are the
+        bits set in index ^ prev; for odd p, the digits up to the highest
+        one where index and prev differ.  Each (digit, multiple) row is
+        packed the first time it is added."""
         gf, add, row = self.gf, self.add, self.row
-        q, p, e, mul = gf.q, gf.p, gf.e, gf.mul
-        steps: list = [None] * (e * len(self.generator))
+        p, e, mul = gf.p, gf.e, gf.mul
+        digits = e * len(self.generator)
+        steps: list = [None] * (p * digits)  # digit t's row times c at c·digits + t
+        prev, word = 0, self.zero
 
-        def place(t: int) -> list[int]:
-            """scale·c times the place of digit t, p^(t % e) on row t // e,
-            for c < p, made when the walk first reaches the digit."""
-            steps[t] = [0, *(row(mul(scale, c * p ** (t % e)), t // e) for c in range(1, p))]
-            return steps[t]
+        def place(t: int, c: int) -> int:
+            """scale·c times the place of digit t, p^(t % e) on row t // e."""
+            steps[c * digits + t] = row(mul(scale, c * p ** (t % e)), t // e)
+            return steps[c * digits + t]
 
-        r, size, prev, minus = 0, 1, 0, gf.neg(scale)
-        word = add(self.zero, row(scale, 0))  # stored word of the top row and prev's digits
-        for index in indices:
-            if q * size <= index:  # a later top row: swap its row in
-                last = r
-                while q * size <= index:
-                    r, size = r + 1, q * size
-                word = add(add(word, row(minus, last)), row(scale, r))
-            h = index - size
-            if h != prev:
-                if p == 2:
-                    x = h ^ prev
-                    while x:
-                        bit = x & -x
-                        t = bit.bit_length() - 1
-                        word ^= (steps[t] or place(t))[1]
-                        x ^= bit
-                else:
-                    a, b, t = h, prev, 0
-                    while a != b:
-                        a, x = divmod(a, p)
-                        b, y = divmod(b, p)
-                        if x != y:
-                            word = add(word, (steps[t] or place(t))[(x - y) % p])
-                        t += 1
-                prev = h
-            yield word
+        def walk(index: int) -> int:
+            nonlocal prev, word
+            if p == 2:
+                x = index ^ prev
+                while x:
+                    bit = x & -x
+                    t = bit.bit_length() - 1
+                    word ^= steps[digits + t] or place(t, 1)
+                    x ^= bit
+            else:
+                a, b, t = index, prev, 0
+                while a != b:
+                    x, y = a % p, b % p
+                    if x != y:
+                        c = (x - y) % p
+                        word = add(word, steps[c * digits + t] or place(t, c))
+                    a, b, t = a // p, b // p, t + 1
+            prev = index
+            return word
+
+        return walk
 
     def support(self, diff: int) -> int:
         """One bit set in each nonzero lane of a XOR of two stored words,
@@ -554,14 +550,13 @@ def _packed_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
     """The triple of _scan, one lane-packed XOR and popcount per message."""
     q = code.gf.q
     lanes = _lanes(code)
-    table = len(lanes.table)
+    table, negated = len(lanes.table), lanes.walker(code.gf.neg(1))
     counts: Counter = Counter()
     best, hits = code.n + 1, []
     # each top row's messages in blocks of the table's size, or in one block
-    starts = [q**r + at for r in range(code.k) for at in range(0, q**r, table)]
-    for start, negated in zip(starts, lanes.walk(starts, code.gf.neg(1))):
+    for start in (q**r + at for r in range(code.k) for at in range(0, q**r, table)):
         step = min(start, table)
-        weights = lanes.weights(negated, step)
+        weights = lanes.weights(negated(start), step)
         if mode == "dist":
             counts.update(weights)
         elif mode == "min":
@@ -653,12 +648,6 @@ class _Cosets:
             self._shapes[blocks] = ((1 << blocks * n) - 1, constants, stages)
         return self._shapes[blocks]
 
-    def batches(self):
-        """(hs, B, S) for each batch of feed: the B_c and their sum S."""
-        for hs, g in self.feed():
-            b = self.transform(g, len(hs))
-            yield hs, b, reduce(_add, b)
-
     def feed(self):
         """(hs, g) for batches of `blocks` cosets, the last maybe fewer: hs
         the higher parts 0, which gives RM_q(1, δ) itself, then those whose
@@ -668,22 +657,18 @@ class _Cosets:
         A step table T holds the words of the span = q^s combinations of
         the s lowest higher rows side by side (_Lanes.combinations), span
         <= blocks.  Higher parts that agree above those rows have the words
-        T[j] + w, w the word of the common part, so a run of them is one
-        slice of T and one lane add of w tiled: a batch is made from a few
-        such segments."""
+        T[j] + w, w the word of the common part, which the walker gives, so
+        a run of them is one slice of T and one lane add of w tiled: a batch
+        is made from a few such segments."""
         words, q, e = self.words, self.gf.q, self.gf.e
         bits, blocks, first = self.n * words.width, self.blocks, self.delta + 1
         s = 0
         while first + s < self.k and q ** (s + 1) <= blocks:
             s += 1
         span = q**s
-        plus = words.adder(span)
+        plus, walk = words.adder(span), words.walker()
         table = _joined(words.combinations(e * first, e * s), bits)
-        # the words of the common parts above the table's rows, in index
-        # order: the messages x·q^(first + s), x in [q^r, 2·q^r) for each r
-        above = (x * q ** (first + s) for r in range(self.k - first - s) for x in range(q**r, 2 * q**r))
-        tops = words.walk(above)
-        hs, g, top = [], 0, 0
+        hs, g = [], 0
         # runs of consecutive higher parts: 0, then [q^r, 2·q^r) per higher row r
         for start, end in [(0, 1), *((q**r, 2 * q**r) for r in range(self.k - first))]:
             while start < end:
@@ -691,8 +676,7 @@ class _Cosets:
                 size = min(end - start, span - j, blocks - len(hs))
                 seg = table if size == span else table >> j * bits & (1 << size * bits) - 1
                 if start > j:  # plus the tiled word of the common part start - j
-                    if start // span != top:
-                        top, common = start // span, next(tops) - words.zero
+                    common = walk((start - j) * q**first) - words.zero
                     seg = plus(seg, _tiled(common, bits, size))
                 g |= seg << len(hs) * bits
                 hs += range(start, start + size)
@@ -739,12 +723,16 @@ class _Cosets:
             a = [reduce(_add, (_moved(a, route, run, masks) for route in routes)) for routes in self.routes]
         return a
 
-    def weights(self, b: list[list[int]], s: list[int], live: int) -> Counter:
-        """How many words of a batch have each weight, over the counts in
-        live: S's count v is a word of weight v, B_c's one of weight n - v."""
+    def weights(self, b: list[list[int]], s: list[int], lives: list[int]) -> Counter:
+        """How many words of a batch have each weight, over the live counts,
+        lives[0] S's and lives[c] B_c's: S's count v is a word of weight v,
+        B_c's one of weight n - v."""
         n = self.n
-        got = _tally(s, live)
-        minus = got if self.gf.q == 2 else sum((_tally(x, live) for x in b), Counter())
+        got = _tally(s, lives[0])
+        if self.gf.q == 2:  # B_1 is S: its tally is S's, plus the lanes only B_1 reads
+            minus = got + _tally(s, lives[1] ^ lives[0])
+        else:
+            minus = sum(map(_tally, b, lives[1:]), Counter())
         for v, c in list(minus.items()):
             got[n - v] += c
         return got
@@ -874,7 +862,7 @@ def _cosets(code: LinearCode) -> _Cosets | None:
         code._cache["cosets"] = None
         q, n, k, gen = code.gf.q, code.n, code.k, code.generator
         delta = _degree(q, n)
-        if delta is None or k <= delta or gen[0] != (1,) * n:
+        if not delta or k <= delta or gen[0] != (1,) * n:
             return None
         if any(gen[1 + t] != tuple(digit) for t, digit in enumerate(_digits(q, delta))):
             return None
@@ -901,44 +889,40 @@ def _charge(q: int, delta: int, width: int) -> int:
     return planes * -(-2 * n // 15)
 
 
-def _top_is_one(j: int, q: int) -> bool:
-    """Whether the top nonzero base-q digit of j is 1."""
-    while j >= q:
-        j //= q
-    return j == 1
-
-
 def _coset_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
-    """The triple of _scan, one transform per coset.  Only g = 0 and the
-    higher parts with top coefficient 1 are transformed: every word of such
-    a coset has top coefficient 1, and the nonzero words of g = 0 fall into
-    classes of q - 1 multiples.  "dist" tallies every batch; "min" and
-    "words" walk each count array to its least weight, and "words" lists
-    the counts there when that weight is the least so far."""
+    """The triple of _scan, one transform per coset, over the live counts:
+    those of the words whose top nonzero coefficient is 1.  Every count of
+    a coset whose higher part has top coefficient 1 is live.  In coset 0,
+    RM_q(1, δ), the words L·x + b whose L has top base-q digit 1 are, and
+    of L = 0 only the constant word 1, count 0 of the B_c with -c = 1.
+    "dist" tallies every batch; "min" and "words" walk each count array to
+    its least weight, and "words" lists the counts there when that weight
+    is the least so far."""
     engine = _cosets(code)
     if engine is None:
         raise ValueError(f"{code!r} is not certified for the coset engine")
     n, q, neg = code.n, code.gf.q, code.gf.neg
+    # coset 0's counts that are not live: L = 0, but for the constant word
+    # 1, and each L in [2·q^r, q^(r+1)), whose top digit is not 1
+    dead = (1 << n) - 1 ^ sum(((1 << q**r) - 1) << q**r for r in range(engine.delta))
     counts: Counter = Counter()
     best, hits = n + 1, []
-    for hs, bc, s in engine.batches():
-        every = engine.shape(len(hs))[0]
-        first = hs[0] == 0  # the batch starts with coset 0, RM_q(1, δ)
+    for hs, g in engine.feed():
+        bc = engine.transform(g, len(hs))
+        s = reduce(_add, bc)
+        lives = [engine.shape(len(hs))[0]] * q  # S's live counts, then B_c's for c = 1..q-1
+        if hs[0] == 0:  # coset 0 leads the batch, and its constant word 1 is B_{-1}'s L = 0
+            lives = [lives[0] ^ dead] * q
+            lives[neg(1)] |= 1
         if mode == "dist":
-            if first:  # without its zero word, one word per q - 1 multiples
-                own = (1 << n) - 1
-                rm = engine.weights(bc, s, own) - Counter({0: 1})
-                counts.update({w: c // (q - 1) for w, c in rm.items()})
-                every ^= own
-            if every:
-                counts.update(engine.weights(bc, s, every))
+            counts.update(engine.weights(bc, s, lives))
             continue
-        # (weight, lanes, b) of each array's least weight: S's least count,
-        # the zero word (count 0 of coset 0) left out, and each B_c's greatest
-        v, lanes = next(_levels(s, every ^ 1 if first else every))
+        # (weight, lanes, b) of each array's least weight: S's least count
+        # and each B_c's greatest
+        v, lanes = next(_levels(s, lives[0]))
         ends = [(v, lanes, 0)]
         for c, x in zip(range(1, q), bc):
-            v, lanes = next(_levels(x, every, descending=True))
+            v, lanes = next(_levels(x, lives[c], descending=True))
             ends.append((n - v, lanes, neg(c)))
         least = min(end[0] for end in ends)
         if mode == "min" or least > best:
@@ -947,12 +931,9 @@ def _coset_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
         if least < best:
             best, hits = least, []
         # count `at` is the word g + L·x + b of coset at // n, L = at % n
-        found = [
+        hits += sorted(
             (hs[at // n] * n + at % n) * q + b for w, lanes, b in ends if w == least for at in _positions(lanes)
-        ]
-        # coset 0's words stand for their multiples: only those with top
-        # coefficient 1 count, as in every other coset
-        hits += sorted(j for j in found if j >= q * n or _top_is_one(j, q))
+        )
     return counts, best, hits
 
 
@@ -986,10 +967,11 @@ def min_weight_codewords(code: LinearCode) -> list[bytes] | list[tuple[int, ...]
     first, which are the hit's digits times c.
 
     The hits are counted against the points cap, (q - 1)·n entries each,
-    before any word is stored or unpacked.  They are packed by one forward
-    walk (_Lanes.stored) that reads no table, with the code's one lane
-    packing, whichever route scanned.  The list is made on every call and
-    kept nowhere else, so it is freed with the caller's reference."""
+    before any word is stored or unpacked.  They are packed by one walker
+    (_Lanes.stored), from each hit's word to the next, that reads no
+    table, with the code's one lane packing, whichever route scanned.  The
+    list is made on every call and kept nowhere else, so it is freed with
+    the caller's reference."""
     hits = _scan(code, "words")[2]
     q, n = code.gf.q, code.n
     limits.ensure("points", len(hits) * (q - 1) * n, f"listing the minimum weight words of {code!r}")

@@ -237,7 +237,8 @@ def _drop_last_point(rows, gf):
 # generators span codes the coset engine must refuse: their digit rows are
 # not the point coordinates in order, or n is not a power of q.
 # random-affine-gf2 has n = 4: the engine's words of 4 bits are not whole
-# bytes.
+# bytes.  The single-point generators have n = 1 = q^0 and row 0 all ones:
+# δ = 0 leaves the engine no stage, so it refuses them.
 DIFFERENTIAL = {
     **{f"affine({q},1,2)": lambda q=q: build(CodeParams(q, 1, 2)) for q in (2, 3, 4, 5, 7, 8, 9)},
     "affine(2,2,3)": lambda: build(CodeParams(2, 2, 3)),
@@ -251,6 +252,8 @@ DIFFERENTIAL = {
     "random-affine-gf3": lambda: _random_affine(3, 2, 3, 3),
     "random-affine-gf4": lambda: _random_affine(4, 2, 2, 4),
     "random-affine-gf9": lambda: _random_affine(9, 1, 2, 9),
+    "single-point-gf2": lambda: LinearCode(gf2, ((1,), (1,))),
+    "single-point-gf3": lambda: LinearCode(gf3, ((1,), (2,))),
     "powers(25,3)": lambda: _powers(25, 3),
     "powers(27,3)": lambda: _powers(27, 3),
     "grassmann(2,4,3)": lambda: build_grassmann_code(2, 4, field_for_order(3)),
@@ -318,6 +321,8 @@ REFUSED = (
     "affine(2,2,2)-swapped",
     "affine(3,2,2)-scaled",
     "affine(2,2,2)-punctured",
+    "single-point-gf2",
+    "single-point-gf3",
 )
 
 
@@ -472,21 +477,39 @@ def test_row_matches_per_entry_packing(case, width):
 
 
 @pytest.mark.parametrize(
-    "shape", [(2, 2, 3), (3, 2, 2), (4, 2, 2), (9, 1, 2), (25, 1, 1), (5, 1, 3)], ids=lambda s: ",".join(map(str, s))
+    "shape",
+    [(2, 2, 3), (3, 2, 2), (4, 2, 2), (9, 1, 2), (25, 1, 1), (5, 1, 3), (257, 1, 1), (8, 1, 2)],
+    ids=lambda s: ",".join(map(str, s)),
 )
 def test_walk_matches_word(shape):
-    """_Lanes.walk gives, at every scale, the stored word of scale times
-    each message whose top coefficient is 1, in ascending index order, as
-    word does row by row; it reads no table."""
+    """_Lanes.walker gives, at every scale, the stored word of scale times
+    the message of each index, as word does row by row, on indices in any
+    order: ascending, descending, repeated, index 0 and top coefficients
+    other than 1.  (257,1,1)'s 257^2 messages are sampled.  It reads no
+    table."""
     code = build.__wrapped__(CodeParams(*shape))  # past the cache, which test_caps needs free of (5,1,3)
     gf, k = code.gf, code.k
     q = gf.q
     lanes = code_module._Lanes(LinearCode(gf, code.generator))
-    indices = [i for i in range(1, q**k) if code_module._top_is_one(i, q)]
+    rng = random.Random(q)
+    indices = range(q**k) if q**k <= 5000 else sorted(rng.sample(range(q**k), 100))
+    order = [*indices, *reversed(indices), 0, 0, *rng.choices(indices, k=50), q**k - 1, q**k - 1]
     for scale in range(1, q):
-        expected = [lanes.word((r, gf.mul(scale, i // q**r % q)) for r in range(k)) for i in indices]
-        assert list(lanes.walk(indices, scale)) == expected, scale
+        walk = lanes.walker(scale)
+        expected = [lanes.word((r, gf.mul(scale, i // q**r % q)) for r in range(k)) for i in order]
+        assert list(map(walk, order)) == expected, scale
     assert "table" not in vars(lanes)
+
+
+def test_packed_scan_packs_each_row_when_first_added():
+    """The walker packs a (digit, multiple) row the first time it adds it:
+    a packed scan of a fresh (257,1,1) packs the table's 256 rows of row 0
+    and one of row 1, for its two block starts, not all 256 multiples of
+    row 1."""
+    code = build(CodeParams(257, 1, 1))
+    fresh = LinearCode(code.gf, code.generator)
+    assert min_distance(fresh) == min_distance_formula(CodeParams(257, 1, 1))
+    assert len(code_module._lanes(fresh)._rows) <= 257
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 5)], ids=lambda s: ",".join(map(str, s)))
