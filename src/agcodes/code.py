@@ -16,7 +16,9 @@ partial permutation with ones at (I[s], J[s]) for the basis minor b on rows I
 and columns J.  A minor of order r is 0 at a partial permutation of order at
 most r unless both have the same rows and columns, where it is 1; the basis
 is sorted by order, so the generator's k x k block at the points E_b is upper
-unitriangular, of determinant 1.  The build checks that block, entry by entry.
+unitriangular, of determinant 1.  The build checks that block, entry by entry,
+and that row 0, the empty minor, is the all-ones word, so no column is zero;
+that row is also what _cosets requires before the engine runs.
 
 Minimum distance and weight distributions come from full message scans, by
 one of two routes that return the same results, each for every field:
@@ -213,7 +215,9 @@ def _digits(q: int, delta: int) -> list[bytes | tuple[int, ...]]:
 
 @lru_cache(maxsize=64)  # bound: see points
 def build(p: CodeParams) -> LinearCode:
-    """The evaluation code of the full minor space on the domain of p."""
+    """The evaluation code of the full minor space on the domain of p, its
+    rank proved by the unitriangular block (_certify_rank) and its row 0
+    checked to be the all-ones word."""
     gf = p.field()
     limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
     q, n = p.q, p.npoints
@@ -228,8 +232,9 @@ def build(p: CodeParams) -> LinearCode:
     # the column of E_b, whose entry (i, j) is flat digit (i-1)*lp + j-1
     cols = [sum(q ** ((i - 1) * p.lp + j - 1) for i, j in zip(*b)) for b in basis]
     _certify_rank(code, cols, f"evaluation matrix of {p}")
-    if not all(map(any, zip(*code.generator))):
-        raise AssertionError(f"evaluation matrix of {p} has an all-zero column")
+    # row 0, the empty minor, is the constant 1, so no column is zero
+    if code.generator[0] != (1,) * n:
+        raise AssertionError(f"evaluation matrix of {p} has a row 0 that is not all ones")
     return code
 
 

@@ -144,9 +144,11 @@ def _grassmann_code(l: int, m: int, gf: GF, n: int, entries: Sequence[Sequence[i
     lead = tuple(range(1, l + 1))
     by_row = [entries[i * m : (i + 1) * m] for i in range(l)]
     rows = batch_minors(gf, by_row, n, [(lead, cols) for cols in indices])
-    for j, column in enumerate(zip(*rows)):
-        if not any(column):
-            raise ValueError(f"representative {j} must have full row rank")
+    # zip reuses its column tuple when nothing else holds it, so this pass
+    # allocates nothing per column; the zero column is found only on failure
+    if not all(map(any, zip(*rows))):
+        j = next(j for j, column in enumerate(zip(*rows)) if not any(column))
+        raise ValueError(f"representative {j} must have full row rank")
     p = None
     if 1 <= l <= m - l:
         p = CodeParams(gf.q, l, m - l)

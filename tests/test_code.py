@@ -6,6 +6,7 @@ engine's certification, weight accounting oracles, and the resource caps."""
 import hashlib
 import json
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -133,6 +134,27 @@ def test_build_refuses_a_generator_without_the_certificate(copy, monkeypatch):
     monkeypatch.setattr(code_module, "batch_minors", copied)
     with pytest.raises(AssertionError, match="not certified full rank"):
         build.__wrapped__(CodeParams(2, 2, 2))  # past the cache
+
+
+@pytest.mark.parametrize("fault", ["entry", "column"])
+def test_build_refuses_a_generator_whose_row_0_is_not_all_ones(fault, monkeypatch):
+    """Row 0 is the empty minor, the constant 1; the build checks it, which
+    also proves that no column is zero.  The fault sits at the point of all
+    ones, a column outside the unitriangular block, so only that check can
+    refuse it."""
+    real = code_module.batch_minors
+    p = CodeParams(2, 2, 2)
+    at = p.npoints - 1
+
+    def faulty(*args):
+        rows = [list(row) for row in real(*args)]
+        for row in rows[:1] if fault == "entry" else rows:
+            row[at] = 0
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(code_module, "batch_minors", faulty)
+    with pytest.raises(AssertionError, match=re.escape(f"{p} has a row 0 that is not all ones")):
+        build.__wrapped__(p)  # past the cache
 
 
 # (n, k, SHA-256 of the JSON generator) recorded from the per-point build,

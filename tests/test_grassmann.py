@@ -2,6 +2,8 @@
 coordinate example, code parameters of small projective relatives, and an
 independent re-verification of reported cell matches."""
 
+import gc
+
 import pytest
 
 import agcodes.grassmann as grassmann_module
@@ -80,10 +82,36 @@ def test_build_matches_per_subspace_pluecker(l, m, q):
 
 
 def test_build_needs_full_rank():
-    good, bad = (1, 0, 2, 0, 1, 1), (1, 0, 2, 2, 0, 1)  # rows of 2 x 3 representatives
-    entries = [bytes(pair) for pair in zip(good, bad)]
-    with pytest.raises(ValueError, match="representative 1"):
-        _grassmann_code(2, 3, gf3, 2, entries)
+    """The build names the first representative of rank below l, wherever
+    it stands: entry vectors as bytes for q = 3, as tuples for q = 257."""
+    for q in (3, 257):
+        gf = field_for_order(q)
+        good, bad = (1, 0, 2, 0, 1, 1), (1, 0, 2, 2, 0, 4 % q)  # rows of 2 x 3 representatives
+        join = bytes if q <= 256 else tuple
+        for pattern in ("gb", "ggbb", "gbgb"):
+            reps = [good if c == "g" else bad for c in pattern]
+            entries = [join(column) for column in zip(*reps)]
+            with pytest.raises(ValueError, match=f"representative {pattern.index('b')} must"):
+                _grassmann_code(2, 3, gf, len(reps), entries)
+
+
+def test_build_sets_off_no_garbage_collection():
+    """The rank pass allocates nothing per column, so the (3,6,2) build,
+    about 200 tracked allocations net, stays below a generation-0 threshold
+    that starts from zero right after a full collection."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        build_grassmann_code.__wrapped__(3, 6, gf2)  # past the cache
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
 
 
 @pytest.mark.parametrize("l,m,q", [(2, 4, 2), (2, 5, 3), (3, 6, 2), (0, 3, 2), (3, 3, 3)])
