@@ -29,8 +29,9 @@ one of two routes that return the same results, each for every field:
 - The coset engine: an affine code contains RM_q(1, δ), so its words fall
   into cosets of q^(δ+1) words each, and one shift transform counts the
   weights of a whole coset (see _Cosets).  It runs only on a generator that
-  itself certifies the first-order rows (n = q^δ, row 0 all ones, row 1 + t
-  digit t of the point index; the code's params are not consulted).
+  itself certifies the first-order rows (n = q^δ, δ >= 2, row 0 all ones,
+  row 1 + t digit t of the point index; the code's params are not
+  consulted).
 
 _scan picks the route from the generator alone, after the messages cap
 passes: the coset engine when the generator certifies it and k > δ + 1, so
@@ -345,11 +346,16 @@ class _Lanes:
                 x //= p
             return out
 
-        every, self.fill, self.high = _signs(n, width)
-        self.zero = pattern(0, bias) * every
+        # (x + fill) & high has a lane's top bit set where x's lane is
+        # nonzero, if no lane of x has its top bit set
+        every = _tiled(1, width, n)
+        self.fill, self.high = ((1 << (width - 1)) - 1) * every, (1 << (width - 1)) * every
+        # each element's lane as stored: its digits with their bias
+        self.stored_patterns = [pattern(x, bias) for x in range(q)]
+        self.zero = self.stored_patterns[0] * every
         self.add = self.adder(1)
         # lane pattern -> element; a 1-bit lane is unpacked as an ASCII digit
-        decode = {pattern(x, bias) + (ord("0") if width == 1 else 0): x for x in range(q)}
+        decode = {y + (ord("0") if width == 1 else 0): x for x, y in enumerate(self.stored_patterns)}
         if width <= 8:
             lookup = bytearray(256)
             for key, x in decode.items():
@@ -509,14 +515,6 @@ class _Lanes:
         return [methodcaller("translate", table) for table in tables]
 
 
-def _signs(count: int, width: int) -> tuple[int, int, int]:
-    """(every, fill, high): 1, 2^(w-1) - 1 and 2^(w-1) in each of `count`
-    lanes of w = `width` bits.  (x + fill) & high has a lane's top bit set
-    where x's lane is nonzero, if no lane of x has its top bit set."""
-    every = _tiled(1, width, count)
-    return every, ((1 << (width - 1)) - 1) * every, (1 << (width - 1)) * every
-
-
 def _lane_view(x: int, count: int, width: int) -> memoryview:
     """The first `count` lanes of x, of 16 or 32 bits each, lowest first."""
     # native byte order, so the cast reads each lane whole; big-endian order
@@ -612,7 +610,8 @@ class _Cosets:
     array is a list of planes, least significant first, and plane j is an
     int with bit i set where count i has bit j set.  A batch of cosets sits
     side by side, n bits of each plane per coset, and no stage moves a count
-    out of its coset.  Each A_c starts as one plane, the points where g = c.
+    out of its coset.  Each A_c starts as one plane, the points where g = c,
+    read off g's lane bytes by translates (indicators).
     Stage t takes A_0 = q^t - Σ_c A_c by a ripple subtractor (_minus).  For
     each B_c and each v it then moves the counts of A_{c - b·v} at digit
     t = v to digit b, for every b at once, by one shift and mask per plane
@@ -637,20 +636,21 @@ class _Cosets:
         # q^t of each q^(t+1)
         runs = [q**t for t in range(delta)]
         self.masks = [_tiled((1 << run) - 1, run * q, self.n // (run * q)) for run in runs]
+        # for q > 2, per c != 0 and per byte j of a lane, a table that
+        # translates a byte to ASCII "1" where it is byte j of c's stored
+        # lane, else "0"
+        self.tables = [
+            [b"0" * x + b"1" + b"0" * (255 - x) for x in y.to_bytes(words.width // 8, "little")]
+            for y in words.stored_patterns[1:]
+        ] if q > 2 else []
         self._shapes: dict[int, tuple] = {}
 
-    def shape(self, blocks: int) -> tuple:
-        """(every, constants, stages) of a batch of that many cosets: every
-        has a bit per count; each constant word c != 0 at the words' width,
-        side by side (for q > 2); and per stage the mask of the counts whose
-        digit t is 0."""
+    def shape(self, blocks: int) -> tuple[int, list[int]]:
+        """(every, stages) of a batch of that many cosets: every has a bit
+        per count, and per stage the mask of the counts whose digit t is 0."""
         if blocks not in self._shapes:
-            words, q, n = self.words, self.gf.q, self.n
-            stages = [_tiled(mask, n, blocks) for mask in self.masks]
-            # row 0 is all ones, so c times it is the constant word c
-            one = (words.add(words.zero, words.row(c, 0)) for c in range(1, q))
-            constants = [_tiled(x, n * words.width, blocks) for x in one] if q > 2 else []
-            self._shapes[blocks] = ((1 << blocks * n) - 1, constants, stages)
+            stages = [_tiled(mask, self.n, blocks) for mask in self.masks]
+            self._shapes[blocks] = ((1 << blocks * self.n) - 1, stages)
         return self._shapes[blocks]
 
     def feed(self):
@@ -694,30 +694,23 @@ class _Cosets:
 
     def indicators(self, g: int, count: int) -> list[list[int]]:
         """A_c of the cosets of `count` stored words g side by side, one
-        plane each."""
-        width, lanes = self.words.width, count * self.n
-        every, constants = self.shape(count)[:2]
-        if not constants:  # q = 2, one bit per point: A_1 is g
+        plane each: for q > 2 the AND, over the bytes j of a lane, of the
+        lanes whose byte j is c's, each read off g's bytes by one translate
+        to ASCII digits, reversed so that lane 0 is bit 0."""
+        if self.gf.q == 2:  # one bit per point: A_1 is g
             return [[g]]
-        fill, high = _signs(lanes, width)[1:]
-        step = width // 8
-        out = []
-        for c in constants:
-            # a lane's top bit is set where it differs from c; one byte per
-            # lane holds it, and shift-OR gathers each 8 lanes' into a byte
-            tops = (((g ^ c) + fill) & high).to_bytes(lanes * step, "little")[step - 1 :: step]
-            x = int.from_bytes(tops, "little") >> 7
-            x |= x >> 7
-            x |= x >> 14
-            x |= x >> 28
-            out.append([every ^ int.from_bytes(x.to_bytes(len(tops), "little")[::8], "little")])
-        return out
+        step = self.words.width // 8
+        raw = g.to_bytes(count * self.n * step, "little")
+        return [
+            [reduce(and_, (int(raw[j::step].translate(table)[::-1], 2) for j, table in enumerate(tables)))]
+            for tables in self.tables
+        ]
 
     def transform(self, g: int, count: int) -> list[list[int]]:
         """The B_c, c = 1..q-1, of the cosets of `count` stored words g side
         by side, as plane lists."""
         q = self.gf.q
-        every, _, stages = self.shape(count)
+        every, stages = self.shape(count)
         a = self.indicators(g, count)
         for t, mask in enumerate(stages):
             run = q**t  # the bits between digits t = v and v + 1, and the most a count holds
@@ -854,20 +847,23 @@ def _positions(x: int) -> list[int]:
 
 
 def _cosets(code: LinearCode) -> _Cosets | None:
-    """The coset engine of the code, or None when the generator itself does
-    not certify the first-order rows (n = q^δ, row 0 all 1, row 1 + t digit t
-    of the point index).
+    """The coset engine of the code, or None when δ < 2 or the generator
+    itself does not certify the first-order rows (n = q^δ, row 0 all 1, row
+    1 + t digit t of the point index).  The engine's routes are (q - 1)·q^2
+    entries whatever n is, as many as the messages of a 3-row code at δ = 1,
+    n = q, where the packed scan is the cheaper route (a 3-row code over
+    GF(127): 12 ms packed, 10.2 s on the engine).
 
     A batch holds as many cosets as fit _TABLE_BYTES at _charge's bytes
     each, and at least one.  _scan runs the engine only when k >= δ + 2, so
     n·q^2 <= q^k, which the messages cap bounds, and a coset's charge is
-    about (2q + 1)·bits(n) planes of n bits.  At the default caps the
-    largest is (19,2,2)'s, 786 planes of 19^4 bits, about 14 MB."""
+    about (2q + 1)·bits(n/q) planes of n bits.  At the default caps the
+    largest is (19,2,2)'s, 522 planes of 19^4 bits, about 9 MB."""
     if "cosets" not in code._cache:
         code._cache["cosets"] = None
         q, n, k, gen = code.gf.q, code.n, code.k, code.generator
         delta = _degree(q, n)
-        if not delta or k <= delta or gen[0] != (1,) * n:
+        if delta is None or delta < 2 or k <= delta or gen[0] != (1,) * n:
             return None
         if any(gen[1 + t] != tuple(digit) for t, digit in enumerate(_digits(q, delta))):
             return None
@@ -880,16 +876,19 @@ def _cosets(code: LinearCode) -> _Cosets | None:
 def _charge(q: int, delta: int, width: int) -> int:
     """Bytes one coset of a batch holds at the transform's widest stage, the
     last, for stored words of that width: n bits of each plane, in ints of
-    30 bits per 4 bytes."""
+    30 bits per 4 bytes.  A plane is as long as its highest set bit, and a
+    count array's counts cluster at their mean, so an array is charged the
+    planes of twice that mean: q^(δ-2) for the A_c entering the stage, and
+    q^(δ-1) = n/q for the B_c it makes."""
     n = q**delta
-    wide, top = (q ** (delta - 1)).bit_length(), n.bit_length()
+    a, b = (2 * q ** (delta - 2)).bit_length(), (2 * q ** (delta - 1)).bit_length()
     planes = (
-        width * (q if q > 2 else 1)  # the coset's word, and the constant words
+        width  # the coset's word
         + width * (2 if q % 2 else 1)  # the step table, and its tiled guard for odd p
         + delta + 1  # the batch's stage masks, and its every
-        + (q + 1) * wide  # A_0..A_{q-1} and the array being moved
-        + q * top  # q - 2 B_c made, a running sum and the next one
-        + 2 * q + 8  # the stage's masks and the temporaries of a step
+        + (q + 1) * a  # A_0..A_{q-1} and the array being moved
+        + q * b  # q - 2 B_c made, a running sum and the next one
+        + q + 8  # the stage's masks and the temporaries of a step
     )
     return planes * -(-2 * n // 15)
 

@@ -19,7 +19,9 @@ l-subset S, the one representative with only l nonzero entries, has the unit
 vector at S as its Pluecker vector, so these columns hold an identity block.
 The build finds them by counting nonzero entries on the vectors, checks that
 block and fails if a coordinate subspace is missing.  Before any vector is
-made, it counts its k·n minor evaluations against the points cap.  The build
+made, it counts its k·n minor evaluations against the points cap, then the
+entries of every sub-minor the expansion keeps, Σ_{r=1..l} C(m, r) vectors of
+n entries (C(m, l) = k of them the coordinates).  The build
 is cached and keeps its entry vectors with the code, so the comparison below
 reuses both.
 
@@ -132,6 +134,11 @@ def build_grassmann_code(l: int, m: int, gf: GF) -> LinearCode:
     n, k = _subspace_count(l, m, gf), comb(m, l)
     what = f"evaluating {k} Pluecker coordinates at each of the {n} {l}-subspaces of GF({gf.q})^{m}"
     limits.ensure("points", k * n, what)
+    # batch_minors keeps every minor on rows r..l, C(m, l - r + 1) vectors of
+    # n entries for each r
+    kept = sum(comb(m, r) for r in range(1, l + 1))
+    what = f"keeping {kept} sub-minors at each of the {n} {l}-subspaces of GF({gf.q})^{m}"
+    limits.ensure("points", kept * n, what)
     return _grassmann_code(l, m, gf, n, subspace_entries(l, m, gf))
 
 

@@ -18,6 +18,7 @@ from math import comb
 from typing import Callable
 
 from .code import (
+    LinearCode,
     _codeword_weight,
     _span_weight,
     build,
@@ -227,23 +228,6 @@ def _minor_table(p: CodeParams) -> list[tuple[int, ...]]:
     return [tuple(pt.minor(mi.rows, mi.cols) for mi in basis) for pt in points(p)]
 
 
-def _table_codeword(f: MinorCombination, table: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The values of f at every point, each a dot product of f's
-    coefficients with that point's row of _minor_table(f.params)."""
-    gf = f.params.field()
-    add, mul = gf.add, gf.mul
-    terms = [(s, c) for s, c in enumerate(f.coeffs) if c]
-    out = []
-    for row in table:
-        v = 0
-        for s, c in terms:
-            x = row[s]
-            if x:
-                v = add(v, mul(c, x))
-        out.append(v)
-    return tuple(out)
-
-
 def check_min_weight_characterization() -> CheckResult:
     def body() -> str:
         details = []
@@ -254,9 +238,10 @@ def check_min_weight_characterization() -> CheckResult:
             family = generate_min_weight_polys(p)
             assert len(family) == min_weight_count_formula(p)
             generated = set()
-            table = _minor_table(p)
+            # the code of the basis minors taken by elimination at every point
+            reference = LinearCode(p.field(), tuple(zip(*_minor_table(p))))
             for f in family:
-                vec = _table_codeword(f, table)
+                vec = reference.encode(f.coeffs)
                 assert weight(vec) == d, f"{p}: generated combination of weight {weight(vec)}"
                 generated.add(vec)
             assert len(generated) == len(family), f"{p}: generated family collides"

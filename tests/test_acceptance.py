@@ -296,9 +296,9 @@ def test_draws_follow_randrange_on_the_same_stream(q):
 )
 def test_minor_table_codewords_match_evaluate(p):
     rng = random.Random(p.q * 100 + p.l * 10 + p.lp)
-    table = verify._minor_table(p)
+    reference = LinearCode(p.field(), tuple(zip(*verify._minor_table(p))))
     pts = points(p)
     fs = [verify._random_combination(rng, p) for _ in range(20)]
     fs += [leading_maximal_minor(p), MinorCombination.zero(p), MinorCombination.constant(p, p.q - 1)]
     for f in fs:
-        assert verify._table_codeword(f, table) == tuple(f.evaluate(pt) for pt in pts)
+        assert reference.encode(f.coeffs) == tuple(f.evaluate(pt) for pt in pts)

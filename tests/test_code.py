@@ -221,7 +221,7 @@ def _random_affine(q, delta, extra, seed):
 
 def _powers(q, k):
     """Rows x^0, ..., x^(k-1) at the q points of GF(q): row 0 all ones and
-    row 1 the point digit, so the engine accepts it with δ = 1."""
+    row 1 the point digit, the first-order rows at δ = 1."""
     gf = field_for_order(q)
     rows = [(1,) * q]
     for _ in range(k - 1):
@@ -252,8 +252,9 @@ def _drop_last_point(rows, gf):
 
 # Every q <= 9 on small affine shapes, a Grassmann code, random generators
 # that come from no affine code, and fields whose elements need 8-, 16- and
-# 32-bit lanes (GF(128), GF(25), GF(131), GF(256), GF(729)).  powers(25,3)
-# and powers(27,3) run the coset engine on elements that need 16-bit lanes.
+# 32-bit lanes (GF(128), GF(25), GF(131), GF(256), GF(729)).  powers(25,3),
+# powers(27,3) and random-affine-gf9 have δ = 1, which the engine refuses;
+# test_scan_routes_agree runs the engine on 16-bit lanes at δ = 2.
 # (4,2,2) and (7,1,3) are the benchmark's GF(4) and GF(7) codes: minimum
 # words of scalars 2..q-1, in one top row and in three.  The altered affine
 # generators span codes the coset engine must refuse: their digit rows are
@@ -345,6 +346,9 @@ REFUSED = (
     "affine(2,2,2)-punctured",
     "single-point-gf2",
     "single-point-gf3",
+    "powers(25,3)",
+    "powers(27,3)",
+    "random-affine-gf9",
 )
 
 
@@ -398,9 +402,16 @@ def test_route_is_picked_from_the_generator(case, route, monkeypatch):
     assert called == [route] * 3
 
 
-# n = 2^15: fifteen stages, to counts that may need 16 planes
-LARGE = {"random-affine-gf2-n32768": lambda: _random_affine(2, 15, 1, 15)}
-ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID] + [(2, 3, 3), (3, 2, 3), (7, 2, 2), (8, 2, 2), *LARGE]
+# The grid's codes the engine takes, δ >= 2.  n = 2^15: fifteen stages, to
+# counts that may need 16 planes; GF(25) and GF(27) at δ = 2: elements in
+# 16-bit lanes
+GENERATED = {
+    "random-affine-gf2-n32768": lambda: _random_affine(2, 15, 1, 15),
+    "random-affine-gf25": lambda: _random_affine(25, 2, 1, 25),
+    "random-affine-gf27": lambda: _random_affine(27, 2, 1, 27),
+}
+ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID if p.delta >= 2]
+ROUTE_GRID += [(2, 3, 3), (3, 2, 3), (7, 2, 2), (8, 2, 2), *GENERATED]
 
 
 @pytest.mark.parametrize(
@@ -409,7 +420,7 @@ ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID] + [(2, 3, 3), (3, 2, 3), (7, 
 def test_scan_routes_agree(shape):
     """The packed scan and the coset engine return the same triple, mode by
     mode, each on a code of its own."""
-    code = LARGE[shape]() if isinstance(shape, str) else build(CodeParams(*shape))
+    code = GENERATED[shape]() if isinstance(shape, str) else build(CodeParams(*shape))
     for mode in ("min", "dist", "words"):
         packed = code_module._packed_scan(LinearCode(code.gf, code.generator), mode)
         cosets = code_module._coset_scan(LinearCode(code.gf, code.generator), mode)
@@ -424,8 +435,7 @@ def test_coset_charge_bounds_a_batch_transform(shape):
     than the charge and at least half of it."""
     code = build(CodeParams(*shape))
     engine = code_module._cosets(LinearCode(code.gf, code.generator))
-    # the rows the step table, words and constants are made from, cached
-    # once per code
+    # the rows the step table and words are made from, cached once per code
     engine.shape(1)
     next(engine.feed())
     engine._shapes.clear()

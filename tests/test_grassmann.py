@@ -219,6 +219,23 @@ def test_build_refuses_k_times_n_evaluations_over_the_points_cap(monkeypatch):
         subspace_entries(2, 4, gf2)  # the real one, imported above
 
 
+@pytest.mark.parametrize("l, m, kept, n", [(15, 16, 65534, 65535), (13, 14, 16382, 16383)])
+def test_build_refuses_its_sub_minors_over_the_points_cap(monkeypatch, l, m, kept, n):
+    """(15, 16, 2) and (13, 14, 2) pass the k·n check at the default cap, but
+    the Laplace expansion keeps Σ_{r=1..l} C(m, r) = 2^m - 2 sub-minors of n
+    entries each: refused before any vector is made."""
+    monkeypatch.delenv("AGCODES_POINTS_CAP", raising=False)
+
+    def no_vectors(*args):
+        raise AssertionError("made a vector past the cap")
+
+    monkeypatch.setattr(grassmann_module, "subspace_entries", no_vectors)
+    monkeypatch.setattr(grassmann_module, "_repeated", no_vectors)
+    refusal = rf"^keeping {kept} sub-minors at each of the {n} {l}-subspaces of GF\(2\)\^{m} needs {kept * n} "
+    with pytest.raises(CapExceeded, match=refusal):
+        build_grassmann_code.__wrapped__(l, m, gf2)  # past the cache
+
+
 def test_small_codes():
     code = build_grassmann_code(2, 4, gf2)
     assert (code.n, code.k) == (35, 6)
