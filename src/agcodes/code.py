@@ -29,16 +29,15 @@ one of two routes that return the same results, each for every field:
 - The coset engine: an affine code contains RM_q(1, δ), so its words fall
   into cosets of q^(δ+1) words each, and one shift transform counts the
   weights of a whole coset (see _Cosets).  It runs only on a generator that
-  itself certifies the first-order rows (n = q^δ, δ >= 2, row 0 all ones,
-  row 1 + t digit t of the point index; the code's params are not
-  consulted).
+  itself certifies the first-order rows and has a coset besides RM_q(1, δ)
+  (n = q^δ, δ >= 2, k > δ + 1, row 0 all ones, row 1 + t digit t of the
+  point index; the code's params are not consulted).
 
-_scan picks the route from the generator alone, after the messages cap
-passes: the coset engine when the generator certifies it and k > δ + 1, so
-that the code has a coset besides RM_q(1, δ); the packed scan otherwise.
-Grassmann codes, random codes and the codes RM_q(1, δ) itself stay on the
-packed scan, which the tests also run as the second route.  The messages cap
-also bounds the engine's memory (see _cosets).  Every scan is blind: it
+_scan takes the engine wherever _cosets gives one, after the messages cap
+passes, and the packed scan otherwise: Grassmann codes, random codes and
+the codes RM_q(1, δ) itself stay on the packed scan, which the tests also
+run as the second route.  The messages cap also bounds the engine's memory
+(see _cosets).  Every scan is blind: it
 visits every message, or counts every coset, so a scanned minimum is
 independent of the closed form it confirms.
 """
@@ -46,6 +45,7 @@ independent of the closed form it confirms.
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, lru_cache, partial, reduce
@@ -536,17 +536,11 @@ def _scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
 
     Mode "dist" counts weights, "min" only tracks the least, and "words"
     keeps the index of each message at the least weight, in index order.
-    Both routes return the same triple: the coset engine where the generator
-    certifies it and k > δ + 1, the packed scan otherwise (a first-order
-    code is the one coset RM_q(1, δ)).
+    Both routes return the same triple: the coset engine wherever _cosets
+    accepts the generator, the packed scan otherwise.
     """
-    q, n, k = code.gf.q, code.n, code.k
-    limits.ensure_power("messages", q, k, f"scanning {code!r}")
-    delta = _degree(q, n)
-    # k and δ first: certifying a generator costs more than a small scan
-    if delta is not None and k > delta + 1 and _cosets(code) is not None:
-        return _coset_scan(code, mode)
-    return _packed_scan(code, mode)
+    limits.ensure_power("messages", code.gf.q, code.k, f"scanning {code!r}")
+    return (_packed_scan if _cosets(code) is None else _coset_scan)(code, mode)
 
 
 def _packed_scan(code: LinearCode, mode: str) -> tuple[Counter, int, list[int]]:
@@ -630,19 +624,19 @@ class _Cosets:
         self.words, self.blocks = words, blocks  # cosets per full batch
         sub, mul = gf.sub, gf.mul
         # B_c at digit b is the sum over v of A_{c - b·v} at digit v: route
-        # (c, v) lists, for each b, that array and the shift b - v in digits
-        self.routes = [[[(sub(c, mul(b, v)), b - v) for b in range(q)] for v in range(q)] for c in range(1, q)]
+        # (c, v) lists that array's index for each b, 2 bytes each (q <= 2^16)
+        self.routes = [[array("H", [sub(c, mul(b, v)) for b in range(q)]) for v in range(q)] for c in range(1, q)]
         # per stage, the counts of one coset whose digit t is 0: the first
         # q^t of each q^(t+1)
         runs = [q**t for t in range(delta)]
         self.masks = [_tiled((1 << run) - 1, run * q, self.n // (run * q)) for run in runs]
-        # for q > 2, per c != 0 and per byte j of a lane, a table that
-        # translates a byte to ASCII "1" where it is byte j of c's stored
-        # lane, else "0"
-        self.tables = [
-            [b"0" * x + b"1" + b"0" * (255 - x) for x in y.to_bytes(words.width // 8, "little")]
-            for y in words.stored_patterns[1:]
-        ] if q > 2 else []
+        # per c != 0, (j, a table that translates a byte to ASCII "1" where
+        # it is byte j of c's stored lane, else "0") for each byte j on which
+        # the stored lanes differ, as a byte they share gives all ones; for
+        # q = 2 indicators reads none
+        lanes = [y.to_bytes((words.width + 7) // 8, "little") for y in words.stored_patterns]
+        varied = [j for j, column in enumerate(zip(*lanes)) if len(set(column)) > 1]
+        self.tables = [[(j, b"0" * x[j] + b"1" + b"0" * (255 - x[j])) for j in varied] for x in lanes[1:]]
         self._shapes: dict[int, tuple] = {}
 
     def shape(self, blocks: int) -> tuple[int, list[int]]:
@@ -694,15 +688,15 @@ class _Cosets:
 
     def indicators(self, g: int, count: int) -> list[list[int]]:
         """A_c of the cosets of `count` stored words g side by side, one
-        plane each: for q > 2 the AND, over the bytes j of a lane, of the
-        lanes whose byte j is c's, each read off g's bytes by one translate
-        to ASCII digits, reversed so that lane 0 is bit 0."""
+        plane each: for q > 2 the AND, over the bytes j that vary (tables),
+        of the lanes whose byte j is c's, each read off g's bytes by one
+        translate to ASCII digits, reversed so that lane 0 is bit 0."""
         if self.gf.q == 2:  # one bit per point: A_1 is g
             return [[g]]
         step = self.words.width // 8
         raw = g.to_bytes(count * self.n * step, "little")
         return [
-            [reduce(and_, (int(raw[j::step].translate(table)[::-1], 2) for j, table in enumerate(tables)))]
+            [reduce(and_, (int(raw[j::step].translate(table)[::-1], 2) for j, table in tables))]
             for tables in self.tables
         ]
 
@@ -718,7 +712,8 @@ class _Cosets:
             # A_0 first, then every array padded to the planes of run
             a = [_minus(run, reduce(_add, a), every), *a]
             a = [x + [0] * (len(a[0]) - len(x)) for x in a]
-            a = [reduce(_add, (_moved(a, route, run, masks) for route in routes)) for routes in self.routes]
+            move = partial(_moved, a, run=run, masks=masks)
+            a = [reduce(_add, map(move, routes, range(q))) for routes in self.routes]
         return a
 
     def weights(self, b: list[list[int]], s: list[int], lives: list[int]) -> Counter:
@@ -755,12 +750,12 @@ def _joined(words: list[int], bits: int) -> int:
     return int.from_bytes(b"".join(x.to_bytes(bits // 8, "little") for x in words), "little")
 
 
-def _moved(arrays: list[list[int]], route: list[tuple[int, int]], run: int, masks: list[int]) -> list[int]:
+def _moved(arrays: list[list[int]], route: Sequence[int], v: int, run: int, masks: list[int]) -> list[int]:
     """The planes of route (c, v) of a stage: for each digit b, the counts of
-    arrays[i] at digit v moved d = b - v digits of `run` bits, (i, d) =
-    route[b], and ORed together."""
+    arrays[route[b]] at digit v moved d = b - v digits of `run` bits, and
+    ORed together."""
     parts = []
-    for (i, d), mask in zip(route, masks):
+    for d, (i, mask) in enumerate(zip(route, masks), -v):
         planes: Iterable[int] = arrays[i]
         if d > 0:
             planes = map(lshift, planes, repeat(d * run))
@@ -847,23 +842,23 @@ def _positions(x: int) -> list[int]:
 
 
 def _cosets(code: LinearCode) -> _Cosets | None:
-    """The coset engine of the code, or None when δ < 2 or the generator
-    itself does not certify the first-order rows (n = q^δ, row 0 all 1, row
-    1 + t digit t of the point index).  The engine's routes are (q - 1)·q^2
-    entries whatever n is, as many as the messages of a 3-row code at δ = 1,
-    n = q, where the packed scan is the cheaper route (a 3-row code over
-    GF(127): 12 ms packed, 10.2 s on the engine).
+    """The coset engine of the code, or None unless n = q^δ with δ >= 2,
+    k > δ + 1 and the generator itself certifies the first-order rows (row
+    0 all 1, row 1 + t digit t of the point index), tested in that order,
+    as certifying costs more than a small scan.  At k = δ + 1 the code is
+    the one coset RM_q(1, δ), and at δ = 1 the engine's (q - 1)·q^2 route
+    entries outnumber a 3-row code's messages: both scan cheaper packed.
 
     A batch holds as many cosets as fit _TABLE_BYTES at _charge's bytes
-    each, and at least one.  _scan runs the engine only when k >= δ + 2, so
-    n·q^2 <= q^k, which the messages cap bounds, and a coset's charge is
-    about (2q + 1)·bits(n/q) planes of n bits.  At the default caps the
-    largest is (19,2,2)'s, 522 planes of 19^4 bits, about 9 MB."""
+    each, and at least one.  As k >= δ + 2, n·q^2 <= q^k, which the
+    messages cap bounds, and a coset's charge is about (2q + 1)·bits(n/q)
+    planes of n bits.  At the default caps the largest is (19,2,2)'s, 522
+    planes of 19^4 bits, about 9 MB."""
     if "cosets" not in code._cache:
         code._cache["cosets"] = None
         q, n, k, gen = code.gf.q, code.n, code.k, code.generator
         delta = _degree(q, n)
-        if delta is None or delta < 2 or k <= delta or gen[0] != (1,) * n:
+        if delta is None or delta < 2 or k <= delta + 1 or gen[0] != (1,) * n:
             return None
         if any(gen[1 + t] != tuple(digit) for t, digit in enumerate(_digits(q, delta))):
             return None

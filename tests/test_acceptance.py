@@ -12,8 +12,9 @@ wrong, and must make exactly |S| * |G| compositions; its code preservation
 check runs on the generators only and must name one that leaves the code.
 Criterion 6's Cauchy-Binet suite must name the first failing draw, however
 its draws are batched by shape.
-The focused suite runs criteria 2 and 3's per-parameter checks, and the
-options that only tests used to set are gone."""
+The focused suite runs criteria 2 and 3's per-parameter checks, criteria 2,
+3 and 7 scan each code once, and the options that only tests used to set
+are gone."""
 
 import hashlib
 import inspect
@@ -23,6 +24,7 @@ import pytest
 
 from agcodes import code, fields, group, matrices, verify
 from agcodes.code import LinearCode, points, weight_distribution
+from agcodes.grassmann import build_grassmann_code
 from agcodes.group import apply_permutation, compose, enumerate_group, generating_set, permutation
 from agcodes.matrices import MatrixGF
 from agcodes.minors import MinorCombination, leading_maximal_minor
@@ -162,7 +164,7 @@ def test_focused_suite_runs_the_grid_checks(monkeypatch, fake, failures):
 
 
 def test_grid_checks_scan_each_code_once(monkeypatch):
-    """Criteria 2 and 3, and the focused suite, read d and A_d off one
+    """Criteria 2, 3 and 7, and the focused suite, read d and A_d off one
     cached weight distribution per code: one "dist" scan each."""
     scans = []
     scan = code._scan
@@ -175,6 +177,10 @@ def test_grid_checks_scan_each_code_once(monkeypatch):
     scans.clear()
     assert all(r.ok for r in verify.run_params_suite(p))
     assert scans == [(p, "dist")]
+    scans.clear()
+    build_grassmann_code.cache_clear()
+    assert check_grassmann_bridge().ok
+    assert [mode for _, mode in scans] == ["dist"] * len(verify.GRASSMANN_GRID)
 
 
 def test_options_no_caller_sets_are_gone():

@@ -253,8 +253,9 @@ def _drop_last_point(rows, gf):
 # Every q <= 9 on small affine shapes, a Grassmann code, random generators
 # that come from no affine code, and fields whose elements need 8-, 16- and
 # 32-bit lanes (GF(128), GF(25), GF(131), GF(256), GF(729)).  powers(25,3),
-# powers(27,3) and random-affine-gf9 have δ = 1, which the engine refuses;
-# test_scan_routes_agree runs the engine on 16-bit lanes at δ = 2.
+# powers(27,3) and random-affine-gf9 have δ = 1, and the affine(q,1,2) and
+# first-order-gf5 are first-order codes, k = δ + 1: the engine refuses both;
+# test_scan_routes_agree runs it on 16-bit lanes and over GF(9) at δ = 2.
 # (4,2,2) and (7,1,3) are the benchmark's GF(4) and GF(7) codes: minimum
 # words of scalars 2..q-1, in one top row and in three.  The altered affine
 # generators span codes the coset engine must refuse: their digit rows are
@@ -275,6 +276,7 @@ DIFFERENTIAL = {
     "random-affine-gf3": lambda: _random_affine(3, 2, 3, 3),
     "random-affine-gf4": lambda: _random_affine(4, 2, 2, 4),
     "random-affine-gf9": lambda: _random_affine(9, 1, 2, 9),
+    "first-order-gf5": lambda: _random_affine(5, 2, 0, 5),
     "single-point-gf2": lambda: LinearCode(gf2, ((1,), (1,))),
     "single-point-gf3": lambda: LinearCode(gf3, ((1,), (2,))),
     "powers(25,3)": lambda: _powers(25, 3),
@@ -349,14 +351,18 @@ REFUSED = (
     "powers(25,3)",
     "powers(27,3)",
     "random-affine-gf9",
+    "affine(3,1,2)",
+    "affine(9,1,2)",
+    "first-order-gf5",
 )
 
 
 @pytest.mark.parametrize("case", REFUSED)
 def test_coset_engine_refuses_uncertified_generators(case):
-    """The engine trusts only what the generator shows: n = q^δ, row 0 all
-    ones and row 1 + t digit t of the point index.  Refused codes still
-    scan, by the packed route, to the oracle's results."""
+    """The engine trusts only what the generator shows: n = q^δ, δ >= 2,
+    k > δ + 1, row 0 all ones and row 1 + t digit t of the point index.
+    Refused codes still scan, by the packed route, to the oracle's
+    results."""
     code = DIFFERENTIAL[case]()
     fresh = LinearCode(code.gf, code.generator, params=code.params)
     assert code_module._cosets(fresh) is None
@@ -382,9 +388,9 @@ ROUTE_PICKS = [
     ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else x,
 )
 def test_route_is_picked_from_the_generator(case, route, monkeypatch):
-    """The public scans take the coset engine exactly when the generator
-    certifies it and k > δ + 1, whatever the message count; first-order
-    codes (the one coset RM_q(1, δ)) and refused generators stay packed.
+    """The public scans take the coset engine exactly when _cosets accepts
+    the generator, whatever the message count; first-order codes (the one
+    coset RM_q(1, δ)) and the other refused generators stay packed.
     The routes are replaced by stubs that record the call, so no code is
     scanned here."""
     code = DIFFERENTIAL[case]() if isinstance(case, str) else build(CodeParams(*case))
@@ -402,15 +408,16 @@ def test_route_is_picked_from_the_generator(case, route, monkeypatch):
     assert called == [route] * 3
 
 
-# The grid's codes the engine takes, δ >= 2.  n = 2^15: fifteen stages, to
-# counts that may need 16 planes; GF(25) and GF(27) at δ = 2: elements in
-# 16-bit lanes
+# The grid's codes the engine takes, k > δ + 1 (so δ >= 2).  n = 2^15:
+# fifteen stages, to counts that may need 16 planes; GF(25) and GF(27) at
+# δ = 2: elements in 16-bit lanes; GF(9), an odd p^e
 GENERATED = {
     "random-affine-gf2-n32768": lambda: _random_affine(2, 15, 1, 15),
     "random-affine-gf25": lambda: _random_affine(25, 2, 1, 25),
     "random-affine-gf27": lambda: _random_affine(27, 2, 1, 27),
+    "random-affine-gf9-n81": lambda: _random_affine(9, 2, 2, 9),
 }
-ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID if p.delta >= 2]
+ROUTE_GRID = [(p.q, p.l, p.lp) for p in DESK_GRID if dimension_formula(p) > p.delta + 1]
 ROUTE_GRID += [(2, 3, 3), (3, 2, 3), (7, 2, 2), (8, 2, 2), *GENERATED]
 
 
@@ -448,6 +455,20 @@ def test_coset_charge_bounds_a_batch_transform(shape):
         tracemalloc.stop()
     charge = len(hs) * code_module._charge(code.gf.q, engine.delta, engine.words.width)
     assert peak <= charge <= 2 * peak, (peak, charge)
+
+
+def test_coset_engine_is_made_in_little_memory():
+    """_cosets stores each route as its q source indices, no shifts: on a
+    certified 4-row generator over GF(89), (q - 1)·q^2 = 697048 route
+    entries, the engine and the lanes it makes stay under 4 MB."""
+    code = _random_affine(89, 2, 1, 89)
+    tracemalloc.start()
+    try:
+        assert code_module._cosets(code) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 2), (4, 2, 2)], ids=lambda s: ",".join(map(str, s)))
