@@ -365,6 +365,7 @@ class _Lanes:
             self.decode = decode
         self._patterns = [pattern(x, 0) for x in range(q)]
         self._rows: dict[tuple[int, int], int] = {}
+        self._row_bytes: dict[int, bytes] = {}  # generator row r as bytes, for 8-bit lanes
 
     @cached_property
     def table(self) -> list[int]:
@@ -396,7 +397,8 @@ class _Lanes:
         table maps each element x to the lane pattern of a·x, and the row
         goes through it at C level: an ASCII translate read in base 2 for
         1-bit lanes, a byte translate for 8-bit lanes, and a join of each
-        entry's little-endian lane bytes above that."""
+        entry's little-endian lane bytes above that.  A row is packed at up
+        to q - 1 multiples, so 8-bit lanes keep its bytes from the first."""
         key = (a, r)
         if key not in self._rows:
             mul, width, row = self.gf.mul, self.width, self.generator[r]
@@ -405,7 +407,10 @@ class _Lanes:
                 table = bytes(ord("0") + x for x in times_a).ljust(256, b"0")
                 self._rows[key] = int(bytes(row).translate(table)[::-1], 2)
             elif width == 8:
-                self._rows[key] = int.from_bytes(bytes(row).translate(bytes(times_a).ljust(256, b"\0")), "little")
+                if r not in self._row_bytes:
+                    self._row_bytes[r] = bytes(row)
+                table = bytes(times_a).ljust(256, b"\0")
+                self._rows[key] = int.from_bytes(self._row_bytes[r].translate(table), "little")
             else:
                 lanes = [x.to_bytes(width // 8, "little") for x in times_a]
                 self._rows[key] = int.from_bytes(b"".join(map(lanes.__getitem__, row)), "little")

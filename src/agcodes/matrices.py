@@ -4,9 +4,10 @@ matrices at once, and enumeration of all matrices, of GL(n) and of reduced
 row echelon forms.
 
 A batch of minors is computed on whole vectors, one per matrix entry across
-the batch.  For q <= 16 a vector is a bytes of element indices, and a vector
-product, sum or negation is one bytes.translate through a 256-byte table;
-larger fields take one gf call per entry (see _Vectors).
+the batch.  For q <= 16 a vector is one int with a byte lane per entry: a
+GF(2) product is one AND, a characteristic-2 sum or difference one XOR, and
+any other operation one bytes.translate through a 256-byte table; larger
+fields take one gf call per entry (see _Vectors).
 
 Matrices are immutable and hashable; the hash is computed on the first
 __hash__ call, not when a matrix is made.  Row and column labels in the
@@ -346,72 +347,74 @@ def _check_labels(labels: tuple[int, ...], bound: int, kind: str) -> None:
 
 
 class _Vectors:
-    """Products, sums and negations of vectors of `size` elements of gf,
+    """Products, sums and differences of vectors of `size` elements of gf,
     entry by entry.
 
-    For q <= 16 a vector is a bytes of element indices.  Two vectors x, y
-    make their pair vector x * q + y in one big-int step, each byte a pair
-    index below q^2 <= 256 with no carry between bytes, and a product or a
-    sum is then one bytes.translate of it through a 256-byte table of
-    gf.mul or gf.add, made here; a negation is one translate of the vector.
-    Larger fields keep tuples and one gf call per entry.
+    For q <= 16 a vector is one int with a byte lane per entry, entry i in
+    byte i (box and unbox convert).  Over GF(2) a product is x & y; in
+    characteristic 2 every sum and difference is x ^ y (Boothby and
+    Bradshaw, arXiv:0901.1413).  Any other operation makes the pair vector
+    x * q + y, each byte a pair index below q^2 <= 256 with no carry between
+    bytes, and reads it through a 256-byte table of gf.mul, gf.add or
+    gf.sub, made here, by one bytes.translate.  Larger fields keep tuples
+    and one gf call per entry.
     """
 
     def __init__(self, gf: GF, size: int):
         q = self.q = gf.q
         self.gf, self.size = gf, size
         if q > 16:
-            self.box = tuple
             return
-        self.box = bytes
         pairs = [divmod(t, q) for t in range(q * q)]
         self._mul = bytes(gf.mul(a, b) for a, b in pairs).ljust(256, b"\0")
         self._add = bytes(gf.add(a, b) for a, b in pairs).ljust(256, b"\0")
-        self._neg = bytes(map(gf.neg, range(q))).ljust(256, b"\0")
+        self._sub = bytes(gf.sub(a, b) for a, b in pairs).ljust(256, b"\0")
+        if gf.p == 2:  # these shadow the methods below
+            self.add = self.sub = int.__xor__
+        if q == 2:
+            self.mul = int.__and__
 
-    def _pairs(self, x: bytes, y: bytes) -> bytes:
-        # the same byte order on both sides and on the way back
-        pair = int.from_bytes(x, "little") * self.q + int.from_bytes(y, "little")
-        return pair.to_bytes(self.size, "little")
+    def box(self, v: Sequence[int]):
+        return tuple(v) if self.q > 16 else int.from_bytes(bytes(v), "little")
+
+    def unbox(self, x) -> bytes | tuple[int, ...]:
+        return x if self.q > 16 else x.to_bytes(self.size, "little")
+
+    def _through(self, x: int, table: bytes) -> int:
+        return int.from_bytes(x.to_bytes(self.size, "little").translate(table), "little")
 
     def mul(self, x, y):
-        if self.box is tuple:
+        if self.q > 16:
             return tuple(map(self.gf.mul, x, y))
-        return self._pairs(x, y).translate(self._mul)
+        return self._through(x * self.q + y, self._mul)
 
     def add(self, x, y):
-        if self.box is tuple:
+        if self.q > 16:
             return tuple(map(self.gf.add, x, y))
-        return self._pairs(x, y).translate(self._add)
+        return self._through(x * self.q + y, self._add)
 
-    def neg(self, x):
-        if self.box is tuple:
-            return tuple(map(self.gf.neg, x))
-        return x.translate(self._neg)
+    def sub(self, x, y):
+        if self.q > 16:
+            return tuple(map(self.gf.sub, x, y))
+        return self._through(x * self.q + y, self._sub)
 
 
 def _minor_vectors(
     vec: _Vectors,
-    entries: Sequence[Sequence[Sequence[int]]],
+    entries: Sequence[Sequence],
     wanted: Iterable[tuple[Sequence[int], Sequence[int]]],
 ) -> list:
-    """batch_minors with every vector in vec's form."""
-    signed = vec.gf.p != 2  # in characteristic 2, -x = x
-    factors: dict[tuple[int, int, bool], bytes | tuple[int, ...]] = {}
-    memo = {((), ()): vec.box((1,) * vec.size)}
+    """batch_minors on entries already in vec's form, its minors left in it."""
+    memo = {((), ()): vec.box(b"\1" * vec.size)}
 
     def minor(rows: tuple[int, ...], cols: tuple[int, ...]):
         out = memo.get((rows, cols))
         if out is None:
             i0, rest = rows[0], rows[1:]
             for s, j in enumerate(cols):
-                key = (i0, j, signed and s % 2 == 1)
-                x = factors.get(key)
-                if x is None:
-                    x = vec.box(entries[i0 - 1][j - 1])
-                    x = factors[key] = vec.neg(x) if key[2] else x
-                term = vec.mul(x, minor(rest, cols[:s] + cols[s + 1 :]))
-                out = term if out is None else vec.add(out, term)
+                x = entries[i0 - 1][j - 1]  # an order-1 minor is its entry, with no product by 1
+                term = vec.mul(x, minor(rest, cols[:s] + cols[s + 1 :])) if rest else x
+                out = term if out is None else (vec.sub if s % 2 else vec.add)(out, term)
             memo[rows, cols] = out
         return out
 
@@ -434,12 +437,15 @@ def batch_minors(
 
     A minor on rows I and columns J is the Laplace expansion along the first
     row i0 of I, the sum over s of (-1)^s x[i0, J[s]] M(I - i0, J - J[s]),
-    with products and sums taken over whole vectors (see _Vectors).
-    Sub-minors are memoized, so a minor of order r costs r vector products
-    and r - 1 vector sums, and only the minors on row suffixes of the wanted
+    with products, sums and (odd s) differences taken over whole vectors
+    (see _Vectors).  Sub-minors are memoized, so a minor of order r >= 2
+    costs r vector products and r - 1 vector sums or differences (one of
+    order 1 is its entry), and only the minors on row suffixes of the wanted
     row sets are formed.
     """
-    return tuple(map(tuple, _minor_vectors(_Vectors(gf, size), entries, wanted)))
+    vec = _Vectors(gf, size)
+    boxed = [[vec.box(v) for v in row] for row in entries]
+    return tuple(tuple(vec.unbox(x)) for x in _minor_vectors(vec, boxed, wanted))
 
 
 def enumerate_matrices(gf: GF, nrows: int, ncols: int) -> Iterator[MatrixGF]:
@@ -507,8 +513,9 @@ def cauchy_binet(pairs: Sequence[tuple[MatrixGF, MatrixGF]]) -> list[tuple[int, 
         [reduce(vec.add, (vec.mul(a_rows[i][t], b_rows[t][j]) for t in range(s))) for j in range(r)]
         for i in range(r)
     ]
+    entries = [list(map(vec.unbox, row)) for row in entries]
     lhs = [_det(gf, [[x[k] for x in row] for row in entries]) for k in range(len(pairs))]
     a_minors = _minor_vectors(vec, a_rows, [(lead, c) for c in subsets])
     b_minors = _minor_vectors(vec, b_rows, [(c, lead) for c in subsets])
     rhs = reduce(vec.add, map(vec.mul, a_minors, b_minors))
-    return list(zip(lhs, rhs))
+    return list(zip(lhs, vec.unbox(rhs)))

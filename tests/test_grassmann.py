@@ -65,7 +65,7 @@ def test_pluecker_needs_full_rank():
 
 @pytest.mark.parametrize(
     "l,m,q",
-    [(2, 4, 2), (2, 5, 3), (3, 6, 2), (0, 3, 2), (3, 3, 3), (1, 3, 16), (1, 3, 17), (1, 2, 257)],
+    [(2, 4, 2), (2, 5, 3), (3, 6, 2), (0, 3, 2), (3, 3, 3), (2, 4, 4), (1, 3, 16), (1, 3, 17), (1, 2, 257)],
 )
 def test_build_matches_per_subspace_pluecker(l, m, q):
     """The batched generator against pluecker(w), one subspace at a time, and
@@ -259,10 +259,14 @@ def test_cell_report_smallest():
     assert all(m.sign == 1 for m in report.matches)
 
 
-@pytest.mark.parametrize("l,m,q", [(1, 2, 2), (2, 4, 2), (2, 4, 3), (2, 5, 2)])
+@pytest.mark.parametrize(
+    "l,m,q", [(1, 2, 2), (2, 4, 2), (2, 4, 3), (2, 5, 2), (2, 4, 4), (1, 3, 16), (1, 2, 17)]
+)
 def test_cell_matches_reverify(l, m, q):
     """Check every reported match semantically: on each cell subspace, the
-    Pluecker coordinate equals sign times the minor of the complement block."""
+    Pluecker coordinate equals sign times the minor of the complement block.
+    The fields take every kind of batch_minors vector: AND and XOR (q = 2),
+    XOR sums with table products (4, 16), tables only (3) and tuples (17)."""
     gf = field_for_order(q)
     report = cell_restriction_compare(l, m, gf)
     p = CodeParams(q, l, m - l)

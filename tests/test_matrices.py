@@ -241,6 +241,36 @@ def test_batch_minors_match_per_matrix_minors(q, monkeypatch):
     assert batch_minors(gf, [], 3, [((), ())]) == ((1, 1, 1),)
 
 
+@pytest.mark.parametrize("size", [1, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 17])
+def test_batch_minors_take_every_vector_kind(q, size):
+    """Every minor of a batch of 1, 8 or 9 matrices, the last all q - 1, as
+    MatrixGF.minor gives it, whether the entry vectors come as bytes, tuples
+    or lists: the byte-lane ints over GF(2) (AND and XOR), GF(4), GF(8),
+    GF(16) (XOR sums), GF(3), GF(9) (tables only) and the tuples of GF(17).
+    cauchy_binet on the same batch still returns pairs of plain ints."""
+    gf = field_for_order(q)
+    rng = random.Random(10 * q + size)
+    batch = [rand_matrix(rng, gf, 3, 4) for _ in range(size - 1)]
+    batch.append(MatrixGF(gf, 3, 4, (q - 1,) * 12))
+    wanted = [
+        (rows, cols)
+        for r in range(4)
+        for rows in combinations(range(1, 4), r)
+        for cols in combinations(range(1, 5), r)
+    ]
+    expected = tuple(tuple(w.minor(rows, cols) for w in batch) for rows, cols in wanted)
+    for kind in (bytes, tuple, list):
+        entries = [[kind(w.entry(i, j) for w in batch) for j in range(1, 5)] for i in range(1, 4)]
+        got = batch_minors(gf, entries, size, wanted)
+        assert got == expected
+        assert all(type(row) is tuple and all(type(x) is int for x in row) for row in got)
+    pairs = [(w, rand_matrix(rng, gf, 4, 3)) for w in batch]
+    sides = cauchy_binet(pairs)
+    assert sides == [((a @ b).det(), cauchy_binet_reference(a, b)) for a, b in pairs]
+    assert all(type(side) is int for pair in sides for side in pair)
+
+
 def test_rref_properties():
     rng = random.Random(3)
     for _ in range(80):
