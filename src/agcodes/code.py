@@ -99,7 +99,7 @@ def point_matrix(p: CodeParams, index: int) -> MatrixGF:
 @lru_cache(maxsize=8)
 def points(p: CodeParams) -> tuple[MatrixGF, ...]:
     """The full evaluation domain in point index order."""
-    limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
+    limits.ensure_power("points", p.q, p.delta, f"enumerating the domain of {p}")
     return tuple(point_matrix(p, i) for i in range(p.npoints))
 
 
@@ -220,7 +220,7 @@ def build(p: CodeParams) -> LinearCode:
     rank proved by the unitriangular block (_certify_rank) and its row 0
     checked to be the all-ones word."""
     gf = p.field()
-    limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
+    limits.ensure_power("points", p.q, p.delta, f"enumerating the domain of {p}")
     q, n = p.q, p.npoints
     k = dimension_formula(p)
     limits.ensure("points", k * n, f"evaluating {k} minors at each of the {n} points of {p}")
@@ -241,7 +241,7 @@ def build(p: CodeParams) -> LinearCode:
 
 def ensure_scannable(p: CodeParams) -> None:
     """Refuse a scan of build(p) before building: build's points cap, then q^k messages."""
-    limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
+    limits.ensure_power("points", p.q, p.delta, f"enumerating the domain of {p}")
     limits.ensure_power("messages", p.q, dimension_formula(p), f"scanning the code of {p}")
 
 

@@ -14,10 +14,13 @@ GF(8).  The choice is part of the data format: exported element indices are
 meaningless without it, so it is embedded in the rendered field string, e.g.
 "2^2/1,1,1" (coefficients listed constant term first, leading 1 included).
 
-Multiplication and inversion run on exp/log tables built once per field from
-the smallest generator of the multiplicative group; addition uses a flat
-table for q <= 256 and digitwise arithmetic above that.  Field sizes are
-capped at 2^16.
+Multiplication, inversion and negation run on exp/log tables built once per
+field from the smallest generator of the multiplicative group: -a = a * (-1),
+where -1 is the element of order 2, exp[(q-1)/2], for odd p and 1 for p = 2.
+Addition uses a flat table for q <= 256 and digitwise arithmetic above that.
+One trial division (_prime_factors) serves primality, the factoring of q into
+p^e and the prime factors of q - 1 that test a generator.  Field sizes are
+capped at 2^16, and factor_prime_power refuses q above 2^32 before dividing.
 """
 
 from __future__ import annotations
@@ -37,41 +40,36 @@ __all__ = [
 ]
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for n <= 2^16."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, f = [], 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
 
 
+def is_prime(n: int) -> bool:
+    """Trial-division primality test, adequate for n <= 2^32."""
+    return n >= 2 and _prime_factors(n) == [n]
+
+
+@lru_cache(maxsize=128)  # CodeParams checks q on every construction
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q = p^e with p prime, or raise ValueError."""
+    """Write q = p^e with p prime, or raise ValueError.  q above
+    MAX_FIELD_SIZE^2 is refused before any division, so at most 2^16 are made."""
     if q < 2:
         raise ValueError(f"field order must be at least 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    if q > MAX_FIELD_SIZE**2:
+        raise ValueError(f"field order {q} exceeds {MAX_FIELD_SIZE**2}, the largest order factored")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return p, e
+    p = primes[0]
+    return p, next(e for e in range(1, q.bit_length() + 1) if p**e == q)
 
 
 # -- polynomial helpers over GF(p), coefficient lists constant term first --
@@ -169,19 +167,10 @@ class GF:
         return out
 
     def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
+        p, q = self.p, self.q
         # smallest generator of the multiplicative group
         n = q - 1
-        prime_factors = []
-        rest, f = n, 2
-        while f * f <= rest:
-            if rest % f == 0:
-                prime_factors.append(f)
-                while rest % f == 0:
-                    rest //= f
-            f += 1
-        if rest > 1:
-            prime_factors.append(rest)
+        prime_factors = _prime_factors(n)
         gen = 1
         for g in range(1 if q == 2 else 2, q):
             if all(self._raw_pow(g, n // r) != 1 for r in prime_factors):
@@ -204,19 +193,9 @@ class GF:
         self._inv = [0] * q
         for a in range(1, q):
             self._inv[a] = exp[(n - log[a]) % n]
-        if e == 1:
-            self._neg = [(p - a) % p for a in range(q)]
-        elif p == 2:
-            self._neg = list(range(q))
-        else:
-            neg = []
-            for a in range(q):
-                ds = _digits(a, p, e)
-                out = 0
-                for c in reversed(ds):
-                    out = out * p + (p - c) % p
-                neg.append(out)
-            self._neg = neg
+        # -a = a * (-1), and -1 is the element of order 2 (1 when p = 2)
+        half = n // 2 if p > 2 else 0
+        self._neg = [0] + [exp[i + half] for i in log[1:]]
         if q <= 256:
             add = [0] * (q * q)
             for a in range(q):

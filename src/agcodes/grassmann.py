@@ -14,16 +14,18 @@ maximal minor is a Laplace expansion along its first row over those vectors
 enumerate_subspaces and pluecker(w), one subspace at a time, are the
 reference the tests compare the build against.
 
-The build proves rank as code.build does: the coordinate subspace of an
-l-subset S, the one representative with only l nonzero entries, has the unit
-vector at S as its Pluecker vector, so these columns hold an identity block.
-The build finds them by counting nonzero entries on the vectors, checks that
-block and fails if a coordinate subspace is missing.  Before any vector is
-made, it counts its k·n minor evaluations against the points cap, then the
-entries of every sub-minor the expansion keeps, Σ_{r=1..l} C(m, r) vectors of
-n entries (C(m, l) = k of them the coordinates).  The build
-is cached and keeps its entry vectors with the code, so the comparison below
-reuses both.
+The build proves rank as code.build does, on columns known from the
+construction: the coordinate subspace of an l-subset S, the one
+representative with only l nonzero entries, has the unit vector at S as its
+Pluecker vector, so these columns hold an identity block.  The blocks follow
+the Pluecker rows, the first representative of each (every free entry 0) is
+its coordinate subspace, and the block of pivots S (from 0) has q^f columns,
+f = Σ_i (m - l - S_i + i).  The build checks that identity block, and that
+the block sizes sum to n.  Before any vector is made, it counts its k·n
+minor evaluations against the points cap, then the entries of every
+sub-minor the expansion keeps, Σ_{r=1..l} C(m, r) vectors of n entries
+(C(m, l) = k of them the coordinates).  The build is cached and keeps its
+entry vectors with the code, so the comparison below reuses both.
 
 The subspaces whose representative starts with an identity block form a cell
 of exactly q^(l * (m - l)) columns, indexed by the complement block.  On that
@@ -36,10 +38,9 @@ perfect matching exists.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 from operator import itemgetter
 from typing import Sequence
@@ -68,15 +69,16 @@ class VerificationError(RuntimeError):
     """A structural correspondence that must hold failed on actual data."""
 
 
-_NONZERO = bytes([0] + [1] * 255)  # translates element indices to nonzero flags
-
-
 def _subspace_count(l: int, m: int, gf: GF) -> int:
-    """The number of l-subspaces of GF(q)^m, refused over the points cap."""
+    """The number n of l-subspaces of GF(q)^m, refused over the points cap,
+    first on the exponent of n >= q^(l(m-l)) when that alone exceeds it."""
     if not 0 <= l <= m:
         raise ValueError(f"need 0 <= l <= m, got l={l}, m={m}")
+    what = f"enumerating {l}-subspaces of GF({gf.q})^{m}"
+    if l * (m - l) >= limits.cap("points").bit_length():
+        limits.ensure_power("points", gf.q, l * (m - l), what)
     n = gaussian_binomial(m, l, gf.q)
-    limits.ensure("points", n, f"enumerating {l}-subspaces of GF({gf.q})^{m}")
+    limits.ensure("points", n, what)
     return n
 
 
@@ -144,39 +146,28 @@ def build_grassmann_code(l: int, m: int, gf: GF) -> LinearCode:
 
 def _grassmann_code(l: int, m: int, gf: GF, n: int, entries: Sequence[Sequence[int]]) -> LinearCode:
     """build_grassmann_code on n representatives given by their entry
-    vectors, entries[i * m + j] holding entry (i, j) of each, column c from
-    representative c: all maximal minors of the batch at once.  The code
-    keeps the vectors in its cache under "subspaces"."""
-    indices = pluecker_indices(l, m)
+    vectors in subspace_entries' order, entries[i * m + j] holding entry (i, j)
+    of each: all maximal minors of the batch at once, certified only when each
+    block starts at its coordinate subspace.  The code keeps the vectors in
+    its cache under "subspaces"."""
     lead = tuple(range(1, l + 1))
     by_row = [entries[i * m : (i + 1) * m] for i in range(l)]
-    rows = batch_minors(gf, by_row, n, [(lead, cols) for cols in indices])
+    rows = batch_minors(gf, by_row, n, [(lead, cols) for cols in pluecker_indices(l, m)])
     # zip reuses its column tuple when nothing else holds it, so this pass
     # allocates nothing per column; the zero column is found only on failure
     if not all(map(any, zip(*rows))):
         j = next(j for j, column in enumerate(zip(*rows)) if not any(column))
         raise ValueError(f"representative {j} must have full row rank")
-    p = None
-    if 1 <= l <= m - l:
-        p = CodeParams(gf.q, l, m - l)
+    p = CodeParams(gf.q, l, m - l) if 1 <= l <= m - l else None
     code = LinearCode._of(gf, rows, params=p, label=f"grassmann[q={gf.q},l={l},m={m}]")
-    # the nonzero entries of each representative, counted in 32-bit lanes
-    total = 0
-    for v in entries:
-        lanes = bytearray(4 * n)
-        lanes[::4] = v.translate(_NONZERO) if type(v) is bytes else bytes(map(bool, v))
-        total += int.from_bytes(lanes, "little")
-    nonzero = struct.unpack(f"<{n}I", total.to_bytes(4 * n, "little"))
-    # column of the coordinate subspace of each l-subset, keyed by the subset:
-    # the representatives with exactly l nonzero entries
-    coordinate = {
-        tuple(x % m + 1 for x, v in enumerate(entries) if v[j]): j for j, c in enumerate(nonzero) if c == l
-    }
+    # the first representative of each block, every free entry 0, is the
+    # coordinate subspace of its pivot set; blocks follow the Pluecker rows
     what = f"Pluecker generator of ({l}, {m})"
-    missing = [s for s in indices if s not in coordinate]
-    if missing:
-        raise AssertionError(f"{what} is not certified full rank: no coordinate subspace {missing[0]}")
-    _certify_rank(code, [coordinate[s] for s in indices], what)
+    sizes = [gf.q ** sum(m - l - s + i for i, s in enumerate(pivots)) for pivots in combinations(range(m), l)]
+    *coordinate, total = accumulate(sizes, initial=0)
+    if total != n:
+        raise AssertionError(f"{what} is not certified full rank: its blocks hold {total} columns, not {n}")
+    _certify_rank(code, coordinate, what)
     code._cache["subspaces"] = entries
     return code
 

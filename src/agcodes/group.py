@@ -146,7 +146,7 @@ def permutation(phi: AffineMap) -> tuple[int, ...]:
     P's i-th row digit (see _row_tables); no MatrixGF is made per point.
     """
     p = phi.params
-    limits.ensure("points", p.npoints, f"enumerating the domain of {p}")
+    limits.ensure_power("points", p.q, p.delta, f"enumerating the domain of {p}")
     # point index sum_i r_i q^(lp i), row digit r_0 fastest
     out = [0]
     for table in _row_tables(phi):

@@ -17,6 +17,7 @@ from itertools import islice, product
 from math import comb
 from typing import Callable
 
+from . import limits
 from .code import (
     LinearCode,
     _codeword_weight,
@@ -534,13 +535,15 @@ def identity_suites(p: CodeParams, seed: int, trials: int) -> list[CheckResult]:
     one generator seeded with seed.  substitution-pointwise and cauchy-binet
     run trials cases, the others trials // 10 (at least one); witness-vs-scan
     runs only when the q^k messages are few enough to encode (q^k <= 2^15).
-    trials must lie in 1..MAX_TRIALS, and l must be at least 1."""
+    trials must lie in 1..MAX_TRIALS, and l must be at least 1.  The q^δ
+    points are checked against the points cap, exponent first, before any suite."""
     if p.l < 1:
         raise ValueError(f"the identity suites need l >= 1, got l={p.l}: locus-affine draws a row")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise ValueError(f"need trials <= {MAX_TRIALS}, got {trials}")
+    limits.ensure_power("points", p.q, p.delta, f"enumerating the domain of {p}")
     rng = random.Random(seed)
     few = max(1, trials // 10)
     suites = [

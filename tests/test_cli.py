@@ -409,6 +409,49 @@ def test_scans_of_a_huge_dimension_are_refused_on_k_alone(argv):
     assert "needs 2^137846528820 messages, above the cap" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["params", "--q", "1000000000000000003", "--l", "1", "--lp", "1"], "error: field order "),
+        (["build", "--q", "2", "--l", "1", "--lp", "10000000000"], "needs 2^10000000000 points"),
+        (["mindist", "--q", "2", "--l", "1", "--lp", "10000000000"], "needs 2^10000000000 points"),
+        (["weightdist", "--q", "2", "--l", "1", "--lp", "10000000000"], "needs 2^10000000000 points"),
+        (["minwords", "--q", "2", "--l", "1", "--lp", "10000000000"], "needs 2^10000000000 points"),
+        (["verify-all", "--q", "2", "--l", "1", "--lp", "10000000000"], "needs 2^10000000000 points"),
+        (["grassmann", "--l", "1", "--m", "10000000000", "--q", "2"], "needs 2^9999999999 points"),
+        (["grassmann", "--l", "1", "--m", "100000000", "--q", "2"], "needs 2^99999999 points"),
+        (["autocheck", "--q", "2", "--l", "1", "--lp", "100000"], "needs 2^100000 points"),
+        (["autocheck", "--q", "2", "--l", "1", "--lp", "30"], "needs 2^30 points"),
+    ],
+    ids=[
+        "params", "build", "mindist", "weightdist", "minwords", "verify-all",
+        "grassmann-m-1e10", "grassmann-m-1e8", "autocheck-lp-100000", "autocheck-lp-30",
+    ],
+)
+def test_oversized_inputs_are_refused_before_any_work(argv, message):
+    """q above 2^32 is refused before trial division, and a point count is
+    refused on its exponent before the power is computed, in a child process
+    with 1 GiB of address space: exit 2, the reason on stderr, no traceback."""
+    src = os.path.dirname(os.path.dirname(agcodes.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("AGCODES_POINTS_CAP", None)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "agcodes", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

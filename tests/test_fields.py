@@ -2,6 +2,8 @@
 modulus against a brute-force irreducibility oracle, and sampled axioms on
 mid-size extensions."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from agcodes.fields import (
     GF,
     MAX_FIELD_SIZE,
+    _prime_factors,
     factor_prime_power,
     field_for_order,
     field_make,
@@ -50,6 +53,28 @@ def test_factor_prime_power():
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(ValueError):
             factor_prime_power(bad)
+
+
+def test_prime_factors_match_brute_force():
+    limit = 5000
+    primes = [f for f in range(2, limit) if all(f % d for d in range(2, int(f**0.5) + 1))]
+    for n in range(1, limit):
+        assert _prime_factors(n) == [p for p in primes if n % p == 0]
+
+
+def test_factor_prime_power_refuses_orders_above_2_to_32_before_dividing():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds 4294967296"):
+        factor_prime_power(4294967311)  # the least prime above 2^32
+    assert time.perf_counter() - start < 0.1
+    assert factor_prime_power(2**32) == (2, 32)
+
+
+@pytest.mark.parametrize("q", [512, 729, 25, 257])
+def test_negation_is_the_additive_inverse(q):
+    """-a = a * (-1) off the exp/log tables, for p = 2, odd p^e and odd p."""
+    gf = field_for_order(q)
+    assert all(gf.add(a, gf.neg(a)) == 0 for a in range(q))
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)

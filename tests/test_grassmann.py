@@ -132,8 +132,24 @@ def test_build_refuses_a_missing_coordinate_subspace():
     # the 34 columns left still span everything, but nothing certifies it
     reps = [MatrixGF.from_rows(gf2, [c[:4], c[4:]]) for c in zip(*kept)]
     assert MatrixGF.from_rows(gf2, [pluecker(w) for w in reps]).rank() == 6
-    with pytest.raises(AssertionError, match=r"no coordinate subspace \(1, 3\)"):
+    with pytest.raises(AssertionError, match="is not certified full rank"):
         _grassmann_code(2, 4, gf2, 34, kept)
+
+
+def test_build_refuses_a_coordinate_subspace_out_of_its_block_place():
+    """The certificate takes each block's first column as its coordinate
+    subspace; with that column swapped for the next, the same 35 subspaces
+    still span everything, but the block is no longer unitriangular."""
+    entries = subspace_entries(2, 4, gf2)
+    columns = list(zip(*entries))
+    j = columns.index((1, 0, 0, 0, 0, 0, 1, 0))  # the coordinate subspace of (1, 3)
+    columns[j], columns[j + 1] = columns[j + 1], columns[j]
+    swapped = [bytes(v) for v in zip(*columns)]
+    reps = [MatrixGF.from_rows(gf2, [c[:4], c[4:]]) for c in columns]
+    assert MatrixGF.from_rows(gf2, [pluecker(w) for w in reps]).rank() == 6
+    _grassmann_code(2, 4, gf2, 35, entries)  # the order as built is certified
+    with pytest.raises(AssertionError, match="is not certified full rank"):
+        _grassmann_code(2, 4, gf2, 35, swapped)
 
 
 def test_build_refuses_a_generator_without_the_certificate(monkeypatch):
