@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -242,7 +241,7 @@ def _cmd_verify_all(args) -> int:
         numbers = [number for number, _ in verify.ACCEPTANCE]
     if args.format == "json":
         for number, res in zip(numbers, results):
-            sys.stdout.write(_json({"number": number, **asdict(res)}))
+            sys.stdout.write(_json({"number": number, **res._asdict()}))
     return 0 if all(res.ok for res in results) else 1
 
 

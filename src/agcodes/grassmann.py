@@ -24,7 +24,10 @@ f = Σ_i (m - l - S_i + i).  The build checks that identity block, and that
 the block sizes sum to n.  Before any vector is made, it counts its k·n
 minor evaluations against the points cap, then the entries of every
 sub-minor the expansion keeps, Σ_{r=1..l} C(m, r) vectors of n entries
-(C(m, l) = k of them the coordinates).  The build is cached and keeps its
+(C(m, l) = k of them the coordinates), refused on the exponent of its
+lower bound 2^(m-1) when 2l > m, before the sum is formed.  The m
+coordinates themselves count against the cap too, as l = 0 and l = m
+pass the exponent check on n at any m.  The build is cached and keeps its
 entry vectors with the code, so the comparison below reuses both.
 
 The subspaces whose representative starts with an identity block form a cell
@@ -33,17 +36,17 @@ cell each Pluecker coordinate equals, up to a fixed sign, one minor (of any
 order) of the complement block, so the restricted generator matrix is a
 signed row permutation of the affine generator matrix.  The comparison
 solves the signs and the permutation from the data and fails loudly if no
-perfect matching exists.
+perfect matching exists; its witness is a CellReport of CellMatch rows,
+both named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from math import comb
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import limits
 from .code import LinearCode, _certify_rank, _repeated, build
@@ -71,13 +74,17 @@ class VerificationError(RuntimeError):
 
 def _subspace_count(l: int, m: int, gf: GF) -> int:
     """The number n of l-subspaces of GF(q)^m, refused over the points cap,
-    first on the exponent of n >= q^(l(m-l)) when that alone exceeds it."""
+    first on the exponent of n >= q^(l(m-l)) when that alone exceeds it, and
+    refused when m alone exceeds it."""
     if not 0 <= l <= m:
         raise ValueError(f"need 0 <= l <= m, got l={l}, m={m}")
     what = f"enumerating {l}-subspaces of GF({gf.q})^{m}"
     if l * (m - l) >= limits.cap("points").bit_length():
         limits.ensure_power("points", gf.q, l * (m - l), what)
-    n = gaussian_binomial(m, l, gf.q)
+    # l = 0 and l = m pass the exponent check at any m, but the pivot sets
+    # are l-subsets of a tuple of the m coordinates
+    limits.ensure("points", m, f"indexing the {m} coordinates of GF({gf.q})^{m}")
+    n = gaussian_binomial(m, min(l, m - l), gf.q)  # the same count, in at most m / 2 factors
     limits.ensure("points", n, what)
     return n
 
@@ -137,7 +144,11 @@ def build_grassmann_code(l: int, m: int, gf: GF) -> LinearCode:
     what = f"evaluating {k} Pluecker coordinates at each of the {n} {l}-subspaces of GF({gf.q})^{m}"
     limits.ensure("points", k * n, what)
     # batch_minors keeps every minor on rows r..l, C(m, l - r + 1) vectors of
-    # n entries for each r
+    # n entries for each r; past l = m / 2 that is over half the 2^m column
+    # subsets, refused on the exponent alone before the sum is formed
+    if 2 * l > m and m - 1 >= limits.cap("points").bit_length():
+        what = f"keeping at least 2^{m - 1} sub-minors at each of the {n} {l}-subspaces of GF({gf.q})^{m}"
+        limits.ensure_power("points", 2, m - 1, what)
     kept = sum(comb(m, r) for r in range(1, l + 1))
     what = f"keeping {kept} sub-minors at each of the {n} {l}-subspaces of GF({gf.q})^{m}"
     limits.ensure("points", kept * n, what)
@@ -172,8 +183,7 @@ def _grassmann_code(l: int, m: int, gf: GF, n: int, entries: Sequence[Sequence[i
     return code
 
 
-@dataclass(frozen=True)
-class CellMatch:
+class CellMatch(NamedTuple):
     """One matched generator row: Pluecker row = sign * affine minor row."""
 
     pluecker_index: tuple[int, ...]
@@ -181,8 +191,9 @@ class CellMatch:
     sign: int  # field element index: 1 or the index of -1
 
 
-@dataclass(frozen=True)
-class CellReport:
+class CellReport(NamedTuple):
+    """The witness of cell_restriction_compare: one match per Pluecker row."""
+
     l: int
     m: int
     q: int

@@ -356,8 +356,8 @@ class _Vectors:
     Bradshaw, arXiv:0901.1413).  Any other operation makes the pair vector
     x * q + y, each byte a pair index below q^2 <= 256 with no carry between
     bytes, and reads it through a 256-byte table of gf.mul, gf.add or
-    gf.sub, made here, by one bytes.translate.  Larger fields keep tuples
-    and one gf call per entry.
+    gf.sub, made here only when that operation needs one, by one
+    bytes.translate.  Larger fields keep tuples and one gf call per entry.
     """
 
     def __init__(self, gf: GF, size: int):
@@ -365,14 +365,19 @@ class _Vectors:
         self.gf, self.size = gf, size
         if q > 16:
             return
-        pairs = [divmod(t, q) for t in range(q * q)]
-        self._mul = bytes(gf.mul(a, b) for a, b in pairs).ljust(256, b"\0")
-        self._add = bytes(gf.add(a, b) for a, b in pairs).ljust(256, b"\0")
-        self._sub = bytes(gf.sub(a, b) for a, b in pairs).ljust(256, b"\0")
-        if gf.p == 2:  # these shadow the methods below
-            self.add = self.sub = int.__xor__
+
+        def table(op) -> bytes:  # byte a * q + b holds op(a, b)
+            return bytes(op(a, b) for a in range(q) for b in range(q)).ljust(256, b"\0")
+
+        # only the tables a method below reads; XOR and AND shadow the rest
         if q == 2:
             self.mul = int.__and__
+        else:
+            self._mul = table(gf.mul)
+        if gf.p == 2:
+            self.add = self.sub = int.__xor__
+        else:
+            self._add, self._sub = table(gf.add), table(gf.sub)
 
     def box(self, v: Sequence[int]):
         return tuple(v) if self.q > 16 else int.from_bytes(bytes(v), "little")

@@ -7,10 +7,12 @@ column set, so position 0 is always the constant and the last position is the
 leading maximal minor for square shapes.  This order is an artifact
 convention (any fixed order works); all exported coefficient vectors use it.
 
-A combination is stored densely as a coefficient tuple over that basis.
-MinorCombination(...) checks the length and range of the coefficients;
-sums, scalings, specializations and expansions build theirs from
-coefficients already in range and skip that check (MinorCombination._of).
+A combination is stored densely as a coefficient tuple over that basis, in
+a frozen slotted value class rather than a dataclass, which keeps the
+dataclasses import out of start-up.  MinorCombination(...) checks the
+length and range of the coefficients; sums, scalings, specializations and
+expansions build theirs from coefficients already in range and skip that
+check (MinorCombination._of).
 The text rendering is one line per nonzero term, "rowset|colset: coeff",
 with "-|-" for the constant term.
 
@@ -32,7 +34,6 @@ line, direction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
@@ -92,20 +93,48 @@ def basis_positions(p: CodeParams) -> dict[MinorIndex, int]:
     return {mi: pos for pos, mi in enumerate(minor_basis(p))}
 
 
-@dataclass(frozen=True)
 class MinorCombination:
-    """A linear combination of minors, dense over the canonical basis."""
+    """A linear combination of minors, dense over the canonical basis.
+
+    A frozen value like CodeParams: equal and hashed by (params, coeffs),
+    never equal to a bare tuple, and any assignment raises AttributeError.
+    """
+
+    __slots__ = ("params", "coeffs")
+    __match_args__ = ("params", "coeffs")
 
     params: CodeParams
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        dim = dimension_formula(self.params)
-        if len(self.coeffs) != dim:
-            raise ValueError(f"need {dim} coefficients, got {len(self.coeffs)}")
-        q = self.params.q
-        if any(not 0 <= c < q for c in self.coeffs):
+    def __init__(self, params: CodeParams, coeffs: tuple[int, ...]) -> None:
+        dim = dimension_formula(params)
+        if len(coeffs) != dim:
+            raise ValueError(f"need {dim} coefficients, got {len(coeffs)}")
+        q = params.q
+        if any(not 0 <= c < q for c in coeffs):
             raise ValueError(f"coefficients must be element indices in [0, {q})")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __repr__(self) -> str:
+        return f"MinorCombination(params={self.params!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.coeffs) == (other.params, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.coeffs))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return MinorCombination, (self.params, self.coeffs)
 
     # -- constructors --
 

@@ -6,11 +6,11 @@ affine Grassmann code on l x lp matrices over GF(q), and the order of its
 affine symmetry group together with the stabilizer of the leading maximal
 minor.  Formulas that have two published shapes assert the agreement of both
 shapes internally, so a wrong transcription cannot survive a single call.
+The shape itself, CodeParams, is a frozen value in a plain slotted class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CodeParams:
     """Shape (q, l, lp) of the code on l x lp matrices over GF(q).
 
@@ -39,23 +38,54 @@ class CodeParams:
     specialization a home: the space degenerates to the constants, and the
     code built on it is the [1, 1, 1] constant code.  The identity suites
     and min_weight_witness need l >= 1.
+
+    A frozen value: equal and hashed by (q, l, lp), never equal to a bare
+    tuple, and any assignment raises AttributeError.  It is a plain slotted
+    class rather than a dataclass, so importing the package does not pay
+    for the dataclasses module.
     """
+
+    __slots__ = ("q", "l", "lp")
+    __match_args__ = ("q", "l", "lp")
 
     q: int
     l: int
     lp: int
 
-    def __post_init__(self) -> None:
-        factor_prime_power(self.q)  # raises unless q is a prime power >= 2
-        if self.lp < 1:
-            raise ValueError(f"need lp >= 1, got lp={self.lp}")
-        if self.l < 0:
-            raise ValueError(f"need l >= 0, got l={self.l}")
-        if self.l > self.lp:
+    def __init__(self, q: int, l: int, lp: int) -> None:
+        factor_prime_power(q)  # raises unless q is a prime power >= 2
+        if lp < 1:
+            raise ValueError(f"need lp >= 1, got lp={lp}")
+        if l < 0:
+            raise ValueError(f"need l >= 0, got l={l}")
+        if l > lp:
             raise ValueError(
-                f"need l <= lp, got l={self.l} > lp={self.lp}; "
+                f"need l <= lp, got l={l} > lp={lp}; "
                 f"swap them (the transposed matrix gives the same code)"
             )
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "lp", lp)
+
+    def __repr__(self) -> str:
+        return f"CodeParams(q={self.q!r}, l={self.l!r}, lp={self.lp!r})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.l, self.lp) == (other.q, other.l, other.lp)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.l, self.lp))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return CodeParams, (self.q, self.l, self.lp)
 
     @property
     def m(self) -> int:

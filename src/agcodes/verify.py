@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, product
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import limits
 from .code import (
@@ -86,8 +85,7 @@ DESK_GRID = (
 GRASSMANN_GRID = ((1, 2, 2), (2, 4, 2), (2, 4, 3), (2, 5, 2))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -318,6 +318,8 @@ def test_verify_all_json(capsys, monkeypatch):
     assert [sorted(row) for row in rows] == [keys] * 3
     assert [row["number"] for row in rows] == [1, 3, 8]
     assert rows[1] == {"number": 3, "name": "broken", "ok": False, "detail": "a named failure", "elapsed": 0.5}
+    assert out.splitlines()[1] == '{"detail":"a named failure","elapsed":0.5,"name":"broken","number":3,"ok":false}'
+    assert list(broken()._asdict()) == ["name", "ok", "detail", "elapsed"]
     assert rows[0]["ok"] and rows[2]["ok"] and isinstance(rows[0]["elapsed"], float)
 
 
@@ -420,18 +422,24 @@ def test_scans_of_a_huge_dimension_are_refused_on_k_alone(argv):
         (["verify-all", "--q", "2", "--l", "1", "--lp", "10000000000"], "needs 2^10000000000 points"),
         (["grassmann", "--l", "1", "--m", "10000000000", "--q", "2"], "needs 2^9999999999 points"),
         (["grassmann", "--l", "1", "--m", "100000000", "--q", "2"], "needs 2^99999999 points"),
+        (["grassmann", "--l", "100000", "--m", "100000", "--q", "2"], "needs 2^99999 points"),
+        (["grassmann", "--l", "10000000000", "--m", "10000000000", "--q", "2"], "needs 10000000000 points"),
+        (["grassmann", "--l", "0", "--m", "10000000000", "--q", "2"], "needs 10000000000 points"),
         (["autocheck", "--q", "2", "--l", "1", "--lp", "100000"], "needs 2^100000 points"),
         (["autocheck", "--q", "2", "--l", "1", "--lp", "30"], "needs 2^30 points"),
     ],
     ids=[
         "params", "build", "mindist", "weightdist", "minwords", "verify-all",
-        "grassmann-m-1e10", "grassmann-m-1e8", "autocheck-lp-100000", "autocheck-lp-30",
+        "grassmann-m-1e10", "grassmann-m-1e8", "grassmann-l-m-1e5", "grassmann-l-m-1e10", "grassmann-l-0-m-1e10",
+        "autocheck-lp-100000", "autocheck-lp-30",
     ],
 )
 def test_oversized_inputs_are_refused_before_any_work(argv, message):
-    """q above 2^32 is refused before trial division, and a point count is
-    refused on its exponent before the power is computed, in a child process
-    with 1 GiB of address space: exit 2, the reason on stderr, no traceback."""
+    """q above 2^32 is refused before trial division, a point count on its
+    exponent before the power is computed, and a Grassmann space with l = 0
+    or l = m on its m coordinates or its 2^(m-1) kept sub-minors, in a child
+    process with 1 GiB of address space: exit 2, the reason on stderr, no
+    traceback."""
     src = os.path.dirname(os.path.dirname(agcodes.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("AGCODES_POINTS_CAP", None)
@@ -450,6 +458,22 @@ def test_oversized_inputs_are_refused_before_any_work(argv, message):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_the_package_imports_without_dataclasses():
+    """Start-up loads neither dataclasses nor inspect, its largest import:
+    a fresh interpreter without the site module (whose own imports could
+    hide one) imports the package, the CLI and the acceptance checks."""
+    src = os.path.dirname(os.path.dirname(agcodes.__file__))
+    probe = "import sys, agcodes, agcodes.cli, agcodes.verify; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_version(capsys):

@@ -3,6 +3,7 @@ coordinate example, code parameters of small projective relatives, and an
 independent re-verification of reported cell matches."""
 
 import gc
+from math import comb
 
 import pytest
 
@@ -250,6 +251,14 @@ def test_build_refuses_its_sub_minors_over_the_points_cap(monkeypatch, l, m, kep
     refusal = rf"^keeping {kept} sub-minors at each of the {n} {l}-subspaces of GF\(2\)\^{m} needs {kept * n} "
     with pytest.raises(CapExceeded, match=refusal):
         build_grassmann_code.__wrapped__(l, m, gf2)  # past the cache
+
+
+def test_kept_sub_minors_past_half_the_columns_are_at_least_2_to_the_m_minus_1():
+    """The bound build_grassmann_code refuses on before it sums the kept
+    sub-minors: for 2l > m, Σ_{r=1..l} C(m, r) >= 2^(m-1)."""
+    for m in range(1, 16):
+        for l in range(m // 2 + 1, m + 1):
+            assert sum(comb(m, r) for r in range(1, l + 1)) >= 2 ** (m - 1)
 
 
 def test_small_codes():

@@ -15,6 +15,7 @@ from agcodes.limits import CapExceeded
 from agcodes.matrices import (
     MatrixGF,
     _all_minors,
+    _Vectors,
     batch_minors,
     cauchy_binet,
     enumerate_gl,
@@ -217,8 +218,8 @@ def test_internal_results_match_the_checking_constructor(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 257, 1024])
 def test_batch_minors_match_per_matrix_minors(q, monkeypatch):
     """Every minor of a random batch of 3 x 4 matrices, batched against
-    MatrixGF.minor one matrix at a time.  For q <= 16 gf.mul fills one
-    q x q table and nothing more; above, the expansion calls it a bounded
+    MatrixGF.minor one matrix at a time.  For q <= 16 gf.mul fills at most
+    one q x q table (none over GF(2)) and nothing more; above, the expansion calls it a bounded
     number of times per minor and matrix, so it builds no table (one for
     GF(257) would take 66049 calls)."""
     gf = field_for_order(q)
@@ -269,6 +270,17 @@ def test_batch_minors_take_every_vector_kind(q, size):
     sides = cauchy_binet(pairs)
     assert sides == [((a @ b).det(), cauchy_binet_reference(a, b)) for a, b in pairs]
     assert all(type(side) is int for pair in sides for side in pair)
+
+
+@pytest.mark.parametrize(
+    "q, tables",
+    [(2, []), (4, ["_mul"]), (16, ["_mul"]), (3, ["_add", "_mul", "_sub"]), (9, ["_add", "_mul", "_sub"]), (17, [])],
+)
+def test_vectors_make_only_the_tables_they_read(q, tables):
+    """AND replaces the product table over GF(2), XOR the sum and difference
+    tables in characteristic 2, and fields above 16 use no table at all."""
+    vec = _Vectors(field_for_order(q), 3)
+    assert sorted(name for name in vars(vec) if name.startswith("_")) == tables
 
 
 def test_rref_properties():

@@ -3,6 +3,8 @@ against a substitute-then-evaluate oracle, vanishing loci, the determinant
 expansion identities, and the unchecked internal results against the
 checking constructor."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import product
@@ -106,10 +108,30 @@ def test_constructors_and_validation():
     assert c.coeff(EMPTY_MINOR) == 1 and len(c.support()) == 1
     s = MinorCombination.single(P223, MinorIndex((1,), (3,)), 1)
     assert s.support() == {MinorIndex((1,), (3,))}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 6 coefficients, got 5$"):
         MinorCombination(P222, (0,) * 5)
-    with pytest.raises(ValueError):
-        MinorCombination(P222, (0, 0, 0, 0, 0, 2))
+    with pytest.raises(ValueError, match=r"^coefficients must be element indices in \[0, 2\)$"):
+        MinorCombination(params=P222, coeffs=(0, 0, 0, 0, 0, 2))
+
+
+def test_combination_is_a_frozen_value():
+    """Equal and hashed by (params, coeffs) whichever constructor made it,
+    never equal to a bare tuple, printed as a dataclass would print it,
+    and closed to assignment; _of checks nothing."""
+    f = MinorCombination(params=P222, coeffs=(0, 1, 0, 0, 0, 1))
+    g = MinorCombination._of(P222, (0, 1, 0, 0, 0, 1))
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != MinorCombination(P222, (0,) * 6)
+    assert f != (P222, (0, 1, 0, 0, 0, 1)) and (P222, (0, 1, 0, 0, 0, 1)) != f
+    assert repr(f) == "MinorCombination(params=CodeParams(q=2, l=2, lp=2), coeffs=(0, 1, 0, 0, 0, 1))"
+    for name in ("params", "coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert f.coeffs == (0, 1, 0, 0, 0, 1)
+    assert copy.copy(f) == f == pickle.loads(pickle.dumps(f))
+    assert MinorCombination._of(P222, (7,)).coeffs == (7,)
 
 
 def test_evaluate():

@@ -1,6 +1,9 @@
 """Closed-form counting: q-analogues, dimension and distance, the group and
 stabilizer orders, and the validation rules of the parameter object."""
 
+import copy
+import pickle
+
 import pytest
 
 from agcodes.fields import field_for_order
@@ -98,11 +101,31 @@ def test_params_validation():
     assert (p.m, p.delta, p.npoints) == (5, 6, 64)
     assert p.field() is field_for_order(2)
     assert CodeParams(2, 0, 3).delta == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^6 is not a prime power$"):
         CodeParams(6, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need lp >= 1, got lp=0$"):
         CodeParams(2, 1, 0)
-    with pytest.raises(ValueError):
-        CodeParams(2, -1, 2)
-    with pytest.raises(ValueError, match="transposed"):
+    with pytest.raises(ValueError, match=r"^need l >= 0, got l=-1$"):
+        CodeParams(q=2, l=-1, lp=2)
+    transposed = r"^need l <= lp, got l=3 > lp=2; swap them \(the transposed matrix gives the same code\)$"
+    with pytest.raises(ValueError, match=transposed):
         CodeParams(2, 3, 2)
+
+
+def test_params_is_a_frozen_value():
+    """Equal and hashed by (q, l, lp), never equal to a bare tuple, printed
+    as a dataclass would print it, and closed to assignment."""
+    p = CodeParams(q=2, l=1, lp=2000)
+    assert (p.q, p.l, p.lp, p.m) == (2, 1, 2000, 2001)
+    assert p == CodeParams(2, 1, 2000) and hash(p) == hash(CodeParams(2, 1, 2000))
+    assert p != CodeParams(2, 1, 1999) and p != CodeParams(3, 1, 2000)
+    assert p != (2, 1, 2000) and (2, 1, 2000) != p
+    assert len({p, CodeParams(2, 1, 2000), CodeParams(2, 2, 2000)}) == 2
+    assert repr(p) == str(p) == "CodeParams(q=2, l=1, lp=2000)"
+    for name in ("q", "l", "lp", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert repr(p) == "CodeParams(q=2, l=1, lp=2000)"
+    assert copy.copy(p) == p == pickle.loads(pickle.dumps(p))
