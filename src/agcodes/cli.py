@@ -5,7 +5,8 @@ generator matrix, blind scans (minimum distance, weight distribution,
 minimum weight words), randomized self-checks, the projective relatives,
 and the full acceptance run.  Output is deterministic for a fixed invocation
 so runs can be diffed byte for byte; JSON output uses sorted keys and
-compact separators.
+compact separators.  The verification and Grassmann modules are imported by
+the subcommands that run them, so a scan loads neither.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import sys
 from itertools import chain
 from typing import Callable, Iterable
 
-from . import __version__, limits, verify
+from . import __version__, limits
 from .code import build, ensure_scannable, min_distance, min_weight_codewords, weight, weight_distribution
 from .fields import field_for_order
-from .grassmann import VerificationError, build_grassmann_code, cell_restriction_compare
 from .minors import minor_basis
 from .params import (
     CodeParams,
@@ -30,7 +30,6 @@ from .params import (
     min_weight_count_formula,
     stabilizer_order_formula,
 )
-from .verify import identity_suites, run_acceptance, run_params_suite
 
 __all__ = ["main"]
 
@@ -185,6 +184,8 @@ def _cmd_minwords(args) -> int:
 
 
 def _cmd_autocheck(args) -> int:
+    from .verify import identity_suites
+
     results = identity_suites(_params_of(args), args.seed, args.trials)
     for res in results:
         print(f"{'ok' if res.ok else 'FAIL'} {res.name}: {res.detail}")
@@ -192,6 +193,8 @@ def _cmd_autocheck(args) -> int:
 
 
 def _cmd_grassmann(args) -> int:
+    from .grassmann import build_grassmann_code, cell_restriction_compare
+
     gf = field_for_order(args.q)
     if args.mindist and 0 <= args.l <= args.m:
         # k = C(m, l); the build itself refuses any other l and m
@@ -228,16 +231,18 @@ def _cmd_grassmann(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from . import verify
+
     # text lines are printed as each check ends, JSON objects once all have
     write = print if args.format == "text" else None
     if args.q is not None or args.l is not None or args.lp is not None:
         if None in (args.q, args.l, args.lp):
             print("error: verify-all needs all of --q --l --lp, or none", file=sys.stderr)
             return 2
-        results = run_params_suite(CodeParams(args.q, args.l, args.lp), write=write)
+        results = verify.run_params_suite(CodeParams(args.q, args.l, args.lp), write=write)
         numbers = range(1, len(results) + 1)
     else:
-        results = run_acceptance(write=write)
+        results = verify.run_acceptance(write=write)
         numbers = [number for number, _ in verify.ACCEPTANCE]
     if args.format == "json":
         for number, res in zip(numbers, results):
@@ -298,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return handlers[args.command](args)
-    except VerificationError as exc:
+    except limits.VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

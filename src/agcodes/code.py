@@ -365,6 +365,7 @@ class _Lanes:
             self.decode = decode
         self._patterns = [pattern(x, 0) for x in range(q)]
         self._rows: dict[tuple[int, int], int] = {}
+        self._tables: dict[int, bytes | list[bytes]] = {}  # row's table per multiple a
         self._row_bytes: dict[int, bytes] = {}  # generator row r as bytes, for 8-bit lanes
 
     @cached_property
@@ -397,24 +398,36 @@ class _Lanes:
         table maps each element x to the lane pattern of a·x, and the row
         goes through it at C level: an ASCII translate read in base 2 for
         1-bit lanes, a byte translate for 8-bit lanes, and a join of each
-        entry's little-endian lane bytes above that.  A row is packed at up
-        to q - 1 multiples, so 8-bit lanes keep its bytes from the first."""
+        entry's little-endian lane bytes above that.  The table depends on
+        a alone, so it is made once per multiple; a row is packed at up to
+        q - 1 multiples, so 8-bit lanes keep its bytes from the first."""
         key = (a, r)
         if key not in self._rows:
-            mul, width, row = self.gf.mul, self.width, self.generator[r]
-            times_a = [self._patterns[mul(a, x)] for x in range(self.gf.q)]
+            width, row = self.width, self.generator[r]
+            table = self._tables.get(a) or self._table(a)
             if width == 1:
-                table = bytes(ord("0") + x for x in times_a).ljust(256, b"0")
                 self._rows[key] = int(bytes(row).translate(table)[::-1], 2)
             elif width == 8:
                 if r not in self._row_bytes:
                     self._row_bytes[r] = bytes(row)
-                table = bytes(times_a).ljust(256, b"\0")
                 self._rows[key] = int.from_bytes(self._row_bytes[r].translate(table), "little")
             else:
-                lanes = [x.to_bytes(width // 8, "little") for x in times_a]
-                self._rows[key] = int.from_bytes(b"".join(map(lanes.__getitem__, row)), "little")
+                self._rows[key] = int.from_bytes(b"".join(map(table.__getitem__, row)), "little")
         return self._rows[key]
+
+    def _table(self, a: int) -> bytes | list[bytes]:
+        """row's table for the multiple a: a translate table for 1-bit and
+        8-bit lanes, else each element's lane bytes."""
+        mul, width = self.gf.mul, self.width
+        times_a = [self._patterns[mul(a, x)] for x in range(self.gf.q)]
+        if width == 1:
+            table = bytes(ord("0") + x for x in times_a).ljust(256, b"0")
+        elif width == 8:
+            table = bytes(times_a).ljust(256, b"\0")
+        else:
+            table = [x.to_bytes(width // 8, "little") for x in times_a]
+        self._tables[a] = table
+        return table
 
     def word(self, terms: Iterable[tuple[int, int]]) -> int:
         """The stored word of the message with coefficient c at row r for

@@ -51,6 +51,7 @@ from typing import NamedTuple, Sequence
 from . import limits
 from .code import LinearCode, _certify_rank, _repeated, build
 from .fields import GF
+from .limits import VerificationError
 from .matrices import MatrixGF, batch_minors, enumerate_rref
 from .minors import MinorIndex, minor_basis
 from .params import CodeParams, gaussian_binomial
@@ -66,10 +67,6 @@ __all__ = [
     "cell_restriction_compare",
     "VerificationError",
 ]
-
-
-class VerificationError(RuntimeError):
-    """A structural correspondence that must hold failed on actual data."""
 
 
 def _subspace_count(l: int, m: int, gf: GF) -> int:

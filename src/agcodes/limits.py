@@ -4,6 +4,9 @@ Every brute-force sweep (point enumeration, message scans, matrix-group
 filters, orbit generation) checks its workload against a cap before starting,
 so a typo in parameters fails fast instead of hanging.  Each cap can be raised
 or lowered through an environment variable, e.g. AGCODES_MESSAGES_CAP=100000.
+The module also holds VerificationError, so that the command line maps both
+of its failure exceptions to exit codes without loading the modules that
+raise the second.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ _ENV_PREFIX = "AGCODES_"
 
 class CapExceeded(RuntimeError):
     """Raised when a requested exhaustive sweep is larger than its cap."""
+
+
+class VerificationError(RuntimeError):
+    """A structural correspondence that must hold failed on actual data."""
 
 
 def cap(name: str) -> int:

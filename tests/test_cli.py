@@ -264,6 +264,19 @@ def test_grassmann_output(capsys):
     assert len(data["matches"]) == 6
 
 
+def test_a_failed_cell_comparison_exits_1(capsys, monkeypatch):
+    """VerificationError maps to exit 1 and its reason on stderr, though the
+    CLI imports grassmann only inside the subcommand."""
+    def mismatch(l, m, gf):
+        raise grassmann.VerificationError("restricted row 0 matches no affine row")
+
+    monkeypatch.setattr(grassmann, "cell_restriction_compare", mismatch)
+    code, out, err = run(capsys, "grassmann", "--l", "2", "--m", "4", "--q", "2", "--compare-cell")
+    assert (code, out) == (1, "")
+    assert err == "verification failed: restricted row 0 matches no affine row\n"
+    assert grassmann.VerificationError is agcodes.limits.VerificationError
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     code, out, err = run(capsys, "build", "--q", "2", "--l", "1", "--lp", "2")
     assert code == 0
@@ -474,6 +487,47 @@ def test_the_package_imports_without_dataclasses():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_a_scan_loads_neither_group_grassmann_nor_verify():
+    """In a fresh interpreter, importing the package and running a scan
+    through the CLI leave group, grassmann and verify unloaded; the lazy
+    names then load their submodule and bind its objects."""
+    src = os.path.dirname(os.path.dirname(agcodes.__file__))
+    probe = """
+import sys, agcodes
+from agcodes import cli
+idle = {"agcodes.grassmann", "agcodes.group", "agcodes.verify"}
+loaded = [sorted(idle & set(sys.modules))]
+assert cli.main(["mindist", "--q", "2", "--l", "2", "--lp", "2"]) == 0
+loaded.append(sorted(idle & set(sys.modules)))
+assert set(agcodes.__all__) <= set(dir(agcodes))
+assert agcodes.enumerate_group is agcodes.group.enumerate_group
+assert agcodes.min_weight_witness is agcodes.group.min_weight_witness
+assert agcodes.build_grassmann_code is agcodes.grassmann.build_grassmann_code
+assert agcodes.cell_restriction_compare is agcodes.grassmann.cell_restriction_compare
+try:
+    agcodes.no_such_name
+except AttributeError as exc:
+    loaded.append(str(exc))
+print(loaded)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    expected = [[], [], "module 'agcodes' has no attribute 'no_such_name'"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"6\n{expected}\n", "")
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from agcodes import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == sorted(agcodes.__all__)
+    assert len(agcodes.__all__) == 12
 
 
 def test_version(capsys):
